@@ -23,6 +23,7 @@ from .errors import (
     NoDescentProgress,
     NonFinite,
     NotW0,
+    ProjectionFailed,
     ZeroFunction,
 )
 from .exponents import (
@@ -98,7 +99,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .report import emit_report, trajectory_to_csv
+from .report import trajectory_to_csv
 from .scenarios import run_scenario
 
 __version__ = "0.1.0"

@@ -1,12 +1,11 @@
 """Command-line front end: one subcommand per scenario.
 
-    fracflow <scenario> [--config PATH] [--out DIR] [--threads K] [--seed S]
+    fracflow <scenario> [--config PATH] [--out DIR] [--seed S]
 
 Without --config a built-in constant-exponent configuration is used.  The
 FRACFLOW_OUT environment variable overrides --out, which overrides the
-config's output directory.  --threads defaults to 1 for bit-exact
-reproducibility; the numpy kernels used here are deterministic reductions,
-so results do not depend on the flag.
+config's output directory.  The numpy kernels used here are fixed-order
+reductions, so artifacts are byte-identical for a fixed config and seed.
 
 Exit status: 0 when every scenario verdict passed, 1 on failed verdicts or
 violated exponent assumptions, 2 on configuration or I/O errors.
@@ -33,7 +32,6 @@ def _build_parser():
         sp = sub.add_parser(name, help="run the %s scenario" % name)
         sp.add_argument("--config", default=None, help="path to a key = value config file")
         sp.add_argument("--out", default=None, help="output directory for artifacts")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 

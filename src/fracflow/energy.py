@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NoDescentProgress, ZeroFunction
+from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .exponents import validate_assumptions
 from .grid import GridFunction, l2_norm
 from .modular import exponent_values, luxemburg_norm, gagliardo_seminorm
@@ -148,7 +148,8 @@ def _ray_root(cp, ep, cq, eq):
 
 def nehari_lambda(u, ctx, tol=1e-9):
     """Scaling factor placing u on the manifold: the unique lam > 0 with
-    I(lam*u) = 0.  Raises ZeroFunction for u == 0."""
+    I(lam*u) = 0.  Raises ZeroFunction for u == 0 and ProjectionFailed
+    when the relative residual at the root exceeds ``tol``."""
     ctx._check_function(u)
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")
@@ -158,7 +159,7 @@ def nehari_lambda(u, ctx, tol=1e-9):
     resid = abs(float(np.sum(cp * lam**ep) - np.sum(cq * lam**eq)))
     scale = float(np.sum(cp * lam**ep) + np.sum(cq * lam**eq))
     if resid > tol * scale:
-        raise RuntimeError(
+        raise ProjectionFailed(
             "manifold projection residual %g exceeds %g" % (resid, tol * scale)
         )
     return lam

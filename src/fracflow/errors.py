@@ -50,6 +50,10 @@ class NonFinite(FracflowError):
     """A state update produced non-finite values (overflow during blow-up)."""
 
 
+class ProjectionFailed(FracflowError):
+    """A manifold projection left a residual I(lam*u) above its tolerance."""
+
+
 class InnerSolveStalled(FracflowError):
     """The implicit substep failed to reach its residual tolerance."""
 

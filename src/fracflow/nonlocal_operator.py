@@ -5,8 +5,17 @@ i != j, with pairs where both cells lie on the exterior collar excluded
 (such pairs are outside the operator's support set).  Each unordered pair
 is therefore counted twice, which realizes the factor 2 of the
 principal-value definition without a separate constant.  Per pair the
-table holds the distance d_ij, the exponent p_ij = p(x_i, x_j) and the
-kernel weight d_ij**-(N + s*p_ij).
+exponent is p_ij = p(x_i, x_j) and the kernel weight k_ij = d_ij**-(N +
+s*p_ij) at the distance d_ij of the cell centers.
+
+Every allowed pair has at least one interior cell, and k and p are
+symmetric, so the context stores only the interior-row table: arrays of
+shape (n, n_total) pairing each interior cell with every cell.  An
+ordered-pair sum over all cells equals the sum over this table with
+collar columns weighted 2, since the pair (i, j) with j in the collar
+stands in for (j, i) as well; the diagonal carries weight 0.  The table
+holds n * n_total entries per array, at most MAX_TABLE_ENTRIES; a larger
+grid is refused with InvalidResolution before anything is allocated.
 
 The operator value on a cell is the exact gradient, with respect to
 interior cell values weighted by cell measures, of the discrete nonlocal
@@ -17,7 +26,7 @@ cutoff parameter appears.
 
 import numpy as np
 
-from .errors import ContextMismatch, GridMismatch, NotW0
+from .errors import ContextMismatch, GridMismatch, InvalidResolution, NotW0
 from .exponents import validate_assumptions
 from .grid import GridFunction
 
@@ -28,109 +37,98 @@ __all__ = [
     "weak_form",
     "monotonicity_gap",
     "convexity_inequality_check",
+    "MAX_TABLE_ENTRIES",
 ]
 
-#: precompute the dense pair table up to this many total cells
-DENSE_LIMIT = 4096
+#: cap on the entries n * n_total of the interior-row table; the context
+#: keeps at most six float arrays of that size (48 bytes per entry)
+MAX_TABLE_ENTRIES = 1 << 22
 
-#: row block size for the matrix-free path
-BLOCK = 256
+
+def _check_table_size(grid):
+    entries = grid.n * grid.n_total
+    if entries > MAX_TABLE_ENTRIES:
+        raise InvalidResolution(
+            "pair table of %d x %d = %d entries exceeds the cap of %d"
+            % (grid.n, grid.n_total, entries, MAX_TABLE_ENTRIES)
+        )
 
 
 class OperatorContext:
-    """Grid + exponent field + (optionally precomputed) pair table."""
+    """Grid + exponent field + the interior-row pair table.
 
-    def __init__(self, grid, field, summary=None, dense=None):
+    ``P`` is the exponent table, a float when p is constant; ``row_w`` is
+    k_ij w_j, the row weight of ``apply``; ``pair_w`` the ordered-pair
+    weight k_ij w_i w_j, doubled on collar columns; ``pair_w_by_p`` that
+    weight over P.  Sweeps write into two preallocated work buffers and
+    return only reductions or fresh arrays, never a view of a buffer.
+    """
+
+    def __init__(self, grid, field, summary=None):
+        _check_table_size(grid)
         self.grid = grid
         self.field = field
         self.summary = summary
-        n_tot = grid.n_total
-        self.dense = (n_tot <= DENSE_LIMIT) if dense is None else bool(dense)
-        self.w = grid.widths
-        self.x = grid.centers
         self.q_interior = np.asarray(field.q(grid.interior_centers), dtype=float)
-        if self.dense:
-            K, P = self._build_block(0, n_tot)
-            self.K = K
-            self.P = P
-        else:
-            self.K = None
-            self.P = None
+        rows = grid.interior_slice
+        x, w = grid.centers, grid.widths
+        diag = (np.arange(grid.n), np.arange(rows.start, rows.stop))
+        d = np.abs(x[rows, None] - x[None, :])
+        d[diag] = 1.0
+        P = np.asarray(field.p(x[rows, None], x[None, :]), dtype=float)
+        k = d ** -(field.spatial_dim + field.s * P)
+        k[diag] = 0.0
+        self.P = float(P.flat[0]) if np.all(P == P.flat[0]) else P
+        self._p_minus_2 = self.P - 2.0
+        self.row_w = k * w
+        collar_weight = np.where(grid.interior_mask, 1.0, 2.0)
+        self.pair_w = self.row_w * w[rows, None] * collar_weight
+        self.pair_w_by_p = self.pair_w / self.P
+        self._a = np.empty(k.shape)
+        self._b = np.empty(k.shape)
 
-    def _build_block(self, i0, i1):
-        """Kernel and exponent rows i0:i1 against all columns; excluded
-        pairs carry kernel weight exactly 0."""
-        x, field, grid = self.x, self.field, self.grid
-        d = np.abs(x[i0:i1, None] - x[None, :])
-        p = np.asarray(field.p(x[i0:i1, None], x[None, :]), dtype=float)
-        allowed = grid.interior_mask[i0:i1, None] | grid.interior_mask[None, :]
-        allowed &= d > 0.0
-        d_safe = np.where(allowed, d, 1.0)
-        k = d_safe ** -(field.spatial_dim + field.s * p)
-        k[~allowed] = 0.0
-        return k, p
+    def _diff(self, vals):
+        """u_i - u_j for interior rows i against all columns j, in the first
+        work buffer."""
+        return np.subtract(vals[self.grid.interior_slice, None], vals, out=self._a)
 
-    def _blocks(self, rows=None):
-        """Yield (i0, i1, K_block, P_block); ``rows`` restricts to a slice."""
-        lo, hi = (0, self.grid.n_total) if rows is None else (rows.start, rows.stop)
-        if self.dense:
-            yield lo, hi, self.K[lo:hi], self.P[lo:hi]
-        else:
-            for i0 in range(lo, hi, BLOCK):
-                i1 = min(i0 + BLOCK, hi)
-                k, p = self._build_block(i0, i1)
-                yield i0, i1, k, p
+    def _abs_pow(self, vals):
+        """|u_i - u_j|^p_ij in the first work buffer."""
+        d = np.abs(self._diff(vals), out=self._a)
+        return np.power(d, self.P, out=d)
+
+    def _pow_sign(self, vals):
+        """|du|^(p_ij - 2) du in the second work buffer; du stays in the first."""
+        du = self._diff(vals)
+        a = np.abs(du, out=self._b)
+        np.power(a, self._p_minus_2, out=a)
+        return np.multiply(a, du, out=a)
 
     # -- pair reductions ----------------------------------------------------
 
     def sp_modular(self, vals):
         """sum over pairs of |u_i - u_j|^p_ij k_ij w_i w_j."""
-        tot = 0.0
-        for i0, i1, K, P in self._blocks():
-            du = np.abs(vals[i0:i1, None] - vals[None, :])
-            tot += float(np.einsum("ij,i,j->", du**P * K, self.w[i0:i1], self.w))
-        return tot
+        return float(np.einsum("ij,ij->", self._abs_pow(vals), self.pair_w))
 
     def i1(self, vals):
         """Nonlocal energy sum over pairs of (1/p_ij) |u_i - u_j|^p_ij k_ij w_i w_j."""
-        tot = 0.0
-        for i0, i1, K, P in self._blocks():
-            du = np.abs(vals[i0:i1, None] - vals[None, :])
-            tot += float(np.einsum("ij,i,j->", du**P / P * K, self.w[i0:i1], self.w))
-        return tot
+        return float(np.einsum("ij,ij->", self._abs_pow(vals), self.pair_w_by_p))
 
     def pair_stats(self, vals):
         """(i1, sp_modular) in a single pass over the table."""
-        e = 0.0
-        rho = 0.0
-        for i0, i1, K, P in self._blocks():
-            du = np.abs(vals[i0:i1, None] - vals[None, :])
-            t = du**P * K
-            rho += float(np.einsum("ij,i,j->", t, self.w[i0:i1], self.w))
-            e += float(np.einsum("ij,i,j->", t / P, self.w[i0:i1], self.w))
-        return e, rho
+        t = self._abs_pow(vals)
+        e = float(np.einsum("ij,ij->", t, self.pair_w_by_p))
+        return e, float(np.einsum("ij,ij->", t, self.pair_w))
 
     def apply(self, vals):
         """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j."""
-        g = self.grid
-        out = np.zeros(g.n)
-        for i0, i1, K, P in self._blocks(rows=g.interior_slice):
-            du = vals[i0:i1, None] - vals[None, :]
-            a = np.abs(du) ** (P - 2.0) * du
-            out[i0 - g.interior_slice.start : i1 - g.interior_slice.start] = 2.0 * (
-                (a * K) @ self.w
-            )
-        return out
+        return 2.0 * np.einsum("ij,ij->i", self._pow_sign(vals), self.row_w)
 
     def weak(self, uvals, vvals):
         """Pair sum |du|^(p-2) du dv k_ij w_i w_j."""
-        tot = 0.0
-        for i0, i1, K, P in self._blocks():
-            du = uvals[i0:i1, None] - uvals[None, :]
-            dv = vvals[i0:i1, None] - vvals[None, :]
-            a = np.abs(du) ** (P - 2.0) * du
-            tot += float(np.einsum("ij,i,j->", a * dv * K, self.w[i0:i1], self.w))
-        return tot
+        a = self._pow_sign(uvals)
+        dv = self._diff(vvals)
+        return float(np.einsum("ij,ij,ij->", a, dv, self.pair_w))
 
     def gap(self, uvals, vvals):
         """Pair sum (|du|^(p-2) du - |dv|^(p-2) dv)(du - dv) k w w.
@@ -138,16 +136,11 @@ class OperatorContext:
         Each summand is a product of same-signed factors, so the reduction
         stays nonnegative up to roundoff.
         """
-        tot = 0.0
-        for i0, i1, K, P in self._blocks():
-            du = uvals[i0:i1, None] - uvals[None, :]
-            dv = vvals[i0:i1, None] - vvals[None, :]
-            au = np.abs(du) ** (P - 2.0) * du
-            av = np.abs(dv) ** (P - 2.0) * dv
-            tot += float(
-                np.einsum("ij,i,j->", (au - av) * (du - dv) * K, self.w[i0:i1], self.w)
-            )
-        return tot
+        av = self._pow_sign(vvals).copy()
+        au = self._pow_sign(uvals)
+        au -= av
+        ddiff = self._diff(uvals - vvals)
+        return float(np.einsum("ij,ij,ij->", au, ddiff, self.pair_w))
 
     def pair_coeffs(self, vals):
         """Flattened (coeff, exponent) arrays with coeff = |du|^p k w w > 0.
@@ -155,38 +148,22 @@ class OperatorContext:
         The scaled modular of u/lam is then sum(coeff * lam**-exponent);
         used by the seminorm bisection and the ray scaling root-find.
         """
-        cs = []
-        es = []
-        for i0, i1, K, P in self._blocks():
-            du = np.abs(vals[i0:i1, None] - vals[None, :])
-            c = du**P * K * np.outer(self.w[i0:i1], self.w)
-            keep = c > 0.0
-            cs.append(c[keep])
-            es.append(P[keep])
-        return np.concatenate(cs), np.concatenate(es)
+        c = np.multiply(self._abs_pow(vals), self.pair_w, out=self._a)
+        keep = c > 0.0
+        return c[keep], np.broadcast_to(self.P, c.shape)[keep]
 
     def sp_grad_interior(self, vals, lam=1.0):
         """Measure-weighted gradient of sum |du/lam|^p k w w on interior cells:
         (2/lam) sum_j p_ij |du/lam|^(p-1) sgn(du) k_ij w_j."""
-        g = self.grid
-        out = np.zeros(g.n)
-        for i0, i1, K, P in self._blocks(rows=g.interior_slice):
-            du = (vals[i0:i1, None] - vals[None, :]) / lam
-            a = P * np.abs(du) ** (P - 1.0) * np.sign(du)
-            out[i0 - g.interior_slice.start : i1 - g.interior_slice.start] = (
-                2.0 / lam
-            ) * ((a * K) @ self.w)
-        return out
+        a = self._pow_sign(vals / lam)
+        a *= self.P
+        return (2.0 / lam) * np.einsum("ij,ij->i", a, self.row_w)
 
     def sp_dlambda(self, vals, lam):
         """d/d lam of sum |du/lam|^p k w w (negative for nonzero u)."""
-        tot = 0.0
-        for i0, i1, K, P in self._blocks():
-            du = np.abs(vals[i0:i1, None] - vals[None, :]) / lam
-            tot += float(
-                np.einsum("ij,i,j->", P * du**P * K, self.w[i0:i1], self.w)
-            )
-        return -tot / lam
+        t = self._abs_pow(vals / lam)
+        t *= self.P
+        return -float(np.einsum("ij,ij->", t, self.pair_w)) / lam
 
     def _check_function(self, u, require_w0=True):
         if not u.grid.compatible_with(self.grid):
@@ -195,13 +172,16 @@ class OperatorContext:
             raise NotW0("operation requires exterior values pinned to zero")
 
 
-def build_context(grid, field, validate=True, sample_resolution=65, dense=None):
+def build_context(grid, field, validate=True, sample_resolution=65):
     """Assemble the operator context; validates the exponent field against
-    the grid's truncated region unless told otherwise."""
+    the grid's truncated region unless told otherwise.  Raises
+    InvalidResolution, before validating or allocating, when the grid's
+    pair table would exceed MAX_TABLE_ENTRIES."""
+    _check_table_size(grid)
     summary = (
         validate_assumptions(field, grid.domain, sample_resolution) if validate else None
     )
-    return OperatorContext(grid, field, summary=summary, dense=dense)
+    return OperatorContext(grid, field, summary=summary)
 
 
 def apply_operator(u, ctx):

@@ -8,8 +8,6 @@ byte-identical files.
 
 import os
 
-from .evolution import AuditResult, TrajectoryRecord
-from .energy import WellGeometry
 from .grid import save_csv
 
 __all__ = [
@@ -17,7 +15,6 @@ __all__ = [
     "trajectory_to_csv",
     "audit_to_csv",
     "geometry_report",
-    "emit_report",
 ]
 
 TRAJECTORY_HEADER = "t,dt,E,I,phi,l2,lux_r,modular_sp,modular_q,well_class,residual"
@@ -96,15 +93,3 @@ def geometry_report(geometry, out_dir, minimizer_name="minimizer.csv"):
         fh.write(text + "\n")
     return text
 
-
-def emit_report(obj, path):
-    """Dispatch on the artifact type: trajectory/audit -> CSV file at
-    ``path``, geometry -> report files under directory ``path``."""
-    if isinstance(obj, TrajectoryRecord):
-        trajectory_to_csv(obj, path)
-    elif isinstance(obj, AuditResult):
-        audit_to_csv(obj, path)
-    elif isinstance(obj, WellGeometry):
-        geometry_report(obj, path)
-    else:
-        raise TypeError("cannot emit a report for %r" % type(obj).__name__)

@@ -19,7 +19,7 @@ from .config import (
     build_probe,
 )
 from .energy import IN_WELL, energy, nehari_lambda, standard_bump, first_sine_mode, well_depth
-from .errors import ConfigError
+from .errors import AuditFailed, ConfigError
 from .evolution import (
     BLOWUP_CAP_HIT,
     blowup_inequality_audit,
@@ -154,14 +154,17 @@ def _scenario_blowup(cfg, out_dir, v):
         v.info("t_max_estimate = %r" % record.t_max_estimate)
     if record.t_max_extrapolated is not None:
         v.info("t_max_extrapolated = %r" % record.t_max_extrapolated)
-    try:
-        audit = blowup_inequality_audit(record, ctx, e0)
-    except Exception as exc:  # surfaced as a FAIL verdict, not a crash
-        v.check("inequality_audit", False, str(exc))
+    if e0 >= 0.0:
+        v.check("inequality_audit", False, "not run: E(u0) >= 0")
     else:
-        audit_to_csv(audit, os.path.join(out_dir, "audit.csv"))
-        v.info("measured rate constant = %r" % audit.rate_constant)
-        v.check("inequality_audit", True)
+        try:
+            audit = blowup_inequality_audit(record, ctx, e0)
+        except AuditFailed as exc:  # surfaced as a FAIL verdict, not a crash
+            v.check("inequality_audit", False, str(exc))
+        else:
+            audit_to_csv(audit, os.path.join(out_dir, "audit.csv"))
+            v.info("measured rate constant = %r" % audit.rate_constant)
+            v.check("inequality_audit", True)
     v.check("exterior_invariance", exterior_invariance_check(record))
 
 
@@ -177,10 +180,12 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
     constant_exps = summary.p_minus == summary.p_plus and summary.q_minus == summary.q_plus
     rows = ["label,lambda_hat,closed_form,abs_err,nehari_residual"]
     worst = 0.0
+    worst_resid = 0.0
     for label, u in cases:
         lam = nehari_lambda(u, ctx, tol=cfg.geometry.tol)
         rep = energy(u.scaled(lam), ctx)
         resid = abs(rep.nehari) / (rep.gagliardo_modular + rep.q_modular)
+        worst_resid = max(worst_resid, resid)
         if constant_exps:
             p0, q0 = summary.p_plus, summary.q_plus
             closed = (gagliardo_modular(u, ctx) / energy(u, ctx).q_modular) ** (
@@ -196,7 +201,11 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
         fh.write("\n".join(rows) + "\n")
     if constant_exps:
         v.check("closed_form_match", worst <= 1e-8, "worst |err| = %r" % worst)
-    v.check("projection_residuals", True)
+    v.check(
+        "projection_residuals",
+        worst_resid <= cfg.geometry.tol,
+        "worst residual %r > tol %r" % (worst_resid, cfg.geometry.tol),
+    )
 
 
 def _scenario_convergence(cfg, out_dir, v):

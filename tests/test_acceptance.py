@@ -254,7 +254,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     blobs = []
     for name in ("run1", "run2"):
         rc = main(
-            ["well", "--config", str(cfgpath), "--out", str(tmp_path / name), "--threads", "1"]
+            ["well", "--config", str(cfgpath), "--out", str(tmp_path / name)]
         )
         capsys.readouterr()
         assert rc in (0, 1)  # determinism is about bytes, not verdicts

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import fracflow as ff
+from fracflow import scenarios
 from fracflow.cli import main
 from fracflow.config import default_config, parse_config, serialize_config
 from fracflow.errors import ConfigError
@@ -95,9 +96,21 @@ def test_nehari_sweep_scenario(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "closed_form_match: PASS" in out
+    assert "projection_residuals: PASS" in out
     csv = (tmp_path / "out" / "nehari_sweep.csv").read_text().splitlines()
     assert csv[0] == "label,lambda_hat,closed_form,abs_err,nehari_residual"
     assert len(csv) == 11  # header + bump + sine + 8 random
+
+
+def test_nehari_sweep_projection_residuals_can_fail(tmp_path, capsys, monkeypatch):
+    cfgpath = tmp_path / "sweep.cfg"
+    _write_fast_config(cfgpath, "nehari-sweep")
+    true_lambda = scenarios.nehari_lambda
+    monkeypatch.setattr(scenarios, "nehari_lambda", lambda u, ctx, tol: 1.01 * true_lambda(u, ctx, tol))
+    rc = main(["nehari-sweep", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "projection_residuals: FAIL (worst residual" in out
 
 
 def test_well_scenario_verdicts_and_row_count(tmp_path, capsys):
@@ -141,6 +154,21 @@ def test_blowup_scenario(tmp_path, capsys):
     assert (tmp_path / "out" / "audit.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:initial state is InWell")
+def test_blowup_scenario_inside_well_skips_audit(tmp_path, capsys):
+    # E(u0) >= 0: the audit is not run, and the scenario still writes its summary
+    cfgpath = tmp_path / "blow.cfg"
+    _write_fast_config(cfgpath, "blowup", **{"initial.factor": 0.5})
+    rc = main(["blowup", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "inequality_audit: FAIL (not run: E(u0) >= 0)" in out
+    assert "inequality_audit: FAIL (not run: E(u0) >= 0)" in (
+        tmp_path / "out" / "summary.txt"
+    ).read_text()
+    assert not (tmp_path / "out" / "audit.csv").exists()
+
+
 def test_out_dir_precedence(tmp_path, capsys, monkeypatch):
     env_dir = tmp_path / "from-env"
     flag_dir = tmp_path / "from-flag"
@@ -170,7 +198,7 @@ def test_scenario_determinism_byte_identical(tmp_path, capsys):
     _write_fast_config(cfgpath, "well", **{"step.t_final": 0.5})
     outs = []
     for name in ("r1", "r2"):
-        rc = main(["well", "--config", str(cfgpath), "--out", str(tmp_path / name), "--threads", "1"])
+        rc = main(["well", "--config", str(cfgpath), "--out", str(tmp_path / name)])
         capsys.readouterr()
         outs.append((tmp_path / name / "trajectory.csv").read_bytes())
     assert outs[0] == outs[1]
@@ -196,10 +224,8 @@ def test_header_only_csv_for_empty_trajectory(tmp_path):
     assert path.read_text() == "t,dt,E,I,phi,l2,lux_r,modular_sp,modular_q,well_class,residual\n"
 
 
-def test_emit_report_dispatch(tmp_path, ctx16):
+def test_geometry_report_writes_files(tmp_path, ctx16):
     geom = ff.well_depth(ctx16, n_starts=2, iters=50, rng=0)
-    ff.emit_report(geom, str(tmp_path))
-    assert (tmp_path / "geometry_summary.txt").exists()
+    text = ff.report.geometry_report(geom, str(tmp_path))
+    assert (tmp_path / "geometry_summary.txt").read_text() == text + "\n"
     assert (tmp_path / "minimizer.csv").exists()
-    with pytest.raises(TypeError):
-        ff.emit_report(object(), str(tmp_path))

@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import fracflow as ff
 from fracflow.energy import _q_norm_and_grad, _seminorm_and_grad
-from fracflow.errors import ZeroFunction
+from fracflow.errors import ProjectionFailed, ZeroFunction
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,15 @@ def test_nehari_lambda_fixed_point_and_ray_scaling(ctx16, grid16, rng):
 def test_nehari_lambda_rejects_zero(ctx16, grid16):
     with pytest.raises(ZeroFunction):
         ff.nehari_lambda(ff.GridFunction.zeros(grid16), ctx16)
+
+
+def test_nehari_lambda_residual_raises_typed_error(ctx16, grid16, rng, monkeypatch):
+    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    energy_mod = importlib.import_module("fracflow.energy")  # ff.energy is the function
+    true_root = energy_mod._ray_root
+    monkeypatch.setattr(energy_mod, "_ray_root", lambda *a: 1.01 * true_root(*a))
+    with pytest.raises(ProjectionFailed, match="residual"):
+        ff.nehari_lambda(u, ctx16)
 
 
 def test_nehari_unique_crossing_and_ray_max(ctx16, grid16, rng):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import ContextMismatch, GridMismatch, NotW0
-from fracflow.nonlocal_operator import OperatorContext
+from fracflow.errors import ContextMismatch, GridMismatch, InvalidResolution, NotW0
+from fracflow.nonlocal_operator import MAX_TABLE_ENTRIES, OperatorContext
 
 from oracles import brute_apply, brute_i1, brute_sp_modular, brute_weak
 
@@ -186,25 +188,71 @@ def test_convexity_inequality_random_sweep(rng):
     assert np.all(ff.convexity_inequality_check(r, s, p))
 
 
-def test_matrix_free_matches_dense(field, rng):
+def _table_cases(field):
+    """(grid, field, values) on a small grid: constant and variable p(x, y),
+    each with a W0 vector and a vector with nonzero collar values."""
     dom = ff.Domain(-1.0, 1.0, 1.0)
-    grid = ff.build_grid(dom, 8, 4)
-    dense = OperatorContext(grid, field, dense=True)
-    lazy = OperatorContext(grid, field, dense=False)
-    u = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    v = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    assert dense.sp_modular(u.values) == pytest.approx(lazy.sp_modular(u.values), rel=1e-14)
-    assert dense.i1(u.values) == pytest.approx(lazy.i1(u.values), rel=1e-14)
-    assert np.allclose(dense.apply(u.values), lazy.apply(u.values), rtol=1e-14)
-    assert dense.weak(u.values, v.values) == pytest.approx(
-        lazy.weak(u.values, v.values), rel=1e-14
+    grid = ff.build_grid(dom, 6, 3)
+    variable = ff.make_exponent_field(
+        0.3, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.3}, domain=dom
     )
-    cd, ed = dense.pair_coeffs(u.values)
-    cl, el = lazy.pair_coeffs(u.values)
-    assert np.array_equal(np.sort(cd), np.sort(cl)) and np.array_equal(np.sort(ed), np.sort(el))
+    rng = np.random.default_rng(7)
+    w0 = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n)).values
+    collar = rng.standard_normal(grid.n_total)
+    return [(grid, f, vals) for f in (field, variable) for vals in (w0, collar)]
 
 
-def test_pair_table_symmetry(ctx16):
-    assert np.array_equal(ctx16.P, ctx16.P.T)
-    assert np.array_equal(ctx16.K, ctx16.K.T)
-    assert np.all(ctx16.K[ctx16.K > 0] > 0) and np.all(np.isfinite(ctx16.K))
+def test_interior_row_table_matches_oracles(field):
+    for grid, fld, u in _table_cases(field):
+        ctx = OperatorContext(grid, fld)
+        v = np.cos(3.0 * grid.centers)
+        rho = ctx.sp_modular(u)
+        assert rho == pytest.approx(brute_sp_modular(grid, fld, u), rel=1e-13)
+        assert ctx.i1(u) == pytest.approx(brute_i1(grid, fld, u), rel=1e-13)
+        assert np.allclose(ctx.apply(u), brute_apply(grid, fld, u), rtol=1e-13, atol=1e-14)
+        assert ctx.weak(u, v) == pytest.approx(brute_weak(grid, fld, u, v), rel=1e-13)
+        assert ctx.pair_stats(u) == (ctx.i1(u), rho)
+        coeffs, exps = ctx.pair_coeffs(u)
+        assert np.all(coeffs > 0.0) and coeffs.shape == exps.shape
+        assert float(np.sum(coeffs)) == pytest.approx(rho, rel=1e-13)
+        d = u - v
+        assert ctx.gap(u, v) == pytest.approx(ctx.weak(u, d) - ctx.weak(v, d), rel=1e-12)
+        lam, h = 0.8, 1e-6
+        fd = (ctx.sp_modular(u / (lam + h)) - ctx.sp_modular(u / (lam - h))) / (2.0 * h)
+        assert ctx.sp_dlambda(u, lam) == pytest.approx(fd, rel=1e-7)
+        grad = ctx.sp_grad_interior(u, lam)
+        widths = grid.interior_widths
+        for k, cell in enumerate(range(grid.interior_slice.start, grid.interior_slice.stop)):
+            up, um = u.copy(), u.copy()
+            up[cell] += h
+            um[cell] -= h
+            fd = (ctx.sp_modular(up / lam) - ctx.sp_modular(um / lam)) / (2.0 * h * widths[k])
+            assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
+    u = rng.standard_normal(grid16.n_total)
+    first = ctx16.apply(u)
+    kept = first.copy()
+    coeffs = ctx16.pair_coeffs(u)[0]
+    kept_c = coeffs.copy()
+    ctx16.apply(2.0 * u)
+    ctx16.pair_stats(3.0 * u)
+    ctx16.sp_grad_interior(u, 0.5)
+    assert np.array_equal(first, kept) and np.array_equal(coeffs, kept_c)
+
+
+def test_table_over_entry_cap_raises_before_allocating(field):
+    n = 1024
+    grid = ff.build_grid(ff.Domain(-1.0, 1.0, 8.0), n, MAX_TABLE_ENTRIES // n)
+    assert grid.n * grid.n_total > MAX_TABLE_ENTRIES
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidResolution):
+            ff.build_context(grid, field)
+        with pytest.raises(InvalidResolution):
+            OperatorContext(grid, field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n * grid.n_total  # one float table would be 8x this

@@ -46,7 +46,7 @@ print("\n== two-point modular and seminorm ==")
 rep = ff.gagliardo_seminorm(u, ctx)
 print("seminorm %.6f, modular %.6f, modular^(1/2) %.6f (p = 2 everywhere)"
       % (rep.luxemburg_norm, rep.modular_value, rep.modular_value**0.5))
-print("bisection used %d iterations inside bracket (%.1e, %.1e)"
+print("root-find used %d evaluations; final bracket (%.6f, %.6f)"
       % (rep.bisection_iterations, *rep.bracket))
 
 print("\n== Holder inequality in the variable-exponent pairing ==")

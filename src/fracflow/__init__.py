@@ -24,6 +24,7 @@ from .errors import (
     NonFinite,
     NotW0,
     ProjectionFailed,
+    RootFindFailed,
     ZeroFunction,
 )
 from .exponents import (
@@ -78,6 +79,7 @@ from .energy import (
 from .evolution import (
     BLOWUP_CAP_HIT,
     MAX_STEPS,
+    NON_FINITE,
     REACHED_FINAL_TIME,
     STEP_UNDERFLOW,
     AuditResult,

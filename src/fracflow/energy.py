@@ -16,12 +16,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .exponents import validate_assumptions
 from .grid import GridFunction, l2_norm
-from .modular import exponent_values, luxemburg_norm, gagliardo_seminorm
+from .modular import _log_root, exponent_values, luxemburg_norm, gagliardo_seminorm
 
 __all__ = [
     "EnergyReport",
@@ -125,31 +124,18 @@ def energy_gradient(u, ctx):
 
 
 def _ray_root(cp, ep, cq, eq):
-    """Unique root of g(lam) = sum cp lam^ep - sum cq lam^eq on (0, inf).
-
-    g > 0 for small lam (the p-exponents all lie below the q-exponents) and
-    g -> -inf for large lam, so a geometric scan brackets the root.
-    """
-
-    def g(lam):
-        return float(np.sum(cp * lam**ep) - np.sum(cq * lam**eq))
-
-    lo = hi = 1.0
-    while g(lo) <= 0.0:
-        lo *= 0.5
-        if lo < 1e-280:
-            raise ZeroFunction("ray scaling root-find lost its lower bracket")
-    while g(hi) >= 0.0:
-        hi *= 2.0
-        if hi > 1e280:
-            raise ZeroFunction("ray scaling root-find lost its upper bracket")
-    return float(brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps))
+    """Root of g(lam) = sum cp lam^ep - sum cq lam^eq on (0, inf), unique
+    because the p-exponents all lie below the q-exponents; located to a
+    relative residual |g| / (sum of both parts) of a few float eps."""
+    t, _, _ = _log_root(cp, ep, cq, eq, 4.0 * np.finfo(float).eps)
+    return float(np.exp(t))
 
 
 def nehari_lambda(u, ctx, tol=1e-9):
     """Scaling factor placing u on the manifold: the unique lam > 0 with
-    I(lam*u) = 0.  Raises ZeroFunction for u == 0 and ProjectionFailed
-    when the relative residual at the root exceeds ``tol``."""
+    I(lam*u) = 0.  Raises ZeroFunction for u == 0, RootFindFailed when the
+    root-find fails, and ProjectionFailed when the relative residual at the
+    root exceeds ``tol``."""
     ctx._check_function(u)
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")
@@ -165,7 +151,7 @@ def nehari_lambda(u, ctx, tol=1e-9):
     return lam
 
 
-# --- norm gradients (implicit differentiation of the bisection target) -----
+# --- norm gradients (implicit differentiation of the unit-modular root) ----
 
 
 def _q_norm_and_grad(ctx, vals, q_exp, tol):

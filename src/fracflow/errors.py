@@ -54,6 +54,11 @@ class ProjectionFailed(FracflowError):
     """A manifold projection left a residual I(lam*u) above its tolerance."""
 
 
+class RootFindFailed(FracflowError):
+    """A 1-D root-find (norm or manifold scaling) found no finite bracket or
+    did not converge within its evaluation budget."""
+
+
 class InnerSolveStalled(FracflowError):
     """The implicit substep failed to reach its residual tolerance."""
 

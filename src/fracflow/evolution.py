@@ -11,7 +11,8 @@ Along the run the engine records, per accepted step, the energy balance
 residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
 probe-space norm, and the state's position relative to the potential well;
 crossing the blow-up cap on the L^2 norm terminates the run with a
-finite-time estimate.
+finite-time estimate, while a float overflow before the cap terminates it
+as NonFinite, without one.
 """
 
 import warnings
@@ -41,12 +42,14 @@ __all__ = [
     "BLOWUP_CAP_HIT",
     "STEP_UNDERFLOW",
     "MAX_STEPS",
+    "NON_FINITE",
 ]
 
 REACHED_FINAL_TIME = "ReachedFinalTime"
 BLOWUP_CAP_HIT = "BlowUpCapHit"
 STEP_UNDERFLOW = "StepUnderflow"
 MAX_STEPS = "MaxSteps"
+NON_FINITE = "NonFinite"
 
 SCHEME_EXPLICIT = "explicit"
 SCHEME_IMEX = "imex"
@@ -247,9 +250,10 @@ def _measure_rate_constant(samples, q_plus):
 def run(u0, control, ctx, geometry, r_probe=2.0):
     """Integrate from u0 with energy-based step acceptance.
 
-    Steps until the final time, the blow-up cap, step underflow, or the step
-    budget; rejected steps halve dt and are not recorded.  The returned
-    record holds one sample per accepted step plus the initial state.
+    Steps until the final time, the blow-up cap, a non-finite step (float
+    overflow before the cap), step underflow, or the step budget; rejected
+    steps halve dt and are not recorded.  The returned record holds one
+    sample per accepted step plus the initial state.
     """
     ctx._check_function(u0)
     state = make_state(u0, ctx, t=0.0)
@@ -279,8 +283,7 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
             else:
                 new = step_explicit(state, dt_eff, ctx)
         except NonFinite:
-            termination = BLOWUP_CAP_HIT
-            t_max_estimate = state.t
+            termination = NON_FINITE
             break
         except InnerSolveStalled:
             dt = dt_eff / 2.0

@@ -4,20 +4,24 @@ A modular is a quantity of the form sum(c_a * lam**-e_a) evaluated at
 lam = 1: for the Lebesgue case c_i = |u_i|^h(x_i) w_i over interior cells,
 for the Gagliardo case c_ij = |u_i - u_j|^p_ij k_ij w_i w_j over the pair
 table.  The corresponding norm is the unique lam > 0 at which the scaled
-modular equals 1 (zero for the zero function); it is found by monotone
-bisection, since lam -> modular(u/lam) is strictly decreasing.
+modular equals 1 (zero for the zero function).
 
 Norm and modular are linked by the standard envelope inequalities: with
 e- and e+ the extreme exponents, norm <= 1 implies norm**e+ <= modular <=
 norm**e-, and the reversed exponents hold for norm >= 1; equivalently
 min(t**e-, t**e+) <= modular <= max(t**e-, t**e+) at t = norm.
+
+In t = log(lam) those inequalities bound the slope of -log(modular(u/lam))
+by e- and e+; ``_log_root`` uses the bounds to bracket safeguarded Newton
+steps in t, for every norm here and for the manifold scaling in ``energy``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOutOfRange
+from .errors import ExponentOutOfRange, RootFindFailed
 
 __all__ = [
     "ModularReport",
@@ -30,12 +34,14 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-MAX_BISECT = 200
+MAX_EVALS = 100
 
 
 @dataclass
 class ModularReport:
-    """Modular of u itself plus the norm located by bisection."""
+    """Modular of u itself plus the norm and its root-find diagnostics:
+    ``bisection_iterations`` counts evaluations and ``bracket`` is the final
+    (lo, hi) around the norm (field names kept for tracing tools)."""
 
     modular_value: float
     luxemburg_norm: float
@@ -73,67 +79,82 @@ def _lebesgue_coeffs(u, h):
         )
     c = np.abs(u.interior) ** hv * g.interior_widths
     keep = c > 0.0
-    return c[keep], hv[keep], hv
+    return c[keep], hv[keep]
 
 
 def lebesgue_modular(u, h):
     """Interval integral of |u(x)|^h(x), midpoint quadrature."""
-    c, _, _ = _lebesgue_coeffs(u, h)
+    c, _ = _lebesgue_coeffs(u, h)
     return float(np.sum(c))
 
 
-def _bisect_lambda(coeffs, exps, upper_guess, tol):
-    """Smallest lam with sum(coeffs * lam**-exps) <= 1, to |modular - 1| <= tol.
+def _log_power_sum(logc, e, t):
+    """log(sum(exp(logc + e*t))) and the mean of e under those weights,
+    both from one shifted power array, so no finite t overflows."""
+    a = logc + e * t
+    m = a.max()
+    w = np.exp(a - m)
+    s = w.sum()
+    return m + math.log(s), float(np.dot(w, e)) / s
 
-    Bracket: machine-tiny below; above, the supplied guess doubled until the
-    scaled modular drops below 1 (monotonicity guarantees the bracketing).
+
+def _log_root(cp, ep, cq, eq, ftol, max_evals=MAX_EVALS):
+    """Root t = log(lam) of sum(cq * lam**eq) = sum(cp * lam**ep), c > 0.
+
+    phi(t) = log(sum cq lam^eq) - log(sum cp lam^ep) has slope in [a, b] =
+    [min eq - max ep, max eq - min ep], so the root lies between t - phi/a
+    and t - phi/b.  From t = 0, Newton steps; a bisection of that bracket
+    when a step leaves it.  Stops at |phi| <= ftol or a step below the
+    float resolution of t.  Returns (t, evaluations, bracket containing t);
+    raises RootFindFailed for a <= 0, a non-finite bracket end, or no
+    convergence within ``max_evals`` evaluations.
     """
+    slope_lo = float(eq.min() - ep.max())
+    slope_hi = float(eq.max() - ep.min())
+    if not slope_lo > 0.0:
+        raise RootFindFailed("slope lower bound %g is not positive" % slope_lo)
+    logcp, logcq = np.log(cp), np.log(cq)
+    lo, hi = -math.inf, math.inf
+    t = 0.0
+    for evals in range(1, max_evals + 1):
+        fq, dq = _log_power_sum(logcq, eq, t)
+        fp, dp = _log_power_sum(logcp, ep, t)
+        f = fq - fp
+        ends = (t - f / slope_lo, t - f / slope_hi)
+        if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
+            raise RootFindFailed("root bracket end is not finite at t = %g" % t)
+        lo, hi = max(lo, min(ends)), min(hi, max(ends))
+        if abs(f) <= ftol:
+            return t, evals, (min(lo, t), max(hi, t))
+        t_new = t - f / (dq - dp)
+        if not lo <= t_new <= hi:
+            t_new = 0.5 * (lo + hi)
+        if abs(t_new - t) <= 4.0 * np.finfo(float).eps * max(1.0, abs(t)):
+            return t_new, evals, (lo, hi)
+        t = t_new
+    raise RootFindFailed("no root within %d evaluations; bracket (%g, %g)"
+                         % (max_evals, lo, hi))
 
-    def scaled(lam):
-        with np.errstate(over="ignore"):
-            return float(np.sum(coeffs * lam ** (-exps)))
 
-    lo = np.finfo(float).tiny
-    hi = max(float(upper_guess), lo * 4.0)
-    iters = 0
-    while scaled(hi) > 1.0:
-        hi *= 2.0
-        iters += 1
-    bracket = (lo, hi)
-    lam = hi
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        val = scaled(mid)
-        iters += 1
-        if abs(val - 1.0) <= tol:
-            lam = mid
-            break
-        if val > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        lam = hi
-        if (hi - lo) <= np.finfo(float).eps * hi:
-            break
-    return lam, iters, bracket
+def _norm(c, e, tol):
+    """ModularReport for the lam with sum(c * lam**-e) = 1 * lam**0, to
+    |modular - 1| <= tol; norm 0 when no coefficient is positive."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if c.size == 0:
+        return ModularReport(0.0, 0.0, 0, (0.0, 0.0))
+    t, evals, (lo, hi) = _log_root(c, -e, np.ones(1), np.zeros(1), math.log1p(tol))
+    return ModularReport(float(np.sum(c)), math.exp(t), evals, (math.exp(lo), math.exp(hi)))
 
 
 def luxemburg_norm(u, h, tol=DEFAULT_TOL):
     """Luxemburg norm of u in the variable-exponent Lebesgue space for h.
 
-    Returns the norm together with the plain modular of u and the bisection
+    Returns the norm together with the plain modular of u and the root-find
     diagnostics; the zero function short-circuits to norm 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    c, e, hv = _lebesgue_coeffs(u, h)
-    modular = float(np.sum(c))
-    if modular == 0.0:
-        return ModularReport(0.0, 0.0, 0, (0.0, 0.0))
-    measure = float(np.sum(u.grid.interior_widths))
-    guess = 1.0 + float(np.max(np.abs(u.interior))) * measure ** (1.0 / float(np.min(hv)))
-    lam, iters, bracket = _bisect_lambda(c, e, guess, tol)
-    return ModularReport(modular, lam, iters, bracket)
+    c, e = _lebesgue_coeffs(u, h)
+    return _norm(c, e, tol)
 
 
 def gagliardo_modular(u, ctx):
@@ -144,16 +165,8 @@ def gagliardo_modular(u, ctx):
 
 
 def gagliardo_seminorm(u, ctx, tol=DEFAULT_TOL):
-    """Gagliardo-Slobodetskii seminorm of a W0 function by bisection on the
-    scaled two-point modular."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Gagliardo-Slobodetskii seminorm of a W0 function: the unit-modular
+    scaling of the two-point modular."""
     ctx._check_function(u)
     c, e = ctx.pair_coeffs(u.values)
-    modular = float(np.sum(c))
-    if modular == 0.0:
-        return ModularReport(0.0, 0.0, 0, (0.0, 0.0))
-    p_min = float(np.min(e))
-    guess = 1.0 + modular ** (1.0 / p_min)
-    lam, iters, bracket = _bisect_lambda(c, e, guess, tol)
-    return ModularReport(modular, lam, iters, bracket)
+    return _norm(c, e, tol)

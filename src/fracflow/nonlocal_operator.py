@@ -146,7 +146,7 @@ class OperatorContext:
         """Flattened (coeff, exponent) arrays with coeff = |du|^p k w w > 0.
 
         The scaled modular of u/lam is then sum(coeff * lam**-exponent);
-        used by the seminorm bisection and the ray scaling root-find.
+        used by the seminorm and ray scaling root-finds.
         """
         c = np.multiply(self._abs_pow(vals), self.pair_w, out=self._a)
         keep = c > 0.0

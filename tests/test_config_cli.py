@@ -217,6 +217,24 @@ def test_console_entry_point_runs(tmp_path):
     assert (tmp_path / "summary.txt").exists()
 
 
+def test_import_loads_no_scipy():
+    # scipy.optimize alone once made up most of the import time of the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ff.__file__)))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import fracflow, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_header_only_csv_for_empty_trajectory(tmp_path):
     rec = ff.TrajectoryRecord(samples=[], termination=ff.REACHED_FINAL_TIME)
     path = tmp_path / "empty.csv"

@@ -6,6 +6,7 @@ import pytest
 import fracflow as ff
 from fracflow.energy import _q_norm_and_grad, _seminorm_and_grad
 from fracflow.errors import ProjectionFailed, ZeroFunction
+from fracflow.modular import _log_root
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +91,32 @@ def test_nehari_lambda_fixed_point_and_ray_scaling(ctx16, grid16, rng):
     lam = ff.nehari_lambda(u, ctx16)
     w = u.scaled(lam)
     assert ff.nehari_lambda(w, ctx16) == pytest.approx(1.0, abs=1e-8)
-    for c in (0.3, 2.0, 17.0):
+    for c in (0.3, 2.0, 17.0, 1e-40, 1e40):
         assert ff.nehari_lambda(u.scaled(c), ctx16) == pytest.approx(lam / c, rel=1e-9)
+
+
+def test_nehari_lambda_root_find_cost_and_precision(ctx16, ctx16_var, grid16, rng, monkeypatch):
+    from fracflow.energy import _q_coeffs
+
+    energy_mod = importlib.import_module("fracflow.energy")
+    evals = []
+
+    def counted(*args):
+        t, n, bracket = _log_root(*args)
+        evals.append(n)
+        return t, n, bracket
+
+    monkeypatch.setattr(energy_mod, "_log_root", counted)
+    for _ in range(10):
+        u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+        ff.nehari_lambda(u, ctx16)
+        assert evals[-1] <= 2  # constant exponents: one exact Newton step
+        lam = ff.nehari_lambda(u, ctx16_var)
+        assert evals[-1] <= 8
+        cp, ep = ctx16_var.pair_coeffs(u.values)
+        cq, eq = _q_coeffs(ctx16_var, u.values)
+        sp, sq = np.sum(cp * lam**ep), np.sum(cq * lam**eq)
+        assert abs(sp - sq) <= 1e-14 * (sp + sq)
 
 
 def test_nehari_lambda_rejects_zero(ctx16, grid16):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,20 @@ def test_step_underflow_termination(ctx16, grid16, geom16):
     )
     rec = ff.run(u0, ctl, ctx16, geom16)
     assert rec.termination == ff.STEP_UNDERFLOW
+    assert len(rec.samples) == 1
+
+
+def test_non_finite_step_has_its_own_termination(ctx16, geom16, monkeypatch):
+    # float overflow before the cap is not a blow-up cap hit
+    evolution = importlib.import_module("fracflow.evolution")
+
+    def overflow(*args, **kwargs):
+        raise NonFinite("state update produced non-finite values")
+
+    monkeypatch.setattr(evolution, "step_explicit", overflow)
+    rec = ff.run(geom16.minimizer.scaled(2.0), _control(), ctx16, geom16)
+    assert rec.termination == ff.NON_FINITE
+    assert rec.t_max_estimate is None and rec.t_max_extrapolated is None
     assert len(rec.samples) == 1
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import ExponentOutOfRange, NotW0
-from fracflow.modular import conjugate_exponent_values
+from fracflow.errors import ExponentOutOfRange, NotW0, RootFindFailed
+from fracflow.modular import _log_root, conjugate_exponent_values
 
 from oracles import brute_sp_modular
 
@@ -119,6 +119,9 @@ def test_lebesgue_norm_modular_envelopes(grid16, h_spec, rng):
         u = ff.GridFunction.from_interior(grid16, scale * rng.standard_normal(grid16.n))
         rep = ff.luxemburg_norm(u, h_spec)
         _norm_modular_envelopes(rep.luxemburg_norm, rep.modular_value, lo, hi)
+        # Newton in log-scale: exact first step for a constant exponent
+        assert rep.bisection_iterations <= (2 if lo == hi else 8)
+        assert rep.bracket[0] <= rep.luxemburg_norm <= rep.bracket[1]
 
 
 def test_seminorm_modular_envelopes(ctx16, grid16, rng):
@@ -129,24 +132,50 @@ def test_seminorm_modular_envelopes(ctx16, grid16, rng):
         u = ff.GridFunction.from_interior(grid16, scale * rng.standard_normal(grid16.n))
         rep = ff.gagliardo_seminorm(u, ctx16)
         _norm_modular_envelopes(rep.luxemburg_norm, rep.modular_value, lo, hi)
+        assert rep.bisection_iterations <= 2
+        assert rep.bracket[0] <= rep.luxemburg_norm <= rep.bracket[1]
 
 
-def test_seminorm_envelopes_variable_exponent(domain, grid16, rng):
-    field = ff.make_exponent_field(
-        0.3,
-        p_kind="affine-radial",
-        p_params={"a": 2.0, "b": 0.02},
-        q_kind="bump",
-        q_params={"a": 3.0, "b": 0.2},
-        domain=domain,
-    )
-    ctx = ff.build_context(grid16, field)
-    lo, hi = ctx.summary.p_minus, ctx.summary.p_plus
+def test_seminorm_envelopes_variable_exponent(ctx16_var, grid16, rng):
+    lo, hi = ctx16_var.summary.p_minus, ctx16_var.summary.p_plus
     for _ in range(100):
         scale = 10.0 ** rng.uniform(-1, 1)
         u = ff.GridFunction.from_interior(grid16, scale * rng.standard_normal(grid16.n))
-        rep = ff.gagliardo_seminorm(u, ctx)
+        rep = ff.gagliardo_seminorm(u, ctx16_var)
         _norm_modular_envelopes(rep.luxemburg_norm, rep.modular_value, lo, hi)
+        assert rep.bisection_iterations <= 8
+        assert rep.bracket[0] <= rep.luxemburg_norm <= rep.bracket[1]
+
+
+def test_norms_scale_exactly_far_from_unit(ctx16, ctx16_var, grid16, rng):
+    # norms are 1-homogeneous; the log-scale root-find has no overflow
+    # cliff between 1e-40 and 1e40
+    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    norms = [
+        lambda v: ff.luxemburg_norm(v, 3.0),
+        lambda v: ff.luxemburg_norm(v, lambda x: 2.0 + x**2),
+        lambda v: ff.gagliardo_seminorm(v, ctx16),
+        lambda v: ff.gagliardo_seminorm(v, ctx16_var),
+    ]
+    for norm in norms:
+        base = norm(u).luxemburg_norm
+        for c in (1e-40, 1e40):
+            assert norm(u.scaled(c)).luxemburg_norm == pytest.approx(c * base, rel=1e-9)
+
+
+def test_root_find_failure_is_typed(grid16, rng):
+    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    e = 2.0 + grid16.interior_centers**2
+    c = np.abs(u.interior) ** e * grid16.interior_widths
+    # a variable exponent needs more than the one evaluation at lam = 1
+    with pytest.raises(RootFindFailed, match="within 1 evaluations"):
+        _log_root(c, -e, np.ones(1), np.zeros(1), 1e-10, max_evals=1)
+    assert _log_root(c, -e, np.ones(1), np.zeros(1), 1e-10)[1] <= 8
+    # |u|^3 overflows: the bracket from lam = 1 is not finite
+    huge = ff.GridFunction.from_interior(grid16, 1e200 * np.ones(grid16.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RootFindFailed, match="not finite"):
+            ff.luxemburg_norm(huge, 3.0)
 
 
 def test_scaled_modular_strictly_decreasing(grid16, rng):
@@ -158,7 +187,7 @@ def test_scaled_modular_strictly_decreasing(grid16, rng):
         for lam in lams
     ]
     assert np.all(np.diff(vals) < 0)
-    # the bisection bracket sees a sign change of modular - 1
+    # a root bracket sees a sign change of modular - 1
     assert vals[0] > 1.0 > vals[-1]
 
 

@@ -25,11 +25,15 @@ print("E at 1.5x the crossing: %.3e (zero by the ray algebra at p=2, q=3)"
 print("E at 3x the crossing: %.1f" % ff.energy(bump.scaled(3.0 * lam), ctx).energy)
 
 print("\n== well geometry (multi-start projected descent) ==")
-geom = ff.well_depth(ctx, n_starts=4, iters=400, rng=0)
-print("embedding constant estimate: %.6f" % geom.lambda_hat)
-print("bound constant R:            %.6f" % geom.R_hat)
+# one generator: the estimate draws its random starts, then the depth search
+rng = np.random.default_rng(0)
+lam_hat = ff.estimate_embedding_constant(ctx, n_starts=4, iters=400, rng=rng)
+r_hat, lower_bound = ff.depth_lower_bound(lam_hat, ctx.summary)
+geom = ff.well_depth(ctx, n_starts=4, iters=400, rng=rng)
+print("embedding constant estimate: %.6f" % lam_hat)
+print("bound constant R:            %.6f" % r_hat)
 print("well depth estimate:         %.6f" % geom.depth_hat)
-print("depth lower bound:           %.6f" % geom.lower_bound)
+print("depth lower bound:           %.6f" % lower_bound)
 w = geom.minimizer
 rep = ff.energy(w, ctx)
 print("minimizer check: E = %.6f, I = %.2e" % (rep.energy, rep.nehari))

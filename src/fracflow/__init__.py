@@ -68,6 +68,7 @@ from .energy import (
     EnergyReport,
     WellGeometry,
     classify,
+    depth_lower_bound,
     energy,
     energy_gradient,
     estimate_embedding_constant,

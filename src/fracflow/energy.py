@@ -9,7 +9,10 @@ exterior; the well depth is the least energy on that manifold.
 Every ray t -> t*u with u != 0 crosses the manifold exactly once, which
 makes the crossing a cheap 1-D root-find and turns depth estimation into
 multi-start projected gradient descent: step along -grad E, re-project to
-the manifold, keep the best energy seen.
+the manifold, keep the best energy seen.  The embedding constant (least
+seminorm over Luxemburg norm) is estimated by the same descent routine with
+a unit-length projection; ``depth_lower_bound`` turns it into a lower bound
+for the depth, a separate call from ``well_depth``.
 """
 
 import warnings
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
-from .exponents import validate_assumptions
 from .grid import GridFunction, l2_norm
 from .modular import _log_root, exponent_values, luxemburg_norm, gagliardo_seminorm
 
@@ -29,6 +31,7 @@ __all__ = [
     "energy_gradient",
     "nehari_lambda",
     "estimate_embedding_constant",
+    "depth_lower_bound",
     "well_depth",
     "classify",
     "standard_bump",
@@ -58,13 +61,10 @@ class EnergyReport:
 
 @dataclass
 class WellGeometry:
-    """Estimated embedding constant, derived bound constant, and well depth."""
+    """Estimated well depth and the manifold state that attains it."""
 
-    lambda_hat: float
-    R_hat: float
     depth_hat: float
     minimizer: GridFunction
-    lower_bound: float
 
 
 def standard_bump(grid):
@@ -154,30 +154,75 @@ def nehari_lambda(u, ctx, tol=1e-9):
 # --- norm gradients (implicit differentiation of the unit-modular root) ----
 
 
-def _q_norm_and_grad(ctx, vals, q_exp, tol):
-    """Luxemburg norm of the interior values for exponent q_exp, plus its
-    measure-weighted gradient with respect to interior cell values."""
-    g = ctx.grid
-    u = GridFunction.from_interior(g, vals[g.interior_slice])
-    rep = luxemburg_norm(u, q_exp, tol=tol)
-    lam = rep.luxemburg_norm
-    hv = exponent_values(q_exp, g.interior_centers)
-    ui = vals[g.interior_slice]
+def _q_norm_grad(u, h, lam):
+    """Measure-weighted gradient, with respect to interior cell values, of
+    the Luxemburg norm of u for exponent h, given that norm ``lam``."""
+    g = u.grid
+    hv = exponent_values(h, g.interior_centers)
+    ui = u.interior
     scaled = np.abs(ui) / lam
     denom = float(np.dot(hv * scaled**hv, g.interior_widths))
-    grad = hv * scaled ** (hv - 1.0) * np.sign(ui) / denom
-    return lam, grad
+    return hv * scaled ** (hv - 1.0) * np.sign(ui) / denom
 
 
-def _seminorm_and_grad(ctx, vals, tol):
-    """Gagliardo seminorm plus its measure-weighted interior gradient."""
-    g = ctx.grid
-    u = GridFunction.from_interior(g, vals[g.interior_slice])
-    rep = gagliardo_seminorm(u, ctx, tol=tol)
-    lam = rep.luxemburg_norm
-    dg = ctx.sp_grad_interior(vals, lam=lam)
-    denom = -ctx.sp_dlambda(vals, lam)
-    return lam, dg / denom
+def _seminorm_grad(u, ctx, lam):
+    """Measure-weighted interior gradient of the Gagliardo seminorm of u,
+    given that seminorm ``lam``."""
+    dg = ctx.sp_grad_interior(u.values, lam=lam)
+    return dg / -ctx.sp_dlambda(u.values, lam)
+
+
+# --- descent ---------------------------------------------------------------
+
+
+def _starts(grid, n_starts, rng):
+    """The first ``n_starts`` of: the bump, the sine mode, then standard
+    normal interior values drawn from ``rng``."""
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    starts = [standard_bump(grid), first_sine_mode(grid)][:n_starts]
+    while len(starts) < n_starts:
+        starts.append(GridFunction.from_interior(grid, rng.standard_normal(grid.n)))
+    return starts
+
+
+def _descend(x, value, grad, project, iters):
+    """Backtracking descent from the W0 state ``x``.
+
+    ``value(x)`` returns (objective, aux) and ``grad(x, aux)`` the interior
+    gradient, so each point is evaluated once.  Every iteration steps along
+    the normalized -gradient, halving the step (at most 40 times) until
+    ``project`` of the nonzero interior trial lowers the objective, then
+    doubles it; the first iteration without such a trial ends the descent.
+    Returns the last accepted state, its objective and the accepted count.
+    """
+    f, aux = value(x)
+    alpha = 1.0
+    accepted = 0
+    for _ in range(iters):
+        g = grad(x, aux)
+        gnorm = np.linalg.norm(g)
+        if gnorm == 0.0:
+            break
+        direction = g / gnorm
+        a = alpha
+        for _ in range(40):
+            trial = x.interior - a * direction
+            # a zero trial has no projection, and a step below the resolution
+            # of x projects back onto x: neither can lower the objective
+            if np.any(trial != 0.0):
+                cand = project(trial)
+                if not np.array_equal(cand.values, x.values):
+                    f_new, aux_new = value(cand)
+                    if f_new < f:
+                        break
+            a *= 0.5
+        else:
+            break
+        x, f, aux = cand, f_new, aux_new
+        alpha = a * 2.0
+        accepted += 1
+    return x, f, accepted
 
 
 def estimate_embedding_constant(ctx, q=None, n_starts=8, iters=200, rng=None, tol=1e-10):
@@ -188,62 +233,34 @@ def estimate_embedding_constant(ctx, q=None, n_starts=8, iters=200, rng=None, to
     the sine mode, and random starts; the result is an infimum over a subset
     and therefore an overestimate of the discrete constant.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
     g = ctx.grid
     if q is None:
         q = ctx.q_interior
     rng = np.random.default_rng(rng)
 
-    def quotient(vals):
-        u = GridFunction.from_interior(g, vals[g.interior_slice])
+    def value(u):
         sn = gagliardo_seminorm(u, ctx, tol=tol).luxemburg_norm
         ln = luxemburg_norm(u, q, tol=tol).luxemburg_norm
-        return sn / ln
+        return sn / ln, (sn, ln)
 
-    def quotient_and_grad(vals):
-        sn, gsn = _seminorm_and_grad(ctx, vals, tol)
-        ln, gln = _q_norm_and_grad(ctx, vals, q, tol)
-        return sn / ln, gsn / ln - sn * gln / ln**2
+    def grad(u, norms):
+        sn, ln = norms
+        return _seminorm_grad(u, ctx, sn) / ln - sn * _q_norm_grad(u, q, ln) / ln**2
 
-    starts = [standard_bump(g), first_sine_mode(g)]
-    while len(starts) < n_starts:
-        starts.append(GridFunction.from_interior(g, rng.standard_normal(g.n)))
+    def project(trial):
+        return GridFunction.from_interior(g, trial / np.linalg.norm(trial))
+
     best = np.inf
-    for u0 in starts[:n_starts]:
-        vals = u0.values / l2_norm(u0)
-        q_cur, grad = quotient_and_grad(vals)
-        alpha = 1.0
-        for _ in range(iters):
-            direction = grad / (np.linalg.norm(grad) + 1e-300)
-            improved = False
-            a = alpha
-            for _ in range(40):
-                trial = vals[ctx.grid.interior_slice] - a * direction
-                if not np.any(trial != 0.0):
-                    a *= 0.5
-                    continue
-                trial = trial / np.linalg.norm(trial)
-                tfull = np.zeros(g.n_total)
-                tfull[g.interior_slice] = trial
-                q_new = quotient(tfull)
-                if q_new < q_cur:
-                    vals = tfull
-                    q_cur = q_new
-                    alpha = a * 2.0
-                    improved = True
-                    break
-                a *= 0.5
-            if not improved:
-                break
-            _, grad = quotient_and_grad(vals)
-        best = min(best, q_cur)
+    for u0 in _starts(g, n_starts, rng):
+        x = GridFunction(g, u0.values / l2_norm(u0), w0=True)
+        best = min(best, _descend(x, value, grad, project, iters)[1])
     return float(best)
 
 
-def _bound_constant(lambda_hat, summary):
-    """Constant entering the depth lower bound, the largest of the four
-    powers of the embedding constant indexed by the exponent extrema."""
+def depth_lower_bound(lambda_hat, summary):
+    """(R_hat, lower bound) for the well depth from an embedding constant
+    estimate: R_hat is the largest of the four powers of ``lambda_hat``
+    indexed by the exponent extrema, and the bound (1/p+ - 1/q-) * R_hat."""
     pm, pp = summary.p_minus, summary.p_plus
     qm, qp = summary.q_minus, summary.q_plus
     powers = [
@@ -252,103 +269,59 @@ def _bound_constant(lambda_hat, summary):
         qm * (qm / pm - 1.0),
         qm * (qm / pp - 1.0),
     ]
-    return float(max(lambda_hat**e for e in powers))
+    r_hat = float(max(lambda_hat**e for e in powers))
+    return r_hat, float((1.0 / pp - 1.0 / qm) * r_hat)
 
 
-def _require_summary(ctx):
-    if ctx.summary is None:
-        ctx.summary = validate_assumptions(ctx.field, ctx.grid.domain)
-    return ctx.summary
-
-
-def well_depth(ctx, q=None, n_starts=8, iters=300, tol=1e-9, rng=None):
+def well_depth(ctx, n_starts=8, iters=300, tol=1e-9, rng=None):
     """Estimate the well depth by multi-start projected gradient descent.
 
     Each start is projected onto the manifold, then alternates descent steps
     along -grad E with re-projection; the least energy over all runs is the
-    depth estimate.  Also estimates the embedding constant and the derived
-    lower bound (1/p+ - 1/q-) * R_hat, both conservative by construction.
+    depth estimate and its state the minimizer.  The embedding constant and
+    the depth lower bound are separate calls: ``estimate_embedding_constant``
+    and ``depth_lower_bound``.
     """
-    summary = _require_summary(ctx)
     g = ctx.grid
     rng = np.random.default_rng(rng)
-    lam_hat = estimate_embedding_constant(
-        ctx, q=q, n_starts=n_starts, iters=iters, rng=rng
-    )
 
-    starts = [standard_bump(g), first_sine_mode(g)]
-    while len(starts) < n_starts:
-        starts.append(GridFunction.from_interior(g, rng.standard_normal(g.n)))
+    def value(w):
+        return energy(w, ctx).energy, None
 
-    best_e = np.inf
-    best_w = None
-    for u0 in starts[:n_starts]:
-        try:
-            lam = nehari_lambda(u0, ctx, tol=tol)
-        except ZeroFunction:
-            continue
-        w = u0.scaled(lam)
-        e_cur = energy(w, ctx).energy
-        if e_cur < best_e:
-            best_e, best_w = e_cur, w
-        alpha = 1.0
-        made_progress = False
-        for _ in range(iters):
-            grad = energy_gradient(w, ctx).interior
-            gnorm = np.linalg.norm(grad)
-            if gnorm == 0.0:
-                break
-            direction = grad / gnorm
-            improved = False
-            a = alpha
-            for _ in range(40):
-                trial = w.interior - a * direction
-                if np.any(trial != 0.0):
-                    cand = GridFunction.from_interior(g, trial)
-                    try:
-                        lam_t = nehari_lambda(cand, ctx, tol=tol)
-                    except ZeroFunction:
-                        a *= 0.5
-                        continue
-                    cand = cand.scaled(lam_t)
-                    e_new = energy(cand, ctx).energy
-                    if e_new < e_cur:
-                        w, e_cur = cand, e_new
-                        alpha = a * 2.0
-                        improved = True
-                        made_progress = True
-                        break
-                a *= 0.5
-            if not improved:
-                break
-            if e_cur < best_e:
-                best_e, best_w = e_cur, w
-        if not made_progress:
+    def grad(w, _):
+        return energy_gradient(w, ctx).interior
+
+    def project(trial):
+        cand = GridFunction.from_interior(g, trial)
+        return cand.scaled(nehari_lambda(cand, ctx, tol=tol))
+
+    best_e, best_w = np.inf, None
+    for u0 in _starts(g, n_starts, rng):
+        w, e, accepted = _descend(project(u0.interior), value, grad, project, iters)
+        if e < best_e:
+            best_e, best_w = e, w
+        if not accepted:
             warnings.warn(
                 "descent made no progress from one start; keeping best-so-far",
                 NoDescentProgress,
             )
+    return WellGeometry(depth_hat=float(best_e), minimizer=best_w)
 
-    r_hat = _bound_constant(lam_hat, summary)
-    lower = (1.0 / summary.p_plus - 1.0 / summary.q_minus) * r_hat
-    return WellGeometry(
-        lambda_hat=lam_hat,
-        R_hat=r_hat,
-        depth_hat=float(best_e),
-        minimizer=best_w,
-        lower_bound=float(lower),
-    )
+
+def _well_class(u, rep, depth_hat, tol=1e-9):
+    """Position of u, whose energy report is ``rep``, relative to the well;
+    the zero state belongs to the well by definition."""
+    if not np.any(u.values != 0.0):
+        return IN_WELL
+    scale = rep.gagliardo_modular + rep.q_modular
+    if abs(rep.nehari) <= tol * scale:
+        return ON_NEHARI
+    if rep.energy >= depth_hat:
+        return ABOVE_WELL
+    return IN_WELL if rep.nehari > 0.0 else IN_EXTERIOR
 
 
 def classify(u, geometry, ctx, tol=1e-9):
     """Place a state relative to the well: InWell, InExterior, OnNehari, or
     AboveWell.  The zero state belongs to the well by definition."""
-    if not np.any(u.values != 0.0):
-        return IN_WELL
-    rep = energy(u, ctx)
-    scale = rep.gagliardo_modular + rep.q_modular
-    if abs(rep.nehari) <= tol * scale:
-        return ON_NEHARI
-    if rep.energy >= geometry.depth_hat:
-        return ABOVE_WELL
-    return IN_WELL if rep.nehari > 0.0 else IN_EXTERIOR
+    return _well_class(u, energy(u, ctx), geometry.depth_hat, tol)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import IN_EXTERIOR, classify, energy, energy_gradient
+from .energy import IN_EXTERIOR, _well_class, energy, energy_gradient
 from .errors import AuditFailed, InnerSolveStalled, NonFinite
 from .grid import GridFunction, l2_norm
 from .modular import luxemburg_norm
@@ -81,11 +81,13 @@ class StepControl:
 
 @dataclass
 class SimState:
-    """State of the flow at one time: function, energy report, phi = l2^2/2."""
+    """State of the flow at one time: function, energy report, energy
+    gradient, phi = l2^2/2."""
 
     t: float
     u: GridFunction
     report: object
+    grad: GridFunction
     phi: float
 
 
@@ -122,7 +124,8 @@ class TrajectoryRecord:
 def make_state(u, ctx, t=0.0):
     with np.errstate(over="ignore", invalid="ignore"):
         rep = energy(u, ctx)
-    return SimState(t=float(t), u=u, report=rep, phi=0.5 * rep.l2**2)
+        grad = energy_gradient(u, ctx)
+    return SimState(t=float(t), u=u, report=rep, grad=grad, phi=0.5 * rep.l2**2)
 
 
 def _finish(u_new, ctx, t_new):
@@ -140,8 +143,7 @@ def step_explicit(state, dt, ctx):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        g = energy_gradient(state.u, ctx)
-        u_new = state.u.interior - dt * g.interior
+        u_new = state.u.interior - dt * state.grad.interior
     return _finish(u_new, ctx, state.t + dt)
 
 
@@ -203,8 +205,7 @@ def step_imex(state, dt, ctx, inner_tol=1e-8, inner_max=300):
     )
 
 
-def _sample_from(state, ctx, geometry, r_probe, dt, residual):
-    grad = energy_gradient(state.u, ctx)
+def _sample_from(state, geometry, r_probe, dt, residual):
     lux = luxemburg_norm(state.u, r_probe).luxemburg_norm
     rep = state.report
     return Sample(
@@ -217,9 +218,9 @@ def _sample_from(state, ctx, geometry, r_probe, dt, residual):
         lux_r=lux,
         modular_sp=rep.gagliardo_modular,
         modular_q=rep.q_modular,
-        well_class=classify(state.u, geometry, ctx),
+        well_class=_well_class(state.u, rep, geometry.depth_hat),
         residual=residual,
-        grad_l2=l2_norm(grad),
+        grad_l2=l2_norm(state.grad),
     )
 
 
@@ -258,7 +259,7 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     ctx._check_function(u0)
     state = make_state(u0, ctx, t=0.0)
     e0 = state.report.energy
-    samples = [_sample_from(state, ctx, geometry, r_probe, dt=0.0, residual=0.0)]
+    samples = [_sample_from(state, geometry, r_probe, dt=0.0, residual=0.0)]
     diss = 0.0
     dt = min(max(control.dt_init, control.dt_min), control.dt_max)
     termination = None
@@ -302,7 +303,7 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
             accepted += 1
             residual = abs(diss + state.report.energy - e0)
             samples.append(
-                _sample_from(state, ctx, geometry, r_probe, dt=dt_eff, residual=residual)
+                _sample_from(state, geometry, r_probe, dt=dt_eff, residual=residual)
             )
             if state.report.l2 >= control.blowup_cap:
                 termination = BLOWUP_CAP_HIT

@@ -73,19 +73,20 @@ def audit_to_csv(audit, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def geometry_report(geometry, out_dir, minimizer_name="minimizer.csv"):
-    """Write the geometry summary text plus the minimizer as a cell CSV;
+def geometry_report(geometry, lambda_hat, r_hat, lower_bound, out_dir,
+                    minimizer_name="minimizer.csv"):
+    """Write the geometry summary text (embedding constant estimate, bound
+    constant, depth and its lower bound) plus the minimizer as a cell CSV;
     returns the summary text."""
     os.makedirs(out_dir, exist_ok=True)
     minim_path = os.path.join(out_dir, minimizer_name)
     save_csv(geometry.minimizer, minim_path)
     text = "\n".join(
         [
-            "embedding constant estimate  lambda_hat = %s" % _fmt(geometry.lambda_hat),
-            "bound constant               R_hat      = %s" % _fmt(geometry.R_hat),
+            "embedding constant estimate  lambda_hat = %s" % _fmt(lambda_hat),
+            "bound constant               R_hat      = %s" % _fmt(r_hat),
             "well depth estimate          depth_hat  = %s" % _fmt(geometry.depth_hat),
-            "depth lower bound            (1/p+ - 1/q-) R_hat = %s"
-            % _fmt(geometry.lower_bound),
+            "depth lower bound            (1/p+ - 1/q-) R_hat = %s" % _fmt(lower_bound),
             "minimizer file               %s" % minim_path,
         ]
     )

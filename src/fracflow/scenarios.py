@@ -18,7 +18,16 @@ from .config import (
     build_initial,
     build_probe,
 )
-from .energy import IN_WELL, energy, nehari_lambda, standard_bump, first_sine_mode, well_depth
+from .energy import (
+    IN_WELL,
+    _starts,
+    depth_lower_bound,
+    energy,
+    estimate_embedding_constant,
+    nehari_lambda,
+    standard_bump,
+    well_depth,
+)
 from .errors import AuditFailed, ConfigError
 from .evolution import (
     BLOWUP_CAP_HIT,
@@ -27,7 +36,7 @@ from .evolution import (
     run,
 )
 from .exponents import validate_assumptions
-from .grid import Domain, Grid, GridFunction
+from .grid import Domain, Grid
 from .modular import gagliardo_modular
 from .nonlocal_operator import build_context
 from .report import audit_to_csv, geometry_report, trajectory_to_csv
@@ -60,12 +69,18 @@ def _prepare(cfg):
 
 
 def _geometry(cfg, ctx):
+    """Depth search for the config.  Its random starts are the draws from
+    the seed that follow the embedding constant estimate's starts, so every
+    scenario searches from the same starts, whether it runs the estimate
+    or not."""
+    rng = np.random.default_rng(cfg.seed)
+    _starts(ctx.grid, cfg.geometry.n_starts, rng)  # the estimate's starts
     return well_depth(
         ctx,
         n_starts=cfg.geometry.n_starts,
         iters=cfg.geometry.iters,
         tol=cfg.geometry.tol,
-        rng=cfg.seed,
+        rng=rng,
     )
 
 
@@ -85,13 +100,17 @@ def _scenario_validate(cfg, out_dir, v):
 
 def _scenario_geometry(cfg, out_dir, v):
     _, _, _, ctx = _prepare(cfg)
+    lam_hat = estimate_embedding_constant(
+        ctx, n_starts=cfg.geometry.n_starts, iters=cfg.geometry.iters, rng=cfg.seed
+    )
+    r_hat, lower = depth_lower_bound(lam_hat, ctx.summary)
     geom = _geometry(cfg, ctx)
-    v.info(geometry_report(geom, out_dir))
+    v.info(geometry_report(geom, lam_hat, r_hat, lower, out_dir))
     v.check("depth_positive", geom.depth_hat > 0.0, "depth_hat=%r" % geom.depth_hat)
     v.check(
         "depth_lower_bound",
-        geom.depth_hat >= geom.lower_bound - 1e-9,
-        "depth_hat=%r lower_bound=%r" % (geom.depth_hat, geom.lower_bound),
+        geom.depth_hat >= lower - 1e-9,
+        "depth_hat=%r lower_bound=%r" % (geom.depth_hat, lower),
     )
     rep = energy(geom.minimizer, ctx)
     scale = rep.gagliardo_modular + rep.q_modular
@@ -170,12 +189,8 @@ def _scenario_blowup(cfg, out_dir, v):
 
 def _scenario_nehari_sweep(cfg, out_dir, v):
     _, grid, field, ctx = _prepare(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    cases = [("bump", standard_bump(grid)), ("sine", first_sine_mode(grid))]
-    for k in range(8):
-        cases.append(
-            ("random-%d" % k, GridFunction.from_interior(grid, rng.standard_normal(grid.n)))
-        )
+    labels = ["bump", "sine"] + ["random-%d" % k for k in range(8)]
+    cases = zip(labels, _starts(grid, len(labels), np.random.default_rng(cfg.seed)))
     summary = ctx.summary
     constant_exps = summary.p_minus == summary.p_plus and summary.q_minus == summary.q_plus
     rows = ["label,lambda_hat,closed_form,abs_err,nehari_residual"]

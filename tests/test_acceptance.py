@@ -169,8 +169,10 @@ def test_criterion_6_shifted_inequality_and_scalar_convexity(default_ctx):
 
 def test_criterion_7_depth_consistency(default_ctx, default_geometry, ctx64):
     geom32 = default_geometry
+    lam_hat = ff.estimate_embedding_constant(default_ctx, n_starts=4, iters=400, rng=0)
+    _, lower_bound = ff.depth_lower_bound(lam_hat, default_ctx.summary)
     assert geom32.depth_hat > 0.0
-    assert geom32.depth_hat >= geom32.lower_bound - 1e-9
+    assert geom32.depth_hat >= lower_bound - 1e-9
     assert abs(geom32.depth_hat - DEPTH_REF_N32) <= 0.02 * DEPTH_REF_N32
     geom64 = ff.well_depth(ctx64, n_starts=4, iters=400, rng=0)
     assert abs(geom64.depth_hat - DEPTH_REF_N64) <= 0.02 * DEPTH_REF_N64
@@ -179,7 +181,7 @@ def test_criterion_7_depth_consistency(default_ctx, default_geometry, ctx64):
     _verdict(
         7,
         "depth consistency (d32=%.4f, d64=%.4f, gap %.2f%%, bound %.4f)"
-        % (geom32.depth_hat, geom64.depth_hat, 100 * gap, geom32.lower_bound),
+        % (geom32.depth_hat, geom64.depth_hat, 100 * gap, lower_bound),
     )
 
 

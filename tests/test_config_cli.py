@@ -244,6 +244,8 @@ def test_header_only_csv_for_empty_trajectory(tmp_path):
 
 def test_geometry_report_writes_files(tmp_path, ctx16):
     geom = ff.well_depth(ctx16, n_starts=2, iters=50, rng=0)
-    text = ff.report.geometry_report(geom, str(tmp_path))
+    lam_hat = ff.estimate_embedding_constant(ctx16, n_starts=2, iters=50, rng=0)
+    r_hat, lower_bound = ff.depth_lower_bound(lam_hat, ctx16.summary)
+    text = ff.report.geometry_report(geom, lam_hat, r_hat, lower_bound, str(tmp_path))
     assert (tmp_path / "geometry_summary.txt").read_text() == text + "\n"
     assert (tmp_path / "minimizer.csv").exists()

@@ -1,10 +1,11 @@
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.energy import _q_norm_and_grad, _seminorm_and_grad
+from fracflow.energy import _q_norm_grad, _seminorm_grad
 from fracflow.errors import ProjectionFailed, ZeroFunction
 from fracflow.modular import _log_root
 
@@ -195,12 +196,43 @@ def test_embedding_constant_start_stability(domain, field):
     assert abs(l8 - l16) / l8 < 0.05
 
 
+def test_embedding_constant_evaluates_each_state_once(ctx16_var, monkeypatch):
+    # the quotient's gradient reuses the norms solved for its value, so no
+    # state's seminorm or Luxemburg norm is computed twice
+    energy_mod = importlib.import_module("fracflow.energy")
+    seen = Counter()
+
+    def keyed(name, fn):
+        def wrapped(u, *args, **kwargs):
+            seen[name, u.values.tobytes()] += 1
+            return fn(u, *args, **kwargs)
+        return wrapped
+
+    for name in ("gagliardo_seminorm", "luxemburg_norm"):
+        monkeypatch.setattr(energy_mod, name, keyed(name, getattr(energy_mod, name)))
+    ff.estimate_embedding_constant(ctx16_var, n_starts=3, iters=40, rng=0)
+    assert len(seen) > 2 * 3
+    assert max(seen.values()) == 1
+
+
+def test_well_depth_skips_embedding_constant(ctx16, monkeypatch):
+    energy_mod = importlib.import_module("fracflow.energy")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("well_depth called estimate_embedding_constant")
+
+    monkeypatch.setattr(energy_mod, "estimate_embedding_constant", forbidden)
+    geom = ff.well_depth(ctx16, n_starts=3, iters=20, rng=0)
+    assert geom.depth_hat > 0.0
+
+
 def test_norm_gradients_match_finite_differences(ctx16, grid16, rng):
     vals = np.zeros(grid16.n_total)
     vals[grid16.interior_slice] = rng.standard_normal(grid16.n)
     h = 1e-6
-    sn, gsn = _seminorm_and_grad(ctx16, vals, 1e-12)
-    ln, gln = _q_norm_and_grad(ctx16, vals, 3.0, 1e-12)
+    u = ff.GridFunction(grid16, vals, w0=True)
+    gsn = _seminorm_grad(u, ctx16, ff.gagliardo_seminorm(u, ctx16, tol=1e-12).luxemburg_norm)
+    gln = _q_norm_grad(u, 3.0, ff.luxemburg_norm(u, 3.0, tol=1e-12).luxemburg_norm)
     for k in range(0, grid16.n, 3):
         vp = vals.copy()
         vm = vals.copy()
@@ -221,23 +253,23 @@ def test_norm_gradients_match_finite_differences(ctx16, grid16, rng):
 
 
 def test_well_geometry_contracts(geom16, ctx16):
+    lam_hat = ff.estimate_embedding_constant(ctx16, n_starts=4, iters=300, rng=0)
+    r_hat, lower_bound = ff.depth_lower_bound(lam_hat, ctx16.summary)
     assert geom16.depth_hat > 0.0
-    assert geom16.depth_hat >= geom16.lower_bound - 1e-9
+    assert geom16.depth_hat >= lower_bound - 1e-9
     rep = ff.energy(geom16.minimizer, ctx16)
     scale = rep.gagliardo_modular + rep.q_modular
     assert abs(rep.nehari) <= 1e-9 * scale
     assert rep.energy == geom16.depth_hat
     # the inequality behind the attainment argument: every manifold point
     # carries at least the bound's worth of reaction modular
-    assert rep.q_modular >= (1.0 / ctx16.summary.p_plus - 1.0 / ctx16.summary.q_minus) * geom16.R_hat
+    assert rep.q_modular >= (1.0 / ctx16.summary.p_plus - 1.0 / ctx16.summary.q_minus) * r_hat
 
 
 def test_bound_constant_uses_all_four_powers(ctx16):
-    from fracflow.energy import _bound_constant
-
     s = ctx16.summary
     for lam in (0.5, 1.0, 2.0):
-        r = _bound_constant(lam, s)
+        r, lower = ff.depth_lower_bound(lam, s)
         powers = [
             s.q_plus * (s.q_plus / s.p_minus - 1.0),
             s.q_plus * (s.q_plus / s.p_plus - 1.0),
@@ -245,6 +277,7 @@ def test_bound_constant_uses_all_four_powers(ctx16):
             s.q_minus * (s.q_minus / s.p_plus - 1.0),
         ]
         assert r == max(lam**e for e in powers)
+        assert lower == (1.0 / s.p_plus - 1.0 / s.q_minus) * r
 
 
 def test_classify_well_positions(geom16, ctx16, grid16):

@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,6 +98,25 @@ def test_imex_second_order_agreement_with_explicit(ctx16, grid16, geom16):
         )
     orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
+
+
+def test_run_evaluates_each_state_once(ctx16, geom16, monkeypatch):
+    # a state carries its energy report and gradient, which the next step
+    # and the sample reuse: N accepted explicit steps sweep the pair table
+    # N + 1 times for the energies and N + 1 times for the gradients
+    calls = Counter()
+    for name in ("apply", "pair_stats"):
+        def counted(self, vals, _name=name, _orig=getattr(ff.OperatorContext, name)):
+            calls[_name] += 1
+            return _orig(self, vals)
+
+        monkeypatch.setattr(ff.OperatorContext, name, counted)
+    ctl = _control(dt_init=1e-3, dt_max=1e-3, t_final=0.02)
+    rec = ff.run(geom16.minimizer.scaled(0.5), ctl, ctx16, geom16)
+    assert rec.termination == ff.REACHED_FINAL_TIME
+    n = len(rec.samples) - 1
+    assert n == 20
+    assert calls == {"apply": n + 1, "pair_stats": n + 1}
 
 
 def test_well_trajectory_decays_and_stays_in_well(ctx16, geom16):

@@ -93,6 +93,8 @@ class StepConfig:
     energy_increase_tol: float = 1e-10
     blowup_cap: float = 1e6
     max_steps: int = 200_000
+    # IMEX proximal solve (StepControl): residual tolerance, relative to
+    # max(1, initial residual), and the cap on Newton iterations per step
     inner_tol: float = 1e-8
     inner_max: int = 300
 

@@ -193,8 +193,10 @@ def _descend(x, value, grad, project, iters):
     gradient, so each point is evaluated once.  Every iteration steps along
     the normalized -gradient, halving the step (at most 40 times) until
     ``project`` of the nonzero interior trial lowers the objective, then
-    doubles it; the first iteration without such a trial ends the descent.
-    Returns the last accepted state, its objective and the accepted count.
+    doubles it.  The first iteration without such a trial ends the descent,
+    and so does the first trial that projects back onto x bitwise: the step
+    is then below the resolution of x.  Returns the last accepted state, its
+    objective and the accepted count.
     """
     f, aux = value(x)
     alpha = 1.0
@@ -208,14 +210,14 @@ def _descend(x, value, grad, project, iters):
         a = alpha
         for _ in range(40):
             trial = x.interior - a * direction
-            # a zero trial has no projection, and a step below the resolution
-            # of x projects back onto x: neither can lower the objective
+            # a zero trial has no projection
             if np.any(trial != 0.0):
                 cand = project(trial)
-                if not np.array_equal(cand.values, x.values):
-                    f_new, aux_new = value(cand)
-                    if f_new < f:
-                        break
+                if np.array_equal(cand.values, x.values):
+                    return x, f, accepted
+                f_new, aux_new = value(cand)
+                if f_new < f:
+                    break
             a *= 0.5
         else:
             break

@@ -124,6 +124,25 @@ class OperatorContext:
         """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j."""
         return 2.0 * np.einsum("ij,ij->i", self._pow_sign(vals), self.row_w)
 
+    def jacobian(self, vals):
+        """n x n Jacobian of ``apply`` with respect to interior values.
+
+        Entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2) k_ik w_k;
+        the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2) k_ij w_j
+        over all columns j, so collar columns fold into the diagonal.  Finite
+        since p >= 2.
+        """
+        c = np.abs(self._diff(vals), out=self._a)
+        np.power(c, self._p_minus_2, out=c)
+        c *= self.row_w
+        # (p - 1) c as p c - c, without a table-sized temporary
+        pc = np.multiply(c, self.P, out=self._b)
+        pc -= c
+        jac = -2.0 * pc[:, self.grid.interior_slice]
+        # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
+        np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
+        return jac
+
     def weak(self, uvals, vvals):
         """Pair sum |du|^(p-2) du dv k_ij w_i w_j."""
         a = self._pow_sign(uvals)

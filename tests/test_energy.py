@@ -226,6 +226,23 @@ def test_well_depth_skips_embedding_constant(ctx16, monkeypatch):
     assert geom.depth_hat > 0.0
 
 
+def test_well_depth_projects_no_trial_below_resolution(ctx16, monkeypatch):
+    # every projection but the start's is a trial that is then evaluated,
+    # except the one per start that lands back on the current state
+    energy_mod = importlib.import_module("fracflow.energy")
+    calls = Counter()
+    for name in ("nehari_lambda", "energy"):
+        def counted(*args, _name=name, _orig=getattr(energy_mod, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(energy_mod, name, counted)
+    n_starts = 4
+    ff.well_depth(ctx16, n_starts=n_starts, iters=300, rng=0)
+    assert calls["energy"] > 10 * n_starts
+    assert calls["nehari_lambda"] <= calls["energy"] + n_starts
+
+
 def test_norm_gradients_match_finite_differences(ctx16, grid16, rng):
     vals = np.zeros(grid16.n_total)
     vals[grid16.interior_slice] = rng.standard_normal(grid16.n)

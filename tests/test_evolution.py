@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import NonFinite
+from fracflow.errors import InnerSolveStalled, NonFinite
 from fracflow.evolution import SCHEME_IMEX
 
 from oracles import brute_apply
@@ -98,6 +98,49 @@ def test_imex_second_order_agreement_with_explicit(ctx16, grid16, geom16):
         )
     orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
+
+
+@pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
+@pytest.mark.parametrize("dt", [1e-3, 5e-2])
+def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
+    # Newton on the proximal residual: a handful of operator applications
+    # per step, counting the gradient of the new state
+    ctx = request.getfixturevalue(name)
+    st = ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx)
+    calls = Counter()
+    orig = ff.OperatorContext.apply
+
+    def counted(self, vals):
+        calls["apply"] += 1
+        return orig(self, vals)
+
+    monkeypatch.setattr(ff.OperatorContext, "apply", counted)
+    ff.step_imex(st, dt, ctx)
+    assert 1 <= calls["apply"] <= 6
+
+
+def test_imex_stalls_without_inner_iterations(ctx16, grid16):
+    st = ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx16)
+    with pytest.raises(InnerSolveStalled):
+        ff.step_imex(st, 1e-3, ctx16, inner_max=0)
+
+
+def test_stalled_inner_solve_halves_dt_to_underflow(ctx16, geom16, monkeypatch):
+    evolution = importlib.import_module("fracflow.evolution")
+    dts = []
+
+    def stall(state, dt, ctx, **kwargs):
+        dts.append(dt)
+        raise InnerSolveStalled("proximal residual above tolerance")
+
+    monkeypatch.setattr(evolution, "step_imex", stall)
+    ctl = _control(dt_init=1e-3, dt_min=1e-6, scheme=SCHEME_IMEX)
+    rec = ff.run(geom16.minimizer.scaled(0.5), ctl, ctx16, geom16)
+    assert rec.termination == ff.STEP_UNDERFLOW
+    assert len(rec.samples) == 1
+    assert dts[0] == 1e-3
+    assert all(b == a / 2.0 for a, b in zip(dts, dts[1:]))
+    assert dts[-1] >= ctl.dt_min > dts[-1] / 2.0
 
 
 def test_run_evaluates_each_state_once(ctx16, geom16, monkeypatch):

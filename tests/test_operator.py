@@ -228,6 +228,32 @@ def test_interior_row_table_matches_oracles(field):
             um[cell] -= h
             fd = (ctx.sp_modular(up / lam) - ctx.sp_modular(um / lam)) / (2.0 * h * widths[k])
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        _assert_jacobian_matches_differences(ctx, u)
+
+
+def _assert_jacobian_matches_differences(ctx, vals, h=1e-6):
+    """``jacobian`` against central differences of ``apply`` in each
+    interior value, collar values held fixed."""
+    rows = ctx.grid.interior_slice
+    jac = ctx.jacobian(vals)
+    assert jac.shape == (ctx.grid.n, ctx.grid.n)
+    fd = np.empty_like(jac)
+    for k, cell in enumerate(range(rows.start, rows.stop)):
+        up, um = vals.copy(), vals.copy()
+        up[cell] += h
+        um[cell] -= h
+        fd[:, k] = (ctx.apply(up) - ctx.apply(um)) / (2.0 * h)
+    assert np.allclose(jac, fd, rtol=1e-6, atol=1e-7 * float(np.max(np.abs(jac))))
+
+
+@pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
+def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
+    # constant p = 2 and variable p(x, y); a W0 vector and one with
+    # nonzero collar values, whose pairs fold into the diagonal
+    ctx = request.getfixturevalue(name)
+    w0 = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
+    for vals in (w0, rng.standard_normal(grid16.n_total)):
+        _assert_jacobian_matches_differences(ctx, vals)
 
 
 def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
@@ -239,6 +265,7 @@ def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     ctx16.apply(2.0 * u)
     ctx16.pair_stats(3.0 * u)
     ctx16.sp_grad_interior(u, 0.5)
+    ctx16.jacobian(u)
     assert np.array_equal(first, kept) and np.array_equal(coeffs, kept_c)
 
 

@@ -5,14 +5,18 @@ selection, stepping control, scenario, initial-data recipe, probe exponent,
 output directory, and random seed.  Blank lines and '#' comments are
 ignored; unknown keys are rejected so typos fail loudly.  serialize() emits
 a canonical form whose parse is the identity.
+
+Each setting is declared once.  The ``step`` section is the evolution's
+``StepControl`` itself, and ``exponents.p``, ``exponents.q`` and ``probe``
+are one ``ShapeConfig`` each: a shape kind with its ``value``, ``a`` and
+``b``.  q and the probe take the same one-point shapes (constant | bump),
+built by ``exponents.one_point_exponent``.
 """
 
-from dataclasses import dataclass, field, fields
-
-import numpy as np
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
-from .exponents import make_exponent_field
+from .exponents import make_exponent_field, one_point_exponent
 from .grid import Domain, Grid, load_csv
 from .evolution import StepControl
 
@@ -45,17 +49,11 @@ class GridConfig:
 
 
 @dataclass
-class PConfig:
-    kind: str = "constant"  # constant | affine-radial
+class ShapeConfig:
+    """One exponent shape; ``a`` and ``b`` default to ``value`` and 0."""
+
+    kind: str = "constant"  # p: constant | affine-radial; q, probe: constant | bump
     value: float = 2.0
-    a: float = None
-    b: float = None
-
-
-@dataclass
-class QConfig:
-    kind: str = "constant"  # constant | bump
-    value: float = 3.0
     a: float = None
     b: float = None
 
@@ -63,16 +61,8 @@ class QConfig:
 @dataclass
 class ExponentsConfig:
     s: float = None  # required; no safe default exists for a parsed file
-    p: PConfig = field(default_factory=PConfig)
-    q: QConfig = field(default_factory=QConfig)
-
-
-@dataclass
-class ProbeConfig:
-    kind: str = "constant"  # constant | bump
-    value: float = 2.0
-    a: float = None
-    b: float = None
+    p: ShapeConfig = field(default_factory=ShapeConfig)
+    q: ShapeConfig = field(default_factory=lambda: ShapeConfig(value=3.0))
 
 
 @dataclass
@@ -81,22 +71,6 @@ class InitialConfig:
     factor: float = 0.5
     amplitude: float = 1.0
     path: str = None
-
-
-@dataclass
-class StepConfig:
-    scheme: str = "explicit"
-    dt_init: float = 1e-3
-    dt_min: float = 1e-12
-    dt_max: float = 1e-2
-    t_final: float = 1.0
-    energy_increase_tol: float = 1e-10
-    blowup_cap: float = 1e6
-    max_steps: int = 200_000
-    # IMEX proximal solve (StepControl): residual tolerance, relative to
-    # max(1, initial residual), and the cap on Newton iterations per step
-    inner_tol: float = 1e-8
-    inner_max: int = 300
 
 
 @dataclass
@@ -119,41 +93,22 @@ class ExperimentConfig:
     domain: DomainConfig = field(default_factory=DomainConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     exponents: ExponentsConfig = field(default_factory=ExponentsConfig)
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
+    probe: ShapeConfig = field(default_factory=ShapeConfig)
     initial: InitialConfig = field(default_factory=InitialConfig)
-    step: StepConfig = field(default_factory=StepConfig)
+    step: StepControl = field(default_factory=StepControl)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     validation: ValidationConfig = field(default_factory=ValidationConfig)
 
 
-_SECTIONS = {
-    "domain": DomainConfig,
-    "grid": GridConfig,
-    "exponents": ExponentsConfig,
-    "probe": ProbeConfig,
-    "initial": InitialConfig,
-    "step": StepConfig,
-    "geometry": GeometryConfig,
-    "validation": ValidationConfig,
-}
-
-_TOP_FIELDS = ("scenario", "seed", "out")
-
-
-def _walk(cfg):
-    """Yield (dotted_key, owner_object, field) in canonical order."""
-    top = {f.name: f for f in fields(cfg)}
-    for name in _TOP_FIELDS:
-        yield name, cfg, top[name]
-    for sect in _SECTIONS:
-        obj = getattr(cfg, sect)
-        for f in fields(obj):
-            if f.name in ("p", "q"):
-                sub = getattr(obj, f.name)
-                for sf in fields(sub):
-                    yield "%s.%s.%s" % (sect, f.name, sf.name), sub, sf
-            else:
-                yield "%s.%s" % (sect, f.name), obj, f
+def _walk(obj, prefix=""):
+    """Yield (dotted_key, owner_object, field) in canonical order: the
+    declaration order of the fields, sections flattened into dotted keys."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _walk(value, prefix + f.name + ".")
+        else:
+            yield prefix + f.name, obj, f
 
 
 def _format_value(v):
@@ -270,35 +225,16 @@ def build_field(cfg, domain=None):
 
 
 def build_control(cfg, dt_init=None):
+    """The configured StepControl, started at ``dt_init`` when given; the
+    step bounds widen to admit it."""
     st = cfg.step
     dt0 = st.dt_init if dt_init is None else dt_init
-    return StepControl(
-        dt_init=dt0,
-        dt_min=min(st.dt_min, dt0),
-        dt_max=max(st.dt_max, dt0),
-        t_final=st.t_final,
-        energy_increase_tol=st.energy_increase_tol,
-        blowup_cap=st.blowup_cap,
-        max_steps=st.max_steps,
-        scheme=st.scheme,
-        inner_tol=st.inner_tol,
-        inner_max=st.inner_max,
-    )
+    return replace(st, dt_init=dt0, dt_min=min(st.dt_min, dt0), dt_max=max(st.dt_max, dt0))
 
 
 def build_probe(cfg):
-    pr = cfg.probe
-    if pr.kind == "constant":
-        return float(pr.value)
-    if pr.kind == "bump":
-        a_coef = pr.a if pr.a is not None else pr.value
-        b_coef = pr.b if pr.b is not None else 0.0
-
-        def probe(x):
-            return a_coef + b_coef * np.asarray(x, dtype=float) ** 2
-
-        return probe
-    raise ConfigError("unknown probe kind %r" % pr.kind)
+    """The probe exponent r(x), one of the one-point shapes that q takes."""
+    return one_point_exponent(cfg.probe.kind, _shape_params(cfg.probe), 2.0, None)[0]
 
 
 def build_initial(cfg, grid, minimizer=None):

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .grid import GridFunction, l2_norm
-from .modular import _log_root, exponent_values, luxemburg_norm, gagliardo_seminorm
+from .modular import (_lebesgue_coeffs, _log_root, exponent_values,
+                      gagliardo_seminorm, luxemburg_norm)
 
 __all__ = [
     "EnergyReport",
@@ -83,15 +84,6 @@ def first_sine_mode(grid):
     )
 
 
-def _q_coeffs(ctx, vals):
-    """(coeff, exponent) arrays of the reaction modular: |u_i|^q_i w_i."""
-    g = ctx.grid
-    ui = vals[g.interior_slice]
-    c = np.abs(ui) ** ctx.q_interior * g.interior_widths
-    keep = c > 0.0
-    return c[keep], ctx.q_interior[keep]
-
-
 def energy(u, ctx):
     """Full energy report for a W0 state, all parts from one quadrature."""
     ctx._check_function(u)
@@ -140,10 +132,11 @@ def nehari_lambda(u, ctx, tol=1e-9):
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")
     cp, ep = ctx.pair_coeffs(u.values)
-    cq, eq = _q_coeffs(ctx, u.values)
+    cq, eq = _lebesgue_coeffs(u, ctx.q_interior)
     lam = _ray_root(cp, ep, cq, eq)
-    resid = abs(float(np.sum(cp * lam**ep) - np.sum(cq * lam**eq)))
-    scale = float(np.sum(cp * lam**ep) + np.sum(cq * lam**eq))
+    rho_sp, rho_q = np.sum(cp * lam**ep), np.sum(cq * lam**eq)
+    resid = abs(float(rho_sp - rho_q))
+    scale = float(rho_sp + rho_q)
     if resid > tol * scale:
         raise ProjectionFailed(
             "manifold projection residual %g exceeds %g" % (resid, tol * scale)
@@ -227,7 +220,7 @@ def _descend(x, value, grad, project, iters):
     return x, f, accepted
 
 
-def estimate_embedding_constant(ctx, q=None, n_starts=8, iters=200, rng=None, tol=1e-10):
+def estimate_embedding_constant(ctx, n_starts=8, iters=200, rng=None, tol=1e-10):
     """Estimate the embedding constant: the least value of
     seminorm(u) / luxemburg_q_norm(u) over nonzero W0 states.
 
@@ -236,8 +229,7 @@ def estimate_embedding_constant(ctx, q=None, n_starts=8, iters=200, rng=None, to
     and therefore an overestimate of the discrete constant.
     """
     g = ctx.grid
-    if q is None:
-        q = ctx.q_interior
+    q = ctx.q_interior
     rng = np.random.default_rng(rng)
 
     def value(u):

@@ -60,8 +60,10 @@ SCHEME_IMEX = "imex"
 
 @dataclass
 class StepControl:
-    """Adaptive time-stepping parameters."""
+    """Adaptive time-stepping parameters; also the config's ``step``
+    section, whose keys follow this field order."""
 
+    scheme: str = SCHEME_EXPLICIT
     dt_init: float = 1e-3
     dt_min: float = 1e-12
     dt_max: float = 1e-2
@@ -69,7 +71,6 @@ class StepControl:
     energy_increase_tol: float = 1e-10
     blowup_cap: float = 1e6
     max_steps: int = 200_000
-    scheme: str = SCHEME_EXPLICIT
     # IMEX proximal solve: stop once the residual norm is at most
     # inner_tol * max(1, initial norm); inner_max caps the Newton iterations
     inner_tol: float = 1e-8
@@ -296,33 +297,28 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
             termination = NON_FINITE
             break
         except InnerSolveStalled:
+            new = None
+        # a stalled inner solve is rejected like an energy increase
+        if new is None or not (
+            new.report.energy <= state.report.energy + control.energy_increase_tol
+        ):
             dt = dt_eff / 2.0
             if dt < control.dt_min:
                 termination = STEP_UNDERFLOW
                 break
             continue
-        if new.report.energy <= state.report.energy + control.energy_increase_tol:
-            diss += float(
-                np.dot(
-                    (new.u.interior - state.u.interior) ** 2,
-                    ctx.grid.interior_widths,
-                )
-            ) / dt_eff
-            state = new
-            accepted += 1
-            residual = abs(diss + state.report.energy - e0)
-            samples.append(
-                _sample_from(state, geometry, r_probe, dt=dt_eff, residual=residual)
-            )
-            if state.report.l2 >= control.blowup_cap:
-                termination = BLOWUP_CAP_HIT
-                t_max_estimate = state.t
-                break
-        else:
-            dt = dt_eff / 2.0
-            if dt < control.dt_min:
-                termination = STEP_UNDERFLOW
-                break
+        du = new.u.interior - state.u.interior
+        diss += float(np.dot(du**2, ctx.grid.interior_widths)) / dt_eff
+        state = new
+        accepted += 1
+        residual = abs(diss + state.report.energy - e0)
+        samples.append(
+            _sample_from(state, geometry, r_probe, dt=dt_eff, residual=residual)
+        )
+        if state.report.l2 >= control.blowup_cap:
+            termination = BLOWUP_CAP_HIT
+            t_max_estimate = state.t
+            break
 
     record = TrajectoryRecord(
         samples=samples,

@@ -32,6 +32,7 @@ __all__ = [
     "validate_assumptions",
     "critical_exponent",
     "make_exponent_field",
+    "one_point_exponent",
 ]
 
 
@@ -39,10 +40,9 @@ __all__ = [
 class ExponentField:
     """Closed-form exponent maps plus the fractional order.
 
-    ``p(x, y)`` and ``q(x)`` must accept numpy arrays and broadcast.
-    ``p_bounds`` / ``q_bounds`` are optional declared (min, max) pairs over
-    the truncated region; ``symmetry_tol`` is 0 for closed forms and may be
-    relaxed (1e-12) for tabulated fields.
+    ``p(x, y)`` and ``q(x)`` must accept numpy arrays and broadcast, and
+    p must be exactly symmetric.  ``p_bounds`` / ``q_bounds`` are optional
+    declared (min, max) pairs over the truncated region.
     """
 
     p: callable
@@ -51,9 +51,6 @@ class ExponentField:
     spatial_dim: int = 1
     p_bounds: tuple = None
     q_bounds: tuple = None
-    p_name: str = "custom"
-    q_name: str = "custom"
-    symmetry_tol: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -134,7 +131,7 @@ def validate_assumptions(field, domain, sample_resolution=65):
     # (a2) symmetry, checked before extrema so asymmetric fields fail loudly
     Pt = np.asarray(field.p(Y, X), dtype=float)
     gap = np.abs(P - Pt)
-    if np.max(gap) > field.symmetry_tol:
+    if np.max(gap) > 0.0:
         k = int(np.argmax(gap))
         raise AssumptionViolated(
             "a2",
@@ -208,9 +205,12 @@ def validate_assumptions(field, domain, sample_resolution=65):
 
 # --- built-in fields -------------------------------------------------------
 #
-# "constant"           p(x,y) = v                      q(x) = v
+# "constant"           p(x,y) = v                      h(x) = v
 # "affine-radial"      p(x,y) = a + b*(x^2 + y^2)/2    (p only)
-# "bump" / "bump-q"    q(x)   = a + b*x^2              (q only)
+# "bump"               h(x)   = a + b*x^2              (one-point only)
+#
+# The one-point shapes h serve both q and the probe exponent r of the
+# Luxemburg norm reported along a run; ``one_point_exponent`` builds them.
 
 
 def _sq_range(lo, hi):
@@ -258,6 +258,29 @@ def _constant1(v):
     return q
 
 
+def one_point_exponent(kind, params, default, domain):
+    """A one-point exponent shape and its declared bounds, as (h, bounds).
+
+    ``params`` holds ``value`` for "constant" and ``a``, ``b`` for "bump";
+    a missing ``value`` or ``a`` is ``default``, a missing ``b`` is 0.
+    Bounds are (min, max) over the interval of ``domain``, None for a bump
+    without a domain.
+    """
+    if kind == "constant":
+        v = float(params.get("value", default))
+        return _constant1(v), (v, v)
+    if kind == "bump":
+        a_coef = float(params.get("a", default))
+        b_coef = float(params.get("b", 0.0))
+
+        def h(x):
+            x = np.asarray(x, dtype=float)
+            return a_coef + b_coef * x**2
+
+        return h, (_bump_bounds(a_coef, b_coef, domain) if domain else None)
+    raise ConfigError("unknown one-point exponent kind %r (constant | bump)" % kind)
+
+
 def make_exponent_field(
     s,
     p_kind="constant",
@@ -265,7 +288,6 @@ def make_exponent_field(
     q_kind="constant",
     q_params=None,
     domain=None,
-    spatial_dim=1,
 ):
     """Assemble an ExponentField from named built-in exponent shapes.
 
@@ -273,7 +295,6 @@ def make_exponent_field(
     known (``domain`` given) or the shape is constant.
     """
     p_params = dict(p_params or {})
-    q_params = dict(q_params or {})
 
     if p_kind == "constant":
         v = float(p_params.get("value", 2.0))
@@ -291,28 +312,7 @@ def make_exponent_field(
     else:
         raise ConfigError("unknown p exponent kind %r" % p_kind)
 
-    if q_kind == "constant":
-        v = float(q_params.get("value", 3.0))
-        q_fn, q_bounds = _constant1(v), (v, v)
-    elif q_kind in ("bump", "bump-q"):
-        a_coef = float(q_params.get("a", 3.0))
-        b_coef = float(q_params.get("b", 0.0))
-
-        def q_fn(x, _a=a_coef, _b=b_coef):
-            x = np.asarray(x, dtype=float)
-            return _a + _b * x**2
-
-        q_bounds = _bump_bounds(a_coef, b_coef, domain) if domain else None
-    else:
-        raise ConfigError("unknown q exponent kind %r" % q_kind)
-
+    q_fn, q_bounds = one_point_exponent(q_kind, q_params or {}, 3.0, domain)
     return ExponentField(
-        p=p_fn,
-        q=q_fn,
-        s=float(s),
-        spatial_dim=spatial_dim,
-        p_bounds=p_bounds,
-        q_bounds=q_bounds,
-        p_name=p_kind,
-        q_name=q_kind,
+        p=p_fn, q=q_fn, s=float(s), p_bounds=p_bounds, q_bounds=q_bounds
     )

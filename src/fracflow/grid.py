@@ -147,8 +147,8 @@ class GridFunction:
         self.w0 = bool(w0)
 
     @classmethod
-    def zeros(cls, grid, w0=True):
-        return cls(grid, np.zeros(grid.n_total), w0=w0)
+    def zeros(cls, grid):
+        return cls(grid, np.zeros(grid.n_total), w0=True)
 
     @classmethod
     def from_interior(cls, grid, interior_values):
@@ -163,18 +163,9 @@ class GridFunction:
         values[grid.interior_slice] = interior_values
         return cls(grid, values, w0=True)
 
-    @classmethod
-    def from_callable(cls, grid, f, w0=True):
-        """Sample f at interior cell centers, zero on the collar."""
-        return cls.from_interior(grid, np.asarray(f(grid.interior_centers), dtype=float))
-
     @property
     def interior(self):
         return self.values[self.grid.interior_slice]
-
-    def with_interior(self, interior_values):
-        """New W0 function on the same grid with replaced interior values."""
-        return GridFunction.from_interior(self.grid, interior_values)
 
     def copy(self):
         return GridFunction(self.grid, self.values.copy(), w0=self.w0)

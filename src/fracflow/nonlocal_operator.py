@@ -184,10 +184,10 @@ class OperatorContext:
         t *= self.P
         return -float(np.einsum("ij,ij->", t, self.pair_w)) / lam
 
-    def _check_function(self, u, require_w0=True):
+    def _check_function(self, u):
         if not u.grid.compatible_with(self.grid):
             raise ContextMismatch("grid function does not match the context grid")
-        if require_w0 and not u.w0:
+        if not u.w0:
             raise NotW0("operation requires exterior values pinned to zero")
 
 

@@ -73,13 +73,12 @@ def audit_to_csv(audit, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def geometry_report(geometry, lambda_hat, r_hat, lower_bound, out_dir,
-                    minimizer_name="minimizer.csv"):
+def geometry_report(geometry, lambda_hat, r_hat, lower_bound, out_dir):
     """Write the geometry summary text (embedding constant estimate, bound
     constant, depth and its lower bound) plus the minimizer as a cell CSV;
     returns the summary text."""
     os.makedirs(out_dir, exist_ok=True)
-    minim_path = os.path.join(out_dir, minimizer_name)
+    minim_path = os.path.join(out_dir, "minimizer.csv")
     save_csv(geometry.minimizer, minim_path)
     text = "\n".join(
         [

@@ -14,7 +14,7 @@ import pytest
 import fracflow as ff
 from fracflow.cli import main
 from fracflow.config import default_config, serialize_config
-from fracflow.energy import _q_coeffs
+from fracflow.modular import _lebesgue_coeffs
 
 # frozen oracle references (first oracle run, committed)
 DEPTH_REF_N32 = 71.981809
@@ -126,7 +126,7 @@ def test_criterion_4_nehari_oracle(default_ctx):
         assert abs(ff.nehari_lambda(w, default_ctx) - 1.0) <= 1e-8
         # exactly one sign change of I(t u) over a 200-point log grid
         cp, ep = default_ctx.pair_coeffs(u.values)
-        cq, eq = _q_coeffs(default_ctx, u.values)
+        cq, eq = _lebesgue_coeffs(u, default_ctx.q_interior)
         ts = np.logspace(np.log10(lam) - 3.0, np.log10(lam) + 3.0, 200)
         gvals = np.array([np.sum(cp * t**ep) - np.sum(cq * t**eq) for t in ts])
         signs = np.sign(gvals)

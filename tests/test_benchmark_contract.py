@@ -1,0 +1,54 @@
+"""What the benchmark under perfbench/ needs from the library.
+
+The benchmark feeds the CLI its own config files and, in a traced run,
+wraps library functions and OperatorContext methods by name.  These checks
+fail when a change to the library would break either, instead of the
+traced benchmark run failing later.  perfbench/ is only read here.
+"""
+
+import glob
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+from fracflow.config import load_config, serialize_config
+from fracflow.nonlocal_operator import OperatorContext
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _shipped(*parts):
+    paths = sorted(glob.glob(os.path.join(ROOT, *parts)))
+    assert paths, "no config files under %s" % os.path.join(*parts[:-1])
+    return paths
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_configs_are_canonical():
+    for path in _shipped("configs", "*.cfg"):
+        with open(path) as fh:
+            text = fh.read()
+        assert serialize_config(load_config(path)) == text, path
+
+
+def test_benchmark_configs_load():
+    for path in _shipped("perfbench", "configs", "*.cfg"):
+        load_config(path)
+
+
+def test_traced_names_resolve(tracer):
+    for meth in tracer.SWEEPS:
+        assert meth in OperatorContext.__dict__, meth
+    for modname, attr in tracer.FUNCTIONS:
+        module = importlib.import_module("fracflow." + modname)
+        assert callable(getattr(module, attr, None)), (modname, attr)

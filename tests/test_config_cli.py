@@ -2,13 +2,21 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fracflow as ff
 from fracflow import scenarios
 from fracflow.cli import main
-from fracflow.config import default_config, parse_config, serialize_config
+from fracflow.config import (
+    build_field,
+    build_probe,
+    default_config,
+    parse_config,
+    serialize_config,
+)
 from fracflow.errors import ConfigError
+from fracflow.modular import exponent_values
 
 
 def test_config_round_trip():
@@ -249,3 +257,75 @@ def test_geometry_report_writes_files(tmp_path, ctx16):
     text = ff.report.geometry_report(geom, lam_hat, r_hat, lower_bound, str(tmp_path))
     assert (tmp_path / "geometry_summary.txt").read_text() == text + "\n"
     assert (tmp_path / "minimizer.csv").exists()
+
+
+# canonical text of default_config(), unchanged since the step section
+# became a StepControl and the exponent shapes one ShapeConfig
+DEFAULT_CONFIG_TEXT = """\
+scenario = validate
+seed = 0
+out = fracflow-out
+domain.a = -1.0
+domain.b = 1.0
+domain.exterior_radius = 8.0
+grid.n = 32
+grid.m = 128
+exponents.s = 0.4
+exponents.p.kind = constant
+exponents.p.value = 2.0
+exponents.q.kind = constant
+exponents.q.value = 3.0
+probe.kind = constant
+probe.value = 2.0
+initial.kind = scaled-nehari-minimizer
+initial.factor = 0.5
+initial.amplitude = 1.0
+step.scheme = explicit
+step.dt_init = 0.001
+step.dt_min = 1e-12
+step.dt_max = 0.01
+step.t_final = 1.0
+step.energy_increase_tol = 1e-10
+step.blowup_cap = 1000000.0
+step.max_steps = 200000
+step.inner_tol = 1e-08
+step.inner_max = 300
+geometry.n_starts = 4
+geometry.iters = 400
+geometry.tol = 1e-09
+validation.resolution = 65
+"""
+
+
+def test_default_config_text_is_canonical():
+    assert serialize_config(default_config()) == DEFAULT_CONFIG_TEXT
+    assert parse_config(DEFAULT_CONFIG_TEXT) == default_config()
+
+
+def test_build_probe_shapes(grid16):
+    x = grid16.interior_centers
+    cfg = default_config("well")
+    cfg.probe.value = 2.5
+    probe = build_probe(cfg)
+    np.testing.assert_array_equal(exponent_values(probe, x), np.full(grid16.n, 2.5))
+    cfg.probe.kind = "bump"
+    cfg.probe.a, cfg.probe.b = 2.0, 1.0
+    probe = build_probe(cfg)
+    np.testing.assert_array_equal(exponent_values(probe, x), 2.0 + 1.0 * x**2)
+    # q takes the same shape from the same builder
+    cfg.exponents.q.kind, cfg.exponents.q.a, cfg.exponents.q.b = "bump", 2.0, 1.0
+    np.testing.assert_array_equal(build_field(cfg).q(x), exponent_values(probe, x))
+    # a and b default to value and 0, as for q
+    cfg.probe.a = cfg.probe.b = None
+    np.testing.assert_array_equal(exponent_values(build_probe(cfg), x), np.full(grid16.n, 2.5))
+
+
+def test_unknown_one_point_kind_raises_config_error():
+    cfg = default_config("well")
+    cfg.probe.kind = "ramp"
+    with pytest.raises(ConfigError, match="ramp"):
+        build_probe(cfg)
+    cfg = default_config("well")
+    cfg.exponents.q.kind = "bump-q"
+    with pytest.raises(ConfigError, match="bump-q"):
+        build_field(cfg)

@@ -97,7 +97,7 @@ def test_nehari_lambda_fixed_point_and_ray_scaling(ctx16, grid16, rng):
 
 
 def test_nehari_lambda_root_find_cost_and_precision(ctx16, ctx16_var, grid16, rng, monkeypatch):
-    from fracflow.energy import _q_coeffs
+    from fracflow.modular import _lebesgue_coeffs
 
     energy_mod = importlib.import_module("fracflow.energy")
     evals = []
@@ -115,7 +115,7 @@ def test_nehari_lambda_root_find_cost_and_precision(ctx16, ctx16_var, grid16, rn
         lam = ff.nehari_lambda(u, ctx16_var)
         assert evals[-1] <= 8
         cp, ep = ctx16_var.pair_coeffs(u.values)
-        cq, eq = _q_coeffs(ctx16_var, u.values)
+        cq, eq = _lebesgue_coeffs(u, ctx16_var.q_interior)
         sp, sq = np.sum(cp * lam**ep), np.sum(cq * lam**eq)
         assert abs(sp - sq) <= 1e-14 * (sp + sq)
 
@@ -135,13 +135,13 @@ def test_nehari_lambda_residual_raises_typed_error(ctx16, grid16, rng, monkeypat
 
 
 def test_nehari_unique_crossing_and_ray_max(ctx16, grid16, rng):
-    from fracflow.energy import _q_coeffs
+    from fracflow.modular import _lebesgue_coeffs
 
     for _ in range(25):
         u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
         lam = ff.nehari_lambda(u, ctx16)
         cp, ep = ctx16.pair_coeffs(u.values)
-        cq, eq = _q_coeffs(ctx16, u.values)
+        cq, eq = _lebesgue_coeffs(u, ctx16.q_interior)
         lams = np.logspace(np.log10(lam) - 3.0, np.log10(lam) + 3.0, 200)
         gvals = np.array([np.sum(cp * t**ep) - np.sum(cq * t**eq) for t in lams])
         signs = np.sign(gvals)

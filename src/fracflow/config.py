@@ -50,7 +50,8 @@ class GridConfig:
 
 @dataclass
 class ShapeConfig:
-    """One exponent shape; ``a`` and ``b`` default to ``value`` and 0."""
+    """One exponent shape.  Unset coefficients are left out of what the
+    builders pass on; ``exponents._coefficients`` holds the default rule."""
 
     kind: str = "constant"  # p: constant | affine-radial; q, probe: constant | bump
     value: float = 2.0
@@ -146,8 +147,9 @@ def serialize_config(cfg):
 def parse_config(text):
     """Parse key = value lines into an ExperimentConfig.
 
-    Raises ConfigError on unknown keys, bad values, or a missing
-    exponents.s (the fractional order has no safe default in a file).
+    Raises ConfigError on unknown keys, bad values (a step section that
+    StepControl rejects included), or a missing exponents.s (the
+    fractional order has no safe default in a file).
     """
     cfg = ExperimentConfig()
     targets = {key: (obj, f) for key, obj, f in _walk(cfg)}
@@ -168,6 +170,10 @@ def parse_config(text):
         setattr(obj, f.name, _coerce(key, raw, f.type))
     if cfg.exponents.s is None:
         raise ConfigError("missing required key exponents.s")
+    try:
+        replace(cfg.step)  # StepControl's checks, before anything is computed
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("step: %s" % exc) from exc
     return cfg
 
 
@@ -202,12 +208,8 @@ def build_grid_from(cfg, domain=None, n=None):
 
 
 def _shape_params(shape_cfg):
-    if shape_cfg.kind == "constant":
-        return {"value": shape_cfg.value}
-    return {
-        "a": shape_cfg.a if shape_cfg.a is not None else shape_cfg.value,
-        "b": shape_cfg.b if shape_cfg.b is not None else 0.0,
-    }
+    return {k: getattr(shape_cfg, k) for k in ("value", "a", "b")
+            if getattr(shape_cfg, k) is not None}
 
 
 def build_field(cfg, domain=None):

@@ -246,7 +246,7 @@ def estimate_embedding_constant(ctx, n_starts=8, iters=200, rng=None, tol=1e-10)
 
     best = np.inf
     for u0 in _starts(g, n_starts, rng):
-        x = GridFunction(g, u0.values / l2_norm(u0), w0=True)
+        x = GridFunction(g, u0.values / l2_norm(u0))
         best = min(best, _descend(x, value, grad, project, iters)[1])
     return float(best)
 

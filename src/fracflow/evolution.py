@@ -409,8 +409,8 @@ def blowup_inequality_audit(record, ctx, e0, tol_factor=5.0):
         )
     if first_above is None:
         raise AuditFailed("phi never exceeded 1; blow-up regime not reached")
-    rate = _measure_rate_constant(samples, q_plus)
-    if rate is None or rate <= 0.0:
+    rate = min(r.ratio for r in rows if r.phi > 1.0)
+    if rate <= 0.0:
         raise AuditFailed("measured rate constant is not positive past phi > 1")
     return AuditResult(rows=rows, rate_constant=rate, first_t_phi_above_one=first_above)
 

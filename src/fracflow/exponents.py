@@ -21,6 +21,7 @@ extrema.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,21 +43,20 @@ class ExponentField:
 
     ``p(x, y)`` and ``q(x)`` must accept numpy arrays and broadcast, and
     p must be exactly symmetric.  ``p_bounds`` / ``q_bounds`` are optional
-    declared (min, max) pairs over the truncated region.
+    declared (min, max) pairs over the truncated region.  The spatial
+    dimension N is 1, fixed by the interval grid.
     """
 
+    spatial_dim: ClassVar[int] = 1
     p: callable
     q: callable
     s: float
-    spatial_dim: int = 1
     p_bounds: tuple = None
     q_bounds: tuple = None
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError("fractional order s must lie in (0, 1), got %r" % self.s)
-        if self.spatial_dim < 1:
-            raise ValueError("spatial_dim must be a positive integer")
 
     def pbar(self, x):
         """Diagonal exponent p(x, x)."""
@@ -205,9 +205,9 @@ def validate_assumptions(field, domain, sample_resolution=65):
 
 # --- built-in fields -------------------------------------------------------
 #
-# "constant"           p(x,y) = v                      h(x) = v
 # "affine-radial"      p(x,y) = a + b*(x^2 + y^2)/2    (p only)
 # "bump"               h(x)   = a + b*x^2              (one-point only)
+# "constant"           the b = 0 member of either: p(x,y) = h(x) = value
 #
 # The one-point shapes h serve both q and the probe exponent r of the
 # Luxemburg norm reported along a run; ``one_point_exponent`` builds them.
@@ -241,44 +241,35 @@ def _bump_bounds(a_coef, b_coef, domain):
     return min(vals), max(vals)
 
 
-def _constant2(v):
-    def p(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.full(np.broadcast(x, y).shape, float(v))
-
-    return p
-
-
-def _constant1(v):
-    def q(x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape, float(v))
-
-    return q
+def _coefficients(kind, params, default, curved):
+    """(a, b) of the shape ``kind``: b = 0 for "constant", the one kind
+    besides ``curved``.  A missing ``value`` is ``default``, a missing
+    ``a`` is ``value`` and a missing ``b`` is 0."""
+    value = float(params.get("value", default))
+    if kind == "constant":
+        return value, 0.0
+    if kind == curved:
+        return float(params.get("a", value)), float(params.get("b", 0.0))
+    raise ConfigError("unknown exponent kind %r (constant | %s)" % (kind, curved))
 
 
 def one_point_exponent(kind, params, default, domain):
     """A one-point exponent shape and its declared bounds, as (h, bounds).
 
-    ``params`` holds ``value`` for "constant" and ``a``, ``b`` for "bump";
-    a missing ``value`` or ``a`` is ``default``, a missing ``b`` is 0.
-    Bounds are (min, max) over the interval of ``domain``, None for a bump
-    without a domain.
+    h(x) = a + b*x^2 with (a, b) from ``_coefficients``; "constant" is
+    b = 0 and "bump" takes ``a`` and ``b``.  Bounds are (min, max) over the
+    interval of ``domain``; (a, a) when b = 0, None for a bump without a
+    domain.
     """
-    if kind == "constant":
-        v = float(params.get("value", default))
-        return _constant1(v), (v, v)
-    if kind == "bump":
-        a_coef = float(params.get("a", default))
-        b_coef = float(params.get("b", 0.0))
+    a_coef, b_coef = _coefficients(kind, params, default, "bump")
 
-        def h(x):
-            x = np.asarray(x, dtype=float)
-            return a_coef + b_coef * x**2
+    def h(x):
+        x = np.asarray(x, dtype=float)
+        return a_coef + b_coef * x**2
 
-        return h, (_bump_bounds(a_coef, b_coef, domain) if domain else None)
-    raise ConfigError("unknown one-point exponent kind %r (constant | bump)" % kind)
+    if b_coef == 0.0:
+        return h, (a_coef, a_coef)
+    return h, (_bump_bounds(a_coef, b_coef, domain) if domain else None)
 
 
 def make_exponent_field(
@@ -291,27 +282,21 @@ def make_exponent_field(
 ):
     """Assemble an ExponentField from named built-in exponent shapes.
 
+    p(x, y) = a + b*(x^2 + y^2)/2 with (a, b) from ``_coefficients``.
     Declared analytic bounds are attached whenever the truncated region is
-    known (``domain`` given) or the shape is constant.
+    known (``domain`` given) or b = 0.
     """
-    p_params = dict(p_params or {})
+    a_coef, b_coef = _coefficients(p_kind, p_params or {}, 2.0, "affine-radial")
 
-    if p_kind == "constant":
-        v = float(p_params.get("value", 2.0))
-        p_fn, p_bounds = _constant2(v), (v, v)
-    elif p_kind == "affine-radial":
-        a_coef = float(p_params.get("a", 2.0))
-        b_coef = float(p_params.get("b", 0.0))
+    def p_fn(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return a_coef + b_coef * (x**2 + y**2) / 2.0
 
-        def p_fn(x, y, _a=a_coef, _b=b_coef):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            return _a + _b * (x**2 + y**2) / 2.0
-
-        p_bounds = _affine_radial_bounds(a_coef, b_coef, domain) if domain else None
+    if b_coef == 0.0:
+        p_bounds = (a_coef, a_coef)
     else:
-        raise ConfigError("unknown p exponent kind %r" % p_kind)
-
+        p_bounds = _affine_radial_bounds(a_coef, b_coef, domain) if domain else None
     q_fn, q_bounds = one_point_exponent(q_kind, q_params or {}, 3.0, domain)
     return ExponentField(
         p=p_fn, q=q_fn, s=float(s), p_bounds=p_bounds, q_bounds=q_bounds

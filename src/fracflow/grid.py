@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidResolution, NotW0
+from .errors import GridMismatch, InvalidResolution
 
 __all__ = [
     "Domain",
@@ -127,28 +127,28 @@ def build_grid(domain, n, m):
 class GridFunction:
     """Cellwise-constant values on a Grid.
 
-    When ``w0`` is set the function is pinned to zero on the collar (the
-    discrete analogue of vanishing outside the interval); the constructor
-    rejects values violating that.
+    ``w0`` is read from the values: it holds when every collar value is
+    zero, the discrete analogue of vanishing outside the interval.
     """
 
-    __slots__ = ("grid", "values", "w0")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid, values, w0=False):
+    def __init__(self, grid, values):
         values = np.array(values, dtype=float)
         if values.shape != (grid.n_total,):
             raise GridMismatch(
                 "expected %d cell values, got shape %r" % (grid.n_total, values.shape)
             )
-        if w0 and np.any(values[~grid.interior_mask] != 0.0):
-            raise NotW0("exterior cells must be exactly zero for a W0 function")
         self.grid = grid
         self.values = values
-        self.w0 = bool(w0)
+
+    @property
+    def w0(self):
+        return not self.values[~self.grid.interior_mask].any()
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.n_total), w0=True)
+        return cls(grid, np.zeros(grid.n_total))
 
     @classmethod
     def from_interior(cls, grid, interior_values):
@@ -161,24 +161,19 @@ class GridFunction:
             )
         values = np.zeros(grid.n_total)
         values[grid.interior_slice] = interior_values
-        return cls(grid, values, w0=True)
+        return cls(grid, values)
 
     @property
     def interior(self):
         return self.values[self.grid.interior_slice]
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy(), w0=self.w0)
-
     def scaled(self, c):
-        out = GridFunction(self.grid, c * self.values, w0=False)
-        out.w0 = self.w0  # scaling preserves exterior zeros
-        return out
+        return GridFunction(self.grid, c * self.values)
 
     def __repr__(self):
-        return "GridFunction(n_total=%d, w0=%r, linf=%g)" % (
+        return "GridFunction(n_total=%d, %s, linf=%g)" % (
             self.grid.n_total,
-            self.w0,
+            "W0" if self.w0 else "not W0",
             float(np.max(np.abs(self.values))) if self.values.size else 0.0,
         )
 
@@ -244,5 +239,4 @@ def load_csv(grid, path):
         np.abs(widths - grid.widths)
     ) > 1e-12:
         raise GridMismatch("cell layout in %s does not match the grid" % path)
-    w0 = bool(np.all(values[~grid.interior_mask] == 0.0))
-    return GridFunction(grid, values, w0=w0)
+    return GridFunction(grid, values)

@@ -24,53 +24,32 @@ def _fmt(v):
     return repr(float(v))
 
 
-def trajectory_to_csv(record, path):
-    lines = [TRAJECTORY_HEADER]
-    for s in record.samples:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(s.t),
-                    _fmt(s.dt),
-                    _fmt(s.energy),
-                    _fmt(s.nehari),
-                    _fmt(s.phi),
-                    _fmt(s.l2),
-                    _fmt(s.lux_r),
-                    _fmt(s.modular_sp),
-                    _fmt(s.modular_q),
-                    s.well_class,
-                    _fmt(s.residual),
-                ]
-            )
-        )
+def _write_table(path, header, rows):
+    """Write ``header`` and one comma-joined line per row; floats in rows
+    are written with ``_fmt``, strings as they are."""
+    lines = [header] + [
+        ",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows
+    ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def trajectory_to_csv(record, path):
+    _write_table(path, TRAJECTORY_HEADER, (
+        (s.t, s.dt, s.energy, s.nehari, s.phi, s.l2, s.lux_r, s.modular_sp,
+         s.modular_q, s.well_class, s.residual)
+        for s in record.samples
+    ))
 
 
 AUDIT_HEADER = "t,dt,phi,phi_prime,identity_gap,bound_margin,ratio,tol"
 
 
 def audit_to_csv(audit, path):
-    lines = [AUDIT_HEADER]
-    for r in audit.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.t,
-                    r.dt,
-                    r.phi,
-                    r.phi_prime,
-                    r.identity_gap,
-                    r.bound_margin,
-                    r.ratio,
-                    r.tol,
-                )
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, AUDIT_HEADER, (
+        (r.t, r.dt, r.phi, r.phi_prime, r.identity_gap, r.bound_margin, r.ratio, r.tol)
+        for r in audit.rows
+    ))
 
 
 def geometry_report(geometry, lambda_hat, r_hat, lower_bound, out_dir):

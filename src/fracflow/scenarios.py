@@ -7,6 +7,7 @@ iff every verdict passed.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,10 +37,9 @@ from .evolution import (
     run,
 )
 from .exponents import validate_assumptions
-from .grid import Domain, Grid
 from .modular import gagliardo_modular
 from .nonlocal_operator import build_context
-from .report import audit_to_csv, geometry_report, trajectory_to_csv
+from .report import _write_table, audit_to_csv, geometry_report, trajectory_to_csv
 
 __all__ = ["run_scenario", "SCENARIOS"]
 
@@ -60,12 +60,13 @@ class _Verdicts:
         self.lines.append(line)
 
 
-def _prepare(cfg):
+def _context(cfg, n=None):
+    """The validated operator context of the config, on ``n`` interior
+    cells when given."""
     domain = build_domain(cfg)
-    grid = build_grid_from(cfg, domain)
+    grid = build_grid_from(cfg, domain, n=n)
     field = build_field(cfg, domain)
-    ctx = build_context(grid, field, sample_resolution=cfg.validation.resolution)
-    return domain, grid, field, ctx
+    return build_context(grid, field, sample_resolution=cfg.validation.resolution)
 
 
 def _geometry(cfg, ctx):
@@ -99,7 +100,7 @@ def _scenario_validate(cfg, out_dir, v):
 
 
 def _scenario_geometry(cfg, out_dir, v):
-    _, _, _, ctx = _prepare(cfg)
+    ctx = _context(cfg)
     lam_hat = estimate_embedding_constant(
         ctx, n_starts=cfg.geometry.n_starts, iters=cfg.geometry.iters, rng=cfg.seed
     )
@@ -122,17 +123,14 @@ def _scenario_geometry(cfg, out_dir, v):
 
 
 def _run_from_config(cfg, ctx, geometry, dt_init=None):
-    grid = ctx.grid
-    u0 = build_initial(cfg, grid, minimizer=geometry.minimizer if geometry else None)
-    control = build_control(cfg, dt_init=dt_init)
-    probe = build_probe(cfg)
-    return u0, run(u0, control, ctx, geometry, r_probe=probe)
+    u0 = build_initial(cfg, ctx.grid, minimizer=geometry.minimizer if geometry else None)
+    return run(u0, build_control(cfg, dt_init=dt_init), ctx, geometry, r_probe=build_probe(cfg))
 
 
 def _scenario_well(cfg, out_dir, v):
-    _, _, _, ctx = _prepare(cfg)
+    ctx = _context(cfg)
     geom = _geometry(cfg, ctx)
-    u0, record = _run_from_config(cfg, ctx, geom)
+    record = _run_from_config(cfg, ctx, geom)
     trajectory_to_csv(record, os.path.join(out_dir, "trajectory.csv"))
     v.info("termination: %s" % record.termination)
     classes = {s.well_class for s in record.samples}
@@ -154,11 +152,11 @@ def _scenario_well(cfg, out_dir, v):
 
 
 def _scenario_blowup(cfg, out_dir, v):
-    _, _, _, ctx = _prepare(cfg)
+    ctx = _context(cfg)
     geom = _geometry(cfg, ctx)
-    u0, record = _run_from_config(cfg, ctx, geom)
+    record = _run_from_config(cfg, ctx, geom)
     trajectory_to_csv(record, os.path.join(out_dir, "trajectory.csv"))
-    e0 = energy(u0, ctx).energy
+    e0 = record.samples[0].energy
     v.info("E(u0) = %r" % e0)
     v.info("termination: %s" % record.termination)
     v.check("negative_initial_energy", e0 < 0.0, "E(u0)=%r" % e0)
@@ -188,12 +186,12 @@ def _scenario_blowup(cfg, out_dir, v):
 
 
 def _scenario_nehari_sweep(cfg, out_dir, v):
-    _, grid, field, ctx = _prepare(cfg)
+    ctx = _context(cfg)
     labels = ["bump", "sine"] + ["random-%d" % k for k in range(8)]
-    cases = zip(labels, _starts(grid, len(labels), np.random.default_rng(cfg.seed)))
+    cases = zip(labels, _starts(ctx.grid, len(labels), np.random.default_rng(cfg.seed)))
     summary = ctx.summary
     constant_exps = summary.p_minus == summary.p_plus and summary.q_minus == summary.q_plus
-    rows = ["label,lambda_hat,closed_form,abs_err,nehari_residual"]
+    rows = []
     worst = 0.0
     worst_resid = 0.0
     for label, u in cases:
@@ -202,18 +200,18 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
         resid = abs(rep.nehari) / (rep.gagliardo_modular + rep.q_modular)
         worst_resid = max(worst_resid, resid)
         if constant_exps:
-            p0, q0 = summary.p_plus, summary.q_plus
-            closed = (gagliardo_modular(u, ctx) / energy(u, ctx).q_modular) ** (
-                1.0 / (q0 - p0)
+            rep0 = energy(u, ctx)
+            closed = (rep0.gagliardo_modular / rep0.q_modular) ** (
+                1.0 / (summary.q_plus - summary.p_plus)
             )
             err = abs(lam - closed)
             worst = max(worst, err)
-            rows.append("%s,%r,%r,%r,%r" % (label, lam, closed, err, resid))
+            rows.append((label, lam, closed, err, resid))
         else:
-            rows.append("%s,%r,,,%r" % (label, lam, resid))
+            rows.append((label, lam, "", "", resid))
         v.info("%s: lambda_hat = %r" % (label, lam))
-    with open(os.path.join(out_dir, "nehari_sweep.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_table(os.path.join(out_dir, "nehari_sweep.csv"),
+                 "label,lambda_hat,closed_form,abs_err,nehari_residual", rows)
     if constant_exps:
         v.check("closed_form_match", worst <= 1e-8, "worst |err| = %r" % worst)
     v.check(
@@ -224,39 +222,31 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
 
 
 def _scenario_convergence(cfg, out_dir, v):
-    domain = build_domain(cfg)
-    rows = ["n,dt,residual"]
+    rows = []
     orders = []
     for n in (cfg.grid.n, 2 * cfg.grid.n):
-        grid = build_grid_from(cfg, domain, n=n)
-        field = build_field(cfg, domain)
-        ctx = build_context(grid, field, sample_resolution=cfg.validation.resolution)
+        ctx = _context(cfg, n=n)
         geom = _geometry(cfg, ctx)
         residuals = []
         for k in range(3):
             dt = cfg.step.dt_init / 2.0**k
-            _, record = _run_from_config(cfg, ctx, geom, dt_init=dt)
+            record = _run_from_config(cfg, ctx, geom, dt_init=dt)
             res = record.samples[-1].residual
             residuals.append(res)
-            rows.append("%d,%r,%r" % (n, dt, res))
+            rows.append((str(n), dt, res))
         for k in range(2):
             if residuals[k + 1] > 0.0:
                 orders.append(float(np.log2(residuals[k] / residuals[k + 1])))
         # refinement diagnostics: nonlocal modular of the bump under grid
         # refinement and collar growth (truncation tail indicator)
-        bump = standard_bump(grid)
+        bump = standard_bump(ctx.grid)
         v.info("modular(bump) at n=%d: %r" % (n, gagliardo_modular(bump, ctx)))
-    wide = build_domain(cfg)
-    wide2 = Domain(wide.a, wide.b, 2.0 * wide.exterior_radius)
-    grid2 = Grid(wide2, cfg.grid.n, 2 * cfg.grid.m)
-    field2 = build_field(cfg, wide2)
-    ctx2 = build_context(grid2, field2, sample_resolution=cfg.validation.resolution)
-    v.info(
-        "modular(bump) at doubled collar: %r"
-        % gagliardo_modular(standard_bump(grid2), ctx2)
-    )
-    with open(os.path.join(out_dir, "convergence.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    radius = build_domain(cfg).exterior_radius
+    wide = _context(replace(cfg, domain=replace(cfg.domain, exterior_radius=2.0 * radius),
+                            grid=replace(cfg.grid, m=2 * cfg.grid.m)))
+    v.info("modular(bump) at doubled collar: %r"
+           % gagliardo_modular(standard_bump(wide.grid), wide))
+    _write_table(os.path.join(out_dir, "convergence.csv"), "n,dt,residual", rows)
     v.info("orders: %s" % ", ".join("%r" % o for o in orders))
     v.check(
         "residual_order",

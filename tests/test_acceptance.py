@@ -71,8 +71,8 @@ def test_criterion_2_gradient_oracle(domain, field):
             um = u.values.copy()
             up[grid.interior_slice.start + k] += h
             um[grid.interior_slice.start + k] -= h
-            ep = ff.energy(ff.GridFunction(grid, up, w0=True), ctx).energy
-            em = ff.energy(ff.GridFunction(grid, um, w0=True), ctx).energy
+            ep = ff.energy(ff.GridFunction(grid, up), ctx).energy
+            em = ff.energy(ff.GridFunction(grid, um), ctx).energy
             fd = (ep - em) / (2.0 * h) / grid.interior_widths[k]
             denom = max(abs(fd), 1e-8)
             worst = max(worst, abs(g[k] - fd) / denom)

@@ -1,15 +1,19 @@
 """What the benchmark under perfbench/ needs from the library.
 
-The benchmark feeds the CLI its own config files and, in a traced run,
-wraps library functions and OperatorContext methods by name.  These checks
-fail when a change to the library would break either, instead of the
-traced benchmark run failing later.  perfbench/ is only read here.
+The benchmark feeds the CLI its own config files, times a set-up snippet
+that imports config builders by name, and, in a traced run, wraps library
+functions and OperatorContext methods by name.  These checks fail when a
+change to the library would break any of these, instead of the benchmark
+run failing later.  perfbench/ is only read here.
 """
 
+import ast
 import glob
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,3 +56,27 @@ def test_traced_names_resolve(tracer):
     for modname, attr in tracer.FUNCTIONS:
         module = importlib.import_module("fracflow." + modname)
         assert callable(getattr(module, attr, None)), (modname, attr)
+
+
+def _setup_snippet():
+    """perfbench/run.py's SETUP_SNIPPET, read without importing run.py."""
+    path = os.path.join(ROOT, "perfbench", "run.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "SETUP_SNIPPET" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py assigns no SETUP_SNIPPET")
+
+
+def test_setup_snippet_runs_on_benchmark_configs():
+    snippet = _setup_snippet()
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for path in _shipped("perfbench", "configs", "*.cfg"):
+        proc = subprocess.run(
+            [sys.executable, "-c", snippet, path],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, (path, proc.stderr)

@@ -16,6 +16,7 @@ from fracflow.config import (
     serialize_config,
 )
 from fracflow.errors import ConfigError
+from fracflow.evolution import AuditRow, Sample
 from fracflow.modular import exponent_values
 
 
@@ -79,6 +80,23 @@ def test_validate_scenario_exit_zero(tmp_path, capsys):
     assert "p- = 2.0" in out and "q+ = 3.0" in out
     assert "p*_s = 10.0" in out
     assert (tmp_path / "summary.txt").exists()
+
+
+def test_bad_step_value_fails_at_parse_time(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the depth search ran on a rejected config")
+
+    monkeypatch.setattr(scenarios, "well_depth", no_search)
+    bad = tmp_path / "bad.cfg"
+    for line, reason in (
+        ("step.scheme = bogus", "scheme must be 'explicit' or 'imex'"),
+        ("step.t_final = 0", "t_final must be positive"),
+    ):
+        bad.write_text("exponents.s = 0.4\n%s\n" % line)
+        rc = main(["well", "--config", str(bad), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: step: ") and reason in err, err
 
 
 def test_malformed_config_exit_two(tmp_path, capsys):
@@ -248,6 +266,44 @@ def test_header_only_csv_for_empty_trajectory(tmp_path):
     path = tmp_path / "empty.csv"
     ff.trajectory_to_csv(rec, path)
     assert path.read_text() == "t,dt,E,I,phi,l2,lux_r,modular_sp,modular_q,well_class,residual\n"
+
+
+def test_table_writers_golden_text(tmp_path):
+    def sample(**kw):
+        base = dict(well_class=ff.IN_EXTERIOR, grad_l2=1.0)
+        return Sample(**base, **kw)
+
+    rec = ff.TrajectoryRecord(
+        samples=[
+            sample(t=0.0, dt=0.0, energy=-1.5, nehari=0.25, phi=0.1, l2=1.0 / 3.0,
+                   lux_r=2.0, modular_sp=1e-20, modular_q=123456789.0, residual=0.0),
+            sample(t=0.001, dt=0.001, energy=-2.0, nehari=-3e-5, phi=1.25, l2=2.0**0.5,
+                   lux_r=0.7, modular_sp=5.5, modular_q=6.0, residual=4.4e-17),
+        ],
+        termination=ff.BLOWUP_CAP_HIT,
+    )
+    ff.trajectory_to_csv(rec, tmp_path / "trajectory.csv")
+    assert (tmp_path / "trajectory.csv").read_text() == (
+        "t,dt,E,I,phi,l2,lux_r,modular_sp,modular_q,well_class,residual\n"
+        "0.0,0.0,-1.5,0.25,0.1,0.3333333333333333,2.0,1e-20,123456789.0,InExterior,0.0\n"
+        "0.001,0.001,-2.0,-3e-05,1.25,1.4142135623730951,0.7,5.5,6.0,InExterior,4.4e-17\n"
+    )
+    audit = ff.AuditResult(
+        rows=[
+            AuditRow(t=0.0, dt=0.001, phi=0.5, phi_prime=2.5, identity_gap=1e-12,
+                     bound_margin=0.75, ratio=float("nan"), tol=5e-3),
+            AuditRow(t=0.001, dt=0.002, phi=1.5, phi_prime=-0.1, identity_gap=0.0,
+                     bound_margin=1.0 / 7.0, ratio=0.3, tol=1e6),
+        ],
+        rate_constant=0.3,
+        first_t_phi_above_one=0.001,
+    )
+    ff.report.audit_to_csv(audit, tmp_path / "audit.csv")
+    assert (tmp_path / "audit.csv").read_text() == (
+        "t,dt,phi,phi_prime,identity_gap,bound_margin,ratio,tol\n"
+        "0.0,0.001,0.5,2.5,1e-12,0.75,nan,0.005\n"
+        "0.001,0.002,1.5,-0.1,0.0,0.14285714285714285,0.3,1000000.0\n"
+    )
 
 
 def test_geometry_report_writes_files(tmp_path, ctx16):

@@ -65,8 +65,8 @@ def test_energy_gradient_matches_finite_differences(ctx16, grid16, rng):
         um = u.values.copy()
         up[grid16.interior_slice.start + k] += h
         um[grid16.interior_slice.start + k] -= h
-        ep = ff.energy(ff.GridFunction(grid16, up, w0=True), ctx16).energy
-        em = ff.energy(ff.GridFunction(grid16, um, w0=True), ctx16).energy
+        ep = ff.energy(ff.GridFunction(grid16, up), ctx16).energy
+        em = ff.energy(ff.GridFunction(grid16, um), ctx16).energy
         fd = (ep - em) / (2.0 * h) / grid16.interior_widths[k]
         assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
@@ -247,7 +247,7 @@ def test_norm_gradients_match_finite_differences(ctx16, grid16, rng):
     vals = np.zeros(grid16.n_total)
     vals[grid16.interior_slice] = rng.standard_normal(grid16.n)
     h = 1e-6
-    u = ff.GridFunction(grid16, vals, w0=True)
+    u = ff.GridFunction(grid16, vals)
     gsn = _seminorm_grad(u, ctx16, ff.gagliardo_seminorm(u, ctx16, tol=1e-12).luxemburg_norm)
     gln = _q_norm_grad(u, 3.0, ff.luxemburg_norm(u, 3.0, tol=1e-12).luxemburg_norm)
     for k in range(0, grid16.n, 3):
@@ -255,8 +255,8 @@ def test_norm_gradients_match_finite_differences(ctx16, grid16, rng):
         vm = vals.copy()
         vp[grid16.interior_slice.start + k] += h
         vm[grid16.interior_slice.start + k] -= h
-        up = ff.GridFunction(grid16, vp, w0=True)
-        um = ff.GridFunction(grid16, vm, w0=True)
+        up = ff.GridFunction(grid16, vp)
+        um = ff.GridFunction(grid16, vm)
         fd_sn = (
             ff.gagliardo_seminorm(up, ctx16, tol=1e-12).luxemburg_norm
             - ff.gagliardo_seminorm(um, ctx16, tol=1e-12).luxemburg_norm

@@ -101,6 +101,26 @@ def test_declared_bounds_cross_check(domain):
         ff.validate_assumptions(f, domain)
 
 
+def test_curved_p_takes_value_as_a(domain):
+    f = ff.make_exponent_field(
+        0.3, p_kind="affine-radial", p_params={"value": 2.5}, domain=domain
+    )
+    x = np.linspace(-9.0, 9.0, 7)
+    np.testing.assert_array_equal(f.p(x[:, None], x[None, :]), np.full((7, 7), 2.5))
+    assert f.p_bounds == (2.5, 2.5)
+
+
+def test_constant_p_is_the_flat_affine_radial(grid16):
+    # built without a domain: b = 0 declares (a, a) for every kind
+    const = ff.make_exponent_field(0.4, p_params={"value": 2.0})
+    flat = ff.make_exponent_field(0.4, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.0})
+    assert const.p_bounds == flat.p_bounds == (2.0, 2.0)
+    c, f = ff.build_context(grid16, const), ff.build_context(grid16, flat)
+    assert type(c.P) is float and type(f.P) is float and c.P == f.P
+    for table in ("row_w", "pair_w", "pair_w_by_p"):
+        np.testing.assert_array_equal(getattr(c, table), getattr(f, table))
+
+
 def test_critical_exponent_values(field):
     assert ff.critical_exponent(field, 0.0) == pytest.approx(10.0, rel=1e-12)
     tiny_s = ff.make_exponent_field(1e-9)

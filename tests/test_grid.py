@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import GridMismatch, InvalidResolution, NotW0
+from fracflow.errors import GridMismatch, InvalidResolution
 
 
 def test_build_grid_cell_layout():
@@ -71,9 +71,7 @@ def test_w0_construction_enforces_exterior_zeros(grid16):
     u = ff.GridFunction.from_interior(grid16, np.ones(grid16.n))
     assert u.w0
     assert np.all(u.values[~grid16.interior_mask] == 0.0)
-    bad = np.ones(grid16.n_total)
-    with pytest.raises(NotW0):
-        ff.GridFunction(grid16, bad, w0=True)
+    assert ff.GridFunction(grid16, np.ones(grid16.n_total)).w0 is False
     # scaling keeps the flag invariant
     w = u.scaled(3.0)
     assert w.w0 and np.all(w.values[~grid16.interior_mask] == 0.0)

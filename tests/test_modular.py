@@ -80,7 +80,7 @@ def test_gagliardo_modular_homogeneity(ctx16, grid16, rng):
 
 
 def test_gagliardo_requires_w0(ctx16, grid16):
-    u = ff.GridFunction(grid16, np.ones(grid16.n_total), w0=False)
+    u = ff.GridFunction(grid16, np.ones(grid16.n_total))
     with pytest.raises(NotW0):
         ff.gagliardo_modular(u, ctx16)
 

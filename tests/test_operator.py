@@ -56,6 +56,14 @@ def test_apply_requires_w0_and_matching_grid(ctx16, grid16, grid32, rng):
         ff.apply_operator(u32, ctx16)
 
 
+def test_collar_value_written_after_construction_is_caught(ctx16, grid16, rng):
+    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    u.values[0] = 1e-3  # the outermost collar cell
+    assert not u.w0
+    with pytest.raises(NotW0):
+        ff.apply_operator(u, ctx16)
+
+
 def test_weak_form_duality_identity(ctx16, grid16, rng):
     for _ in range(50):
         u = ff.GridFunction.from_interior(grid16, 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(grid16.n))

@@ -51,7 +51,8 @@ class GridConfig:
 @dataclass
 class ShapeConfig:
     """One exponent shape.  Unset coefficients are left out of what the
-    builders pass on; ``exponents._coefficients`` holds the default rule."""
+    builders pass on; ``exponents._coefficients`` holds the default rule
+    and refuses ``a`` or ``b`` on a constant shape."""
 
     kind: str = "constant"  # p: constant | affine-radial; q, probe: constant | bump
     value: float = 2.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .grid import GridFunction, l2_norm
-from .modular import (_lebesgue_coeffs, _log_root, exponent_values,
+from .modular import (EPS, _lebesgue_coeffs, _log_root, exponent_values,
                       gagliardo_seminorm, luxemburg_norm)
 
 __all__ = [
@@ -119,7 +119,7 @@ def _ray_root(cp, ep, cq, eq):
     """Root of g(lam) = sum cp lam^ep - sum cq lam^eq on (0, inf), unique
     because the p-exponents all lie below the q-exponents; located to a
     relative residual |g| / (sum of both parts) of a few float eps."""
-    t, _, _ = _log_root(cp, ep, cq, eq, 4.0 * np.finfo(float).eps)
+    t, _, _ = _log_root(cp, ep, cq, eq, 4.0 * EPS)
     return float(np.exp(t))
 
 
@@ -188,12 +188,15 @@ def _descend(x, value, grad, project, iters):
     ``project`` of the nonzero interior trial lowers the objective, then
     doubles it.  The first iteration without such a trial ends the descent,
     and so does the first trial that projects back onto x bitwise: the step
-    is then below the resolution of x.  Returns the last accepted state, its
+    is then below the resolution of x.  A trial that projects onto the last
+    rejected state bitwise is rejected without evaluating it again, since
+    the objective only decreases.  Returns the last accepted state, its
     objective and the accepted count.
     """
     f, aux = value(x)
     alpha = 1.0
     accepted = 0
+    rejected = None
     for _ in range(iters):
         g = grad(x, aux)
         gnorm = np.linalg.norm(g)
@@ -208,9 +211,11 @@ def _descend(x, value, grad, project, iters):
                 cand = project(trial)
                 if np.array_equal(cand.values, x.values):
                     return x, f, accepted
-                f_new, aux_new = value(cand)
-                if f_new < f:
-                    break
+                if rejected is None or not np.array_equal(cand.values, rejected):
+                    f_new, aux_new = value(cand)
+                    if f_new < f:
+                        break
+                    rejected = cand.values
             a *= 0.5
         else:
             break

@@ -207,7 +207,8 @@ def validate_assumptions(field, domain, sample_resolution=65):
 #
 # "affine-radial"      p(x,y) = a + b*(x^2 + y^2)/2    (p only)
 # "bump"               h(x)   = a + b*x^2              (one-point only)
-# "constant"           the b = 0 member of either: p(x,y) = h(x) = value
+# "constant"           the b = 0 member of either: p(x,y) = h(x) = value,
+#                      set by ``value`` alone
 #
 # The one-point shapes h serve both q and the probe exponent r of the
 # Luxemburg norm reported along a run; ``one_point_exponent`` builds them.
@@ -243,10 +244,15 @@ def _bump_bounds(a_coef, b_coef, domain):
 
 def _coefficients(kind, params, default, curved):
     """(a, b) of the shape ``kind``: b = 0 for "constant", the one kind
-    besides ``curved``.  A missing ``value`` is ``default``, a missing
-    ``a`` is ``value`` and a missing ``b`` is 0."""
+    besides ``curved``, which takes neither ``a`` nor ``b``.  A missing
+    ``value`` is ``default``, a missing ``a`` is ``value`` and a missing
+    ``b`` is 0."""
     value = float(params.get("value", default))
     if kind == "constant":
+        extra = ["%s = %r" % (k, params[k]) for k in ("a", "b") if k in params]
+        if extra:
+            raise ConfigError("exponent kind 'constant' takes only 'value', got %s"
+                              % ", ".join(extra))
         return value, 0.0
     if kind == curved:
         return float(params.get("a", value)), float(params.get("b", 0.0))

@@ -3,7 +3,8 @@
 A modular is a quantity of the form sum(c_a * lam**-e_a) evaluated at
 lam = 1: for the Lebesgue case c_i = |u_i|^h(x_i) w_i over interior cells,
 for the Gagliardo case c_ij = |u_i - u_j|^p_ij k_ij w_i w_j over the pair
-table.  The corresponding norm is the unique lam > 0 at which the scaled
+table.  When the exponent is constant the terms are summed into one
+coefficient.  The corresponding norm is the unique lam > 0 at which the scaled
 modular equals 1 (zero for the zero function).
 
 Norm and modular are linked by the standard envelope inequalities: with
@@ -35,6 +36,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_EVALS = 100
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -71,6 +73,8 @@ def conjugate_exponent_values(h, x):
 
 
 def _lebesgue_coeffs(u, h):
+    """(coeff, exponent) arrays with coeff = |u_i|^h_i w_i > 0, summed to
+    one coefficient when h is constant."""
     g = u.grid
     hv = exponent_values(h, g.interior_centers)
     if np.min(hv) <= 1.0:
@@ -78,6 +82,8 @@ def _lebesgue_coeffs(u, h):
             "pointwise exponent must exceed 1; min is %g" % float(np.min(hv))
         )
     c = np.abs(u.interior) ** hv * g.interior_widths
+    if np.all(hv == hv[0]):
+        c, hv = np.array([c.sum()]), hv[:1]
     keep = c > 0.0
     return c[keep], hv[keep]
 
@@ -129,7 +135,7 @@ def _log_root(cp, ep, cq, eq, ftol, max_evals=MAX_EVALS):
         t_new = t - f / (dq - dp)
         if not lo <= t_new <= hi:
             t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 4.0 * np.finfo(float).eps * max(1.0, abs(t)):
+        if abs(t_new - t) <= 4.0 * EPS * max(1.0, abs(t)):
             return t_new, evals, (lo, hi)
         t = t_new
     raise RootFindFailed("no root within %d evaluations; bracket (%g, %g)"

@@ -9,13 +9,19 @@ exponent is p_ij = p(x_i, x_j) and the kernel weight k_ij = d_ij**-(N +
 s*p_ij) at the distance d_ij of the cell centers.
 
 Every allowed pair has at least one interior cell, and k and p are
-symmetric, so the context stores only the interior-row table: arrays of
-shape (n, n_total) pairing each interior cell with every cell.  An
-ordered-pair sum over all cells equals the sum over this table with
-collar columns weighted 2, since the pair (i, j) with j in the collar
-stands in for (j, i) as well; the diagonal carries weight 0.  The table
-holds n * n_total entries per array, at most MAX_TABLE_ENTRIES; a larger
-grid is refused with InvalidResolution before anything is allocated.
+symmetric, so the context stores only the interior-row table: one row per
+interior cell, pairing it with the n interior columns and with exterior
+columns.  An ordered-pair sum over all cells equals the sum over this
+table with exterior columns weighted 2, since the pair (i, j) with j in
+the collar stands in for (j, i) as well; the diagonal carries weight 0.
+Exterior columns hold the value 0, as every W0 state does on the collar,
+and sweeps read only the interior values of their argument.  When p is
+variable the exterior columns are the 2m collar cells, in grid order
+(shape (n, n_total)).  When p is constant, a row's collar terms are
+|u_i|^p times its collar weights, so those weights fold into one column
+(shape (n, n + 1)).  The unfolded table holds n * n_total entries per
+array, at most MAX_TABLE_ENTRIES; a larger grid is refused with
+InvalidResolution before anything is allocated.
 
 The operator value on a cell is the exact gradient, with respect to
 interior cell values weighted by cell measures, of the discrete nonlocal
@@ -40,8 +46,10 @@ __all__ = [
     "MAX_TABLE_ENTRIES",
 ]
 
-#: cap on the entries n * n_total of the interior-row table; the context
-#: keeps at most six float arrays of that size (48 bytes per entry)
+#: cap on the entries n * n_total of the unfolded interior-row table; it
+#: bounds construction, which builds that table before folding a constant-p
+#: collar, and a variable-p context keeps six float arrays of that size
+#: (48 bytes per entry)
 MAX_TABLE_ENTRIES = 1 << 22
 
 
@@ -59,9 +67,12 @@ class OperatorContext:
 
     ``P`` is the exponent table, a float when p is constant; ``row_w`` is
     k_ij w_j, the row weight of ``apply``; ``pair_w`` the ordered-pair
-    weight k_ij w_i w_j, doubled on collar columns; ``pair_w_by_p`` that
-    weight over P.  Sweeps write into two preallocated work buffers and
-    return only reductions or fresh arrays, never a view of a buffer.
+    weight k_ij w_i w_j, doubled on exterior columns; ``pair_w_by_p`` that
+    weight over P.  Columns are the interior cells, at ``_cols``, and the
+    exterior ones, of value 0: the 2m collar cells in grid order, or, when
+    p is constant, one folded column after the interior.  Sweeps write
+    into preallocated work buffers and return only reductions or fresh
+    arrays, never a view of a buffer.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -83,14 +94,26 @@ class OperatorContext:
         self.row_w = k * w
         collar_weight = np.where(grid.interior_mask, 1.0, 2.0)
         self.pair_w = self.row_w * w[rows, None] * collar_weight
+        self._cols = rows
+        if isinstance(self.P, float):
+            # |u_i - 0|^p w_ij summed over the collar is |u_i|^p sum_j w_ij
+            ext = ~grid.interior_mask
+            self.row_w, self.pair_w = (
+                np.concatenate([t[:, rows], t[:, ext].sum(axis=1, keepdims=True)], axis=1)
+                for t in (self.row_w, self.pair_w)
+            )
+            self._cols = slice(0, grid.n)
         self.pair_w_by_p = self.pair_w / self.P
-        self._a = np.empty(k.shape)
-        self._b = np.empty(k.shape)
+        self._col_vals = np.zeros(self.row_w.shape[1])
+        self._a = np.empty(self.row_w.shape)
+        self._b = np.empty(self.row_w.shape)
 
     def _diff(self, vals):
         """u_i - u_j for interior rows i against all columns j, in the first
-        work buffer."""
-        return np.subtract(vals[self.grid.interior_slice, None], vals, out=self._a)
+        work buffer; exterior columns take the value 0."""
+        cv = self._col_vals
+        cv[self._cols] = vals[self.grid.interior_slice]
+        return np.subtract(cv[self._cols, None], cv, out=self._a)
 
     def _abs_pow(self, vals):
         """|u_i - u_j|^p_ij in the first work buffer."""
@@ -129,8 +152,8 @@ class OperatorContext:
 
         Entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2) k_ik w_k;
         the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2) k_ij w_j
-        over all columns j, so collar columns fold into the diagonal.  Finite
-        since p >= 2.
+        over all columns j, so exterior columns fold into the diagonal.
+        Finite since p >= 2.
         """
         c = np.abs(self._diff(vals), out=self._a)
         np.power(c, self._p_minus_2, out=c)
@@ -138,7 +161,7 @@ class OperatorContext:
         # (p - 1) c as p c - c, without a table-sized temporary
         pc = np.multiply(c, self.P, out=self._b)
         pc -= c
-        jac = -2.0 * pc[:, self.grid.interior_slice]
+        jac = -2.0 * pc[:, self._cols]
         # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
         np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
         return jac
@@ -162,12 +185,15 @@ class OperatorContext:
         return float(np.einsum("ij,ij,ij->", au, ddiff, self.pair_w))
 
     def pair_coeffs(self, vals):
-        """Flattened (coeff, exponent) arrays with coeff = |du|^p k w w > 0.
+        """Flattened (coeff, exponent) arrays with coeff = |du|^p k w w > 0,
+        summed to one coefficient when p is constant.
 
         The scaled modular of u/lam is then sum(coeff * lam**-exponent);
         used by the seminorm and ray scaling root-finds.
         """
         c = np.multiply(self._abs_pow(vals), self.pair_w, out=self._a)
+        if isinstance(self.P, float):
+            c = np.array([c.sum()])
         keep = c > 0.0
         return c[keep], np.broadcast_to(self.P, c.shape)[keep]
 

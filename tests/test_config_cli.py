@@ -385,3 +385,12 @@ def test_unknown_one_point_kind_raises_config_error():
     cfg.exponents.q.kind = "bump-q"
     with pytest.raises(ConfigError, match="bump-q"):
         build_field(cfg)
+
+
+@pytest.mark.parametrize("shape", ["exponents.p", "exponents.q", "probe"])
+@pytest.mark.parametrize("coef", ["a", "b"])
+def test_constant_shape_rejects_a_and_b(shape, coef):
+    cfg = parse_config("exponents.s = 0.4\n%s.kind = constant\n%s.%s = 0.02\n"
+                       % (shape, shape, coef))
+    with pytest.raises(ConfigError, match="constant"):
+        build_probe(cfg) if shape == "probe" else build_field(cfg)

@@ -3,7 +3,7 @@ import pytest
 
 import fracflow as ff
 from fracflow.errors import ExponentOutOfRange, NotW0, RootFindFailed
-from fracflow.modular import _log_root, conjugate_exponent_values
+from fracflow.modular import _lebesgue_coeffs, _log_root, conjugate_exponent_values
 
 from oracles import brute_sp_modular
 
@@ -208,3 +208,14 @@ def test_holder_inequality(grid16, rng):
         if lhs > (1.0 / float(np.min(hv)) - 1.0 / float(np.max(hv))) * nu * nv:
             printed_violations += 1
     print("\nsamples above the difference-form constant: %d/200" % printed_violations)
+
+
+def test_constant_exponent_lebesgue_coeffs_is_one_coefficient(grid16, rng):
+    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    c, e = _lebesgue_coeffs(u, 3.0)
+    assert c.shape == e.shape == (1,) and e[0] == 3.0
+    direct = float(np.sum(np.abs(u.interior) ** 3 * grid16.interior_widths))
+    assert c[0] == pytest.approx(direct, rel=1e-13)
+    assert _lebesgue_coeffs(u, lambda x: 2.0 + x**2)[0].size == grid16.n
+    zero = _lebesgue_coeffs(ff.GridFunction.zeros(grid16), 3.0)
+    assert zero[0].size == zero[1].size == 0

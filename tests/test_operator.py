@@ -210,15 +210,23 @@ def _table_cases(field):
     return [(grid, f, vals) for f in (field, variable) for vals in (w0, collar)]
 
 
+def _zero_collar(grid, vals):
+    out = np.zeros_like(vals)
+    out[grid.interior_slice] = vals[grid.interior_slice]
+    return out
+
+
 def test_interior_row_table_matches_oracles(field):
+    # sweeps read only interior values, so the oracles see the collar as 0
     for grid, fld, u in _table_cases(field):
         ctx = OperatorContext(grid, fld)
         v = np.cos(3.0 * grid.centers)
+        u0, v0 = _zero_collar(grid, u), _zero_collar(grid, v)
         rho = ctx.sp_modular(u)
-        assert rho == pytest.approx(brute_sp_modular(grid, fld, u), rel=1e-13)
-        assert ctx.i1(u) == pytest.approx(brute_i1(grid, fld, u), rel=1e-13)
-        assert np.allclose(ctx.apply(u), brute_apply(grid, fld, u), rtol=1e-13, atol=1e-14)
-        assert ctx.weak(u, v) == pytest.approx(brute_weak(grid, fld, u, v), rel=1e-13)
+        assert rho == pytest.approx(brute_sp_modular(grid, fld, u0), rel=1e-13)
+        assert ctx.i1(u) == pytest.approx(brute_i1(grid, fld, u0), rel=1e-13)
+        assert np.allclose(ctx.apply(u), brute_apply(grid, fld, u0), rtol=1e-13, atol=1e-14)
+        assert ctx.weak(u, v) == pytest.approx(brute_weak(grid, fld, u0, v0), rel=1e-13)
         assert ctx.pair_stats(u) == (ctx.i1(u), rho)
         coeffs, exps = ctx.pair_coeffs(u)
         assert np.all(coeffs > 0.0) and coeffs.shape == exps.shape
@@ -257,7 +265,7 @@ def _assert_jacobian_matches_differences(ctx, vals, h=1e-6):
 @pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
 def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
     # constant p = 2 and variable p(x, y); a W0 vector and one with
-    # nonzero collar values, whose pairs fold into the diagonal
+    # nonzero collar values, which the sweeps read as 0
     ctx = request.getfixturevalue(name)
     w0 = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
     for vals in (w0, rng.standard_normal(grid16.n_total)):
@@ -291,3 +299,45 @@ def test_table_over_entry_cap_raises_before_allocating(field):
     finally:
         tracemalloc.stop()
     assert peak < grid.n * grid.n_total  # one float table would be 8x this
+
+
+def test_constant_p_folds_the_collar_into_one_column(ctx16, ctx16_var, grid16):
+    n = grid16.n
+    for table in ("row_w", "pair_w", "pair_w_by_p"):
+        assert getattr(ctx16, table).shape == (n, n + 1)
+        assert getattr(ctx16_var, table).shape == (n, grid16.n_total)
+
+
+@pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
+def test_sweeps_ignore_collar_values(name, grid16, rng, request):
+    ctx = request.getfixturevalue(name)
+    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
+    v = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
+    sweeps = {
+        "sp_modular": lambda a, b: ctx.sp_modular(a),
+        "i1": lambda a, b: ctx.i1(a),
+        "pair_stats": lambda a, b: ctx.pair_stats(a),
+        "apply": lambda a, b: ctx.apply(a),
+        "jacobian": lambda a, b: ctx.jacobian(a),
+        "weak": ctx.weak,
+        "gap": ctx.gap,
+        "pair_coeffs": lambda a, b: ctx.pair_coeffs(a),
+        "sp_grad_interior": lambda a, b: ctx.sp_grad_interior(a, 0.7),
+        "sp_dlambda": lambda a, b: ctx.sp_dlambda(a, 0.7),
+    }
+    collar = ~grid16.interior_mask
+    u_noisy, v_noisy = u.copy(), v.copy()
+    u_noisy[collar] = rng.standard_normal(collar.sum())
+    v_noisy[collar] = rng.standard_normal(collar.sum())
+    for name, sweep in sweeps.items():
+        assert np.array_equal(sweep(u, v), sweep(u_noisy, v_noisy)), name
+
+
+def test_constant_p_pair_coeffs_is_one_coefficient(ctx16, ctx16_var, grid16, rng):
+    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
+    coeffs, exps = ctx16.pair_coeffs(u)
+    assert coeffs.shape == exps.shape == (1,) and exps[0] == ctx16.P
+    assert coeffs[0] == pytest.approx(ctx16.sp_modular(u), rel=1e-13)
+    assert ctx16_var.pair_coeffs(u)[0].size > 1
+    c, e = ctx16.pair_coeffs(np.zeros(grid16.n_total))
+    assert c.size == e.size == 0

@@ -8,7 +8,10 @@ implicit in the monotone nonlocal part and explicit in the reaction.  The
 proximal step is a strictly convex minimization, solved by Newton iteration
 on its optimality residual with the operator's Jacobian from the pair
 table; each Newton step is halved until the residual strictly decreases,
-and ``inner_max`` caps the Newton iterations.
+and ``inner_max`` caps the Newton iterations.  Each trial costs one
+``linearize`` sweep, which gives its residual, the Jacobian of the next
+iteration and, for the accepted trial, the new state's gradient; the
+residual at the start is the state's own gradient.
 
 Along the run the engine records, per accepted step, the energy balance
 residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
@@ -128,17 +131,26 @@ class TrajectoryRecord:
 
 
 def make_state(u, ctx, t=0.0):
+    return _make_state(u, ctx, t, None)
+
+
+def _make_state(u, ctx, t, op_vals):
+    """The state at u; ``op_vals``, the operator values at u when already
+    computed, give its gradient without another sweep."""
     with np.errstate(over="ignore", invalid="ignore"):
         rep = energy(u, ctx)
-        grad = energy_gradient(u, ctx)
+        if op_vals is None:
+            grad = energy_gradient(u, ctx)
+        else:
+            grad = GridFunction.from_interior(ctx.grid, op_vals - _reaction(ctx, u.values))
     return SimState(t=float(t), u=u, report=rep, grad=grad, phi=0.5 * rep.l2**2)
 
 
-def _finish(u_new, ctx, t_new):
+def _finish(u_new, ctx, t_new, op_vals=None):
     if not np.all(np.isfinite(u_new)):
         raise NonFinite("state update produced non-finite values")
     unew = GridFunction.from_interior(ctx.grid, u_new)
-    state = make_state(unew, ctx, t=t_new)
+    state = _make_state(unew, ctx, t_new, op_vals)
     if not np.isfinite(state.report.energy):
         raise NonFinite("energy overflowed at the updated state")
     return state
@@ -159,10 +171,13 @@ def step_imex(state, dt, ctx, inner_tol=1e-8, inner_max=300):
     u+ minimizes J(v) = ||v - u||^2/(2 dt) + I1(v) - <reaction(u), v>, a
     strictly convex objective, so it is the root of the residual
     r(v) = (v - u)/dt + A(v) - reaction(u).  Solved by damped Newton from
-    v = u: each of at most ``inner_max`` iterations solves
-    (A'(v) + I/dt) delta = r(v) with the Jacobian of the operator, then
-    halves the step from 1 (at most 60 times) until the measure-weighted
-    residual norm strictly decreases.  Converged once that norm is at most
+    v = u, where r(u) is the state's energy gradient: each of at most
+    ``inner_max`` iterations solves (A'(v) + I/dt) delta = r(v) with the
+    Jacobian of the operator, then halves the step from 1 (at most 60
+    times) until the measure-weighted residual norm strictly decreases.
+    One ``linearize`` sweep per trial gives its residual and the Jacobian
+    for the next iteration, and the accepted trial's operator values give
+    the new state's gradient.  Converged once that norm is at most
     ``inner_tol`` times max(1, its initial value); otherwise raises
     InnerSolveStalled.
     """
@@ -178,38 +193,35 @@ def step_imex(state, dt, ctx, inner_tol=1e-8, inner_max=300):
         out[g.interior_slice] = v_int
         return out
 
-    def residual(v_int):
-        return (v_int - u0) / dt + ctx.apply(full(v_int)) - react
-
     def wnorm(r):
         return float(np.sqrt(np.dot(r * r, wi)))
 
-    v = u0.copy()
-    r = residual(v)
-    r0 = wnorm(r)
-    if r0 == 0.0:
-        return _finish(v, ctx, state.t + dt)
-    target = inner_tol * max(1.0, r0)
-    rnorm = r0
+    # r(u) = A(u) - reaction(u), since (u - u)/dt = 0
+    v, r = u0, state.grad.interior
+    rnorm = wnorm(r)
+    target = inner_tol * max(1.0, rnorm)
+    op_vals = jac = None
     for _ in range(inner_max):
         if rnorm <= target:
-            return _finish(v, ctx, state.t + dt)
-        jac = ctx.jacobian(full(v))
+            break
+        if jac is None:
+            jac = ctx.linearize(full(v))[1]
         jac[np.diag_indices_from(jac)] += 1.0 / dt
         delta = np.linalg.solve(jac, r)
         a = 1.0
         for _ in range(60):
             trial = v - a * delta
-            rt = residual(trial)
+            at, jt = ctx.linearize(full(trial))
+            rt = (trial - u0) / dt + at - react
             rtn = wnorm(rt)
             if np.isfinite(rtn) and rtn < rnorm:
-                v, r, rnorm = trial, rt, rtn
+                v, r, rnorm, op_vals, jac = trial, rt, rtn, at, jt
                 break
             a *= 0.5
         else:
             break
     if rnorm <= target:
-        return _finish(v, ctx, state.t + dt)
+        return _finish(v, ctx, state.t + dt, op_vals)
     raise InnerSolveStalled(
         "proximal residual %g above tolerance %g" % (rnorm, target)
     )

@@ -144,7 +144,9 @@ class GridFunction:
 
     @property
     def w0(self):
-        return not self.values[~self.grid.interior_mask].any()
+        # every nonzero value lies in the interior; no per-call mask or copy
+        v = self.values
+        return bool(np.count_nonzero(v) == np.count_nonzero(v[self.grid.interior_slice]))
 
     @classmethod
     def zeros(cls, grid):

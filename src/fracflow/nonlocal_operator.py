@@ -15,12 +15,15 @@ columns.  An ordered-pair sum over all cells equals the sum over this
 table with exterior columns weighted 2, since the pair (i, j) with j in
 the collar stands in for (j, i) as well; the diagonal carries weight 0.
 Exterior columns hold the value 0, as every W0 state does on the collar,
-and sweeps read only the interior values of their argument.  When p is
-variable the exterior columns are the 2m collar cells, in grid order
-(shape (n, n_total)).  When p is constant, a row's collar terms are
-|u_i|^p times its collar weights, so those weights fold into one column
-(shape (n, n + 1)).  The unfolded table holds n * n_total entries per
-array, at most MAX_TABLE_ENTRIES; a larger grid is refused with
+and sweeps read only the interior values of their argument.  A row's term
+against exterior column j is therefore f(u_i, p_ij) times its weight, so
+collar cells whose exponent columns P[:, j] are bitwise equal fold into
+one column holding their summed weights.  The interior columns come first,
+then one column per group: one for constant p (shape (n, n + 1)), one per
+mirror pair for a p even in y on a symmetric collar (shape (n, n + m)),
+and every collar cell when no two columns are equal (shape (n, n_total)).
+The unfolded table, built during construction, holds n * n_total entries
+per array, at most MAX_TABLE_ENTRIES; a larger grid is refused with
 InvalidResolution before anything is allocated.
 
 The operator value on a cell is the exact gradient, with respect to
@@ -47,9 +50,9 @@ __all__ = [
 ]
 
 #: cap on the entries n * n_total of the unfolded interior-row table; it
-#: bounds construction, which builds that table before folding a constant-p
-#: collar, and a variable-p context keeps six float arrays of that size
-#: (48 bytes per entry)
+#: bounds construction, which builds that table before folding the collar.
+#: The kept tables are n x (n + groups), at most six float arrays of that
+#: size (48 bytes per entry)
 MAX_TABLE_ENTRIES = 1 << 22
 
 
@@ -62,17 +65,40 @@ def _check_table_size(grid):
         )
 
 
+def _exterior_groups(grid, P):
+    """Exterior column indices grouped by bitwise-equal exponent column
+    P[:, j], as one (k, groups) index array per group size k; groups keep
+    the order of their first column."""
+    ext = np.flatnonzero(~grid.interior_mask)
+    # one key per column: its n exponents as raw bytes
+    keys = P.T[ext].view(np.dtype((np.void, P.shape[0] * P.itemsize)))[:, 0].tolist()
+    groups = {}
+    for j, key in zip(ext.tolist(), keys):
+        groups.setdefault(key, []).append(j)
+    by_size = {}
+    for idx in groups.values():
+        by_size.setdefault(len(idx), []).append(idx)
+    return [np.array(idx).T for idx in by_size.values()]
+
+
+def _fold(t, rows, blocks):
+    """The interior columns of t, then one column per exterior group holding
+    the row sums of t over the group's columns, block by block."""
+    return np.concatenate([t[:, rows]] + [t[:, b].sum(axis=1) for b in blocks], axis=1)
+
+
 class OperatorContext:
     """Grid + exponent field + the interior-row pair table.
 
-    ``P`` is the exponent table, a float when p is constant; ``row_w`` is
-    k_ij w_j, the row weight of ``apply``; ``pair_w`` the ordered-pair
-    weight k_ij w_i w_j, doubled on exterior columns; ``pair_w_by_p`` that
-    weight over P.  Columns are the interior cells, at ``_cols``, and the
-    exterior ones, of value 0: the 2m collar cells in grid order, or, when
-    p is constant, one folded column after the interior.  Sweeps write
-    into preallocated work buffers and return only reductions or fresh
-    arrays, never a view of a buffer.
+    ``P`` is the exponent table, a float when all its entries are equal;
+    ``row_w`` is k_ij w_j, the row weight of ``apply``; ``pair_w`` the
+    ordered-pair weight k_ij w_i w_j, doubled on exterior columns;
+    ``pair_w_by_p`` that weight over P.  Columns are the n interior cells,
+    at ``_cols``, then one exterior column of value 0 per group of collar
+    cells with bitwise-equal exponent columns, holding the group's summed
+    weights and its shared exponent; groups of equal size sit together, in
+    order of their first cell.  Sweeps write into preallocated work buffers
+    and return only reductions or fresh arrays, never a view of a buffer.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -87,22 +113,18 @@ class OperatorContext:
         d = np.abs(x[rows, None] - x[None, :])
         d[diag] = 1.0
         P = np.asarray(field.p(x[rows, None], x[None, :]), dtype=float)
-        k = d ** -(field.spatial_dim + field.s * P)
-        k[diag] = 0.0
+        row_w = d ** -(field.spatial_dim + field.s * P)
+        del d
+        row_w[diag] = 0.0
+        row_w *= w
+        pair_w = row_w * w[rows, None]
+        pair_w *= np.where(grid.interior_mask, 1.0, 2.0)
+        blocks = _exterior_groups(grid, P)
+        P = np.concatenate([P[:, rows]] + [P[:, b[0]] for b in blocks], axis=1)
+        self.row_w, self.pair_w = (_fold(t, rows, blocks) for t in (row_w, pair_w))
         self.P = float(P.flat[0]) if np.all(P == P.flat[0]) else P
         self._p_minus_2 = self.P - 2.0
-        self.row_w = k * w
-        collar_weight = np.where(grid.interior_mask, 1.0, 2.0)
-        self.pair_w = self.row_w * w[rows, None] * collar_weight
-        self._cols = rows
-        if isinstance(self.P, float):
-            # |u_i - 0|^p w_ij summed over the collar is |u_i|^p sum_j w_ij
-            ext = ~grid.interior_mask
-            self.row_w, self.pair_w = (
-                np.concatenate([t[:, rows], t[:, ext].sum(axis=1, keepdims=True)], axis=1)
-                for t in (self.row_w, self.pair_w)
-            )
-            self._cols = slice(0, grid.n)
+        self._cols = slice(0, grid.n)
         self.pair_w_by_p = self.pair_w / self.P
         self._col_vals = np.zeros(self.row_w.shape[1])
         self._a = np.empty(self.row_w.shape)
@@ -147,24 +169,27 @@ class OperatorContext:
         """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j."""
         return 2.0 * np.einsum("ij,ij->i", self._pow_sign(vals), self.row_w)
 
-    def jacobian(self, vals):
-        """n x n Jacobian of ``apply`` with respect to interior values.
+    def linearize(self, vals):
+        """(``apply(vals)``, its n x n Jacobian in the interior values), both
+        from one |du|^(p-2) table and each bitwise equal to a separate sweep.
 
-        Entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2) k_ik w_k;
-        the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2) k_ij w_j
-        over all columns j, so exterior columns fold into the diagonal.
-        Finite since p >= 2.
+        Jacobian entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2)
+        k_ik w_k; the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2)
+        k_ij w_j over all columns j, so exterior columns fold into the
+        diagonal.  Finite since p >= 2.
         """
-        c = np.abs(self._diff(vals), out=self._a)
+        du = self._diff(vals)
+        c = np.abs(du, out=self._b)
         np.power(c, self._p_minus_2, out=c)
+        values = 2.0 * np.einsum("ij,ij->i", np.multiply(c, du, out=self._a), self.row_w)
         c *= self.row_w
         # (p - 1) c as p c - c, without a table-sized temporary
-        pc = np.multiply(c, self.P, out=self._b)
+        pc = np.multiply(c, self.P, out=self._a)
         pc -= c
         jac = -2.0 * pc[:, self._cols]
         # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
         np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
-        return jac
+        return values, jac
 
     def weak(self, uvals, vvals):
         """Pair sum |du|^(p-2) du dv k_ij w_i w_j."""

@@ -17,7 +17,8 @@ import sys
 
 import pytest
 
-from fracflow.config import load_config, serialize_config
+from fracflow.config import (build_domain, build_field, build_grid_from, load_config,
+                             serialize_config)
 from fracflow.nonlocal_operator import OperatorContext
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -48,6 +49,29 @@ def test_shipped_configs_are_canonical():
 def test_benchmark_configs_load():
     for path in _shipped("perfbench", "configs", "*.cfg"):
         load_config(path)
+
+
+def _table(path):
+    """(config, grid, context) built from a benchmark config."""
+    cfg = load_config(path)
+    domain = build_domain(cfg)
+    grid = build_grid_from(cfg, domain)
+    return cfg, grid, OperatorContext(grid, build_field(cfg, domain))
+
+
+def test_benchmark_tables_fold_the_collar():
+    # the workloads' speed rests on the exterior fold: constant p keeps one
+    # exterior column, and the variable p of flow-imex-variable is even in
+    # y on a symmetric collar, so mirror collar cells share a column
+    constant = 0
+    for path in _shipped("perfbench", "configs", "*.cfg"):
+        cfg, grid, ctx = _table(path)
+        if cfg.exponents.p.kind == "constant":
+            assert ctx.row_w.shape == (grid.n, grid.n + 1), path
+            constant += 1
+    assert constant >= 2
+    _, grid, ctx = _table(os.path.join(ROOT, "perfbench", "configs", "flow-imex-variable.cfg"))
+    assert ctx.row_w.shape[1] < grid.n_total
 
 
 def test_traced_names_resolve(tracer):

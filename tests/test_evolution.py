@@ -100,23 +100,34 @@ def test_imex_second_order_agreement_with_explicit(ctx16, grid16, geom16):
     assert min(orders) >= 1.8
 
 
+#: power-table sweeps per step_imex when each Newton trial called ``apply``
+#: and each iteration ``jacobian`` separately, and the new state's gradient
+#: swept again
+_SEPARATE_SWEEPS = {("ctx16", 1e-3): 5, ("ctx16_var", 1e-3): 7,
+                    ("ctx16", 5e-2): 5, ("ctx16_var", 5e-2): 9}
+
+
 @pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
 @pytest.mark.parametrize("dt", [1e-3, 5e-2])
 def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
-    # Newton on the proximal residual: a handful of operator applications
-    # per step, counting the gradient of the new state
+    # Newton on the proximal residual: one linearize sweep at the start and
+    # one per trial, whose values also give the new state's gradient, plus
+    # the new state's energy
     ctx = request.getfixturevalue(name)
     st = ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx)
     calls = Counter()
-    orig = ff.OperatorContext.apply
+    for meth in ("apply", "linearize", "pair_stats"):
+        def counted(self, vals, _meth=meth, _orig=getattr(ff.OperatorContext, meth)):
+            calls[_meth] += 1
+            return _orig(self, vals)
 
-    def counted(self, vals):
-        calls["apply"] += 1
-        return orig(self, vals)
-
-    monkeypatch.setattr(ff.OperatorContext, "apply", counted)
-    ff.step_imex(st, dt, ctx)
-    assert 1 <= calls["apply"] <= 6
+        monkeypatch.setattr(ff.OperatorContext, meth, counted)
+    new = ff.step_imex(st, dt, ctx)
+    assert calls["apply"] == 0
+    assert calls["pair_stats"] == 1 and calls["linearize"] >= 2
+    assert sum(calls.values()) < _SEPARATE_SWEEPS[name, dt]
+    # the gradient kept from the last trial is the one a fresh sweep gives
+    assert np.array_equal(new.grad.values, ff.energy_gradient(new.u, ctx).values)
 
 
 def test_imex_stalls_without_inner_iterations(ctx16, grid16):

@@ -196,18 +196,33 @@ def test_convexity_inequality_random_sweep(rng):
     assert np.all(ff.convexity_inequality_check(r, s, p))
 
 
+def _unfolded_case():
+    """(grid, field) with affine-radial p on an off-centre interval whose
+    collar cells all differ in |y|, so no two exterior exponent columns
+    are equal."""
+    dom = ff.Domain(-1.0, 2.0, 8.0)
+    field = ff.make_exponent_field(
+        0.3, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.3}, domain=dom
+    )
+    return ff.build_grid(dom, 6, 3), field
+
+
 def _table_cases(field):
-    """(grid, field, values) on a small grid: constant and variable p(x, y),
-    each with a W0 vector and a vector with nonzero collar values."""
+    """(grid, field, values) on small grids: constant p, variable p(x, y)
+    on a symmetric collar (mirror columns fold) and on an off-centre one
+    (nothing folds), each with a W0 vector and a vector with nonzero
+    collar values."""
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.build_grid(dom, 6, 3)
     variable = ff.make_exponent_field(
         0.3, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.3}, domain=dom
     )
     rng = np.random.default_rng(7)
-    w0 = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n)).values
-    collar = rng.standard_normal(grid.n_total)
-    return [(grid, f, vals) for f in (field, variable) for vals in (w0, collar)]
+    cases = []
+    for g, f in ((grid, field), (grid, variable), _unfolded_case()):
+        w0 = ff.GridFunction.from_interior(g, rng.standard_normal(g.n)).values
+        cases += [(g, f, w0), (g, f, rng.standard_normal(g.n_total))]
+    return cases
 
 
 def _zero_collar(grid, vals):
@@ -244,14 +259,16 @@ def test_interior_row_table_matches_oracles(field):
             um[cell] -= h
             fd = (ctx.sp_modular(up / lam) - ctx.sp_modular(um / lam)) / (2.0 * h * widths[k])
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-        _assert_jacobian_matches_differences(ctx, u)
+        _assert_linearize_matches_differences(ctx, u)
 
 
-def _assert_jacobian_matches_differences(ctx, vals, h=1e-6):
-    """``jacobian`` against central differences of ``apply`` in each
-    interior value, collar values held fixed."""
+def _assert_linearize_matches_differences(ctx, vals, h=1e-6):
+    """``linearize``: its values bitwise equal to ``apply``, its Jacobian
+    against central differences of ``apply`` in each interior value,
+    collar values held fixed."""
     rows = ctx.grid.interior_slice
-    jac = ctx.jacobian(vals)
+    values, jac = ctx.linearize(vals)
+    assert np.array_equal(values, ctx.apply(vals))
     assert jac.shape == (ctx.grid.n, ctx.grid.n)
     fd = np.empty_like(jac)
     for k, cell in enumerate(range(rows.start, rows.stop)):
@@ -269,20 +286,22 @@ def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
     ctx = request.getfixturevalue(name)
     w0 = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
     for vals in (w0, rng.standard_normal(grid16.n_total)):
-        _assert_jacobian_matches_differences(ctx, vals)
+        _assert_linearize_matches_differences(ctx, vals)
 
 
 def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     u = rng.standard_normal(grid16.n_total)
     first = ctx16.apply(u)
-    kept = first.copy()
+    lin = ctx16.linearize(u)
+    kept = [a.copy() for a in (first, *lin)]
     coeffs = ctx16.pair_coeffs(u)[0]
     kept_c = coeffs.copy()
     ctx16.apply(2.0 * u)
     ctx16.pair_stats(3.0 * u)
     ctx16.sp_grad_interior(u, 0.5)
-    ctx16.jacobian(u)
-    assert np.array_equal(first, kept) and np.array_equal(coeffs, kept_c)
+    ctx16.linearize(4.0 * u)
+    assert all(np.array_equal(a, k) for a, k in zip((first, *lin), kept))
+    assert np.array_equal(coeffs, kept_c)
 
 
 def test_table_over_entry_cap_raises_before_allocating(field):
@@ -301,11 +320,23 @@ def test_table_over_entry_cap_raises_before_allocating(field):
     assert peak < grid.n * grid.n_total  # one float table would be 8x this
 
 
-def test_constant_p_folds_the_collar_into_one_column(ctx16, ctx16_var, grid16):
-    n = grid16.n
-    for table in ("row_w", "pair_w", "pair_w_by_p"):
-        assert getattr(ctx16, table).shape == (n, n + 1)
-        assert getattr(ctx16_var, table).shape == (n, grid16.n_total)
+def test_exterior_columns_fold_by_exponent_column(ctx16, ctx16_var, grid16):
+    # constant p: one exterior column; y-even p on a symmetric collar: one
+    # per mirror pair; no equal exponent columns: every collar cell kept
+    n, m = grid16.n, grid16.m
+    off_grid, off_field = _unfolded_case()
+    unfolded = OperatorContext(off_grid, off_field)
+    layouts = (
+        (ctx16, (n, n + 1)),
+        (ctx16_var, (n, n + m)),
+        (unfolded, (off_grid.n, off_grid.n_total)),
+    )
+    for ctx, shape in layouts:
+        for table in ("row_w", "pair_w", "pair_w_by_p"):
+            assert getattr(ctx, table).shape == shape
+    assert type(ctx16.P) is float
+    assert ctx16_var.P.shape == (n, n + m)
+    assert unfolded.P.shape == (off_grid.n, off_grid.n_total)
 
 
 @pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
@@ -318,7 +349,7 @@ def test_sweeps_ignore_collar_values(name, grid16, rng, request):
         "i1": lambda a, b: ctx.i1(a),
         "pair_stats": lambda a, b: ctx.pair_stats(a),
         "apply": lambda a, b: ctx.apply(a),
-        "jacobian": lambda a, b: ctx.jacobian(a),
+        "linearize": lambda a, b: np.column_stack(ctx.linearize(a)),
         "weak": ctx.weak,
         "gap": ctx.gap,
         "pair_coeffs": lambda a, b: ctx.pair_coeffs(a),

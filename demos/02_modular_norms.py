@@ -21,7 +21,7 @@ ctx = ff.build_context(grid, field)
 h = lambda x: 2.0 + x**2  # exponent between 2 and 3 on the interval
 
 print("== constant exponent sanity: norm equals modular^(1/h) ==")
-u = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
+u = ff.GridFunction(grid, rng.standard_normal(grid.n))
 for h0 in (2.0, 3.5):
     rep = ff.luxemburg_norm(u, h0)
     print("h = %.1f: norm %.8f vs modular^(1/h) %.8f"
@@ -31,7 +31,7 @@ print("\n== variable exponent: envelope inequalities on 400 random states ==")
 norms, mods = [], []
 for _ in range(400):
     scale = 10.0 ** rng.uniform(-1.5, 1.5)
-    v = ff.GridFunction.from_interior(grid, scale * rng.standard_normal(grid.n))
+    v = ff.GridFunction(grid, scale * rng.standard_normal(grid.n))
     rep = ff.luxemburg_norm(v, h)
     norms.append(rep.luxemburg_norm)
     mods.append(rep.modular_value)
@@ -54,9 +54,9 @@ hc = ff.modular.conjugate_exponent_values(h, grid.interior_centers)
 const = 1.0 / 2.0 + 1.0 / float(np.min(hc))  # 1/h- + 1/h'-
 worst = 0.0
 for _ in range(200):
-    a = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    b = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    lhs = ff.integrate(ff.GridFunction.from_interior(grid, np.abs(a.interior * b.interior)))
+    a = ff.GridFunction(grid, rng.standard_normal(grid.n))
+    b = ff.GridFunction(grid, rng.standard_normal(grid.n))
+    lhs = ff.integrate(ff.GridFunction(grid, np.abs(a.values * b.values)))
     bound = const * ff.luxemburg_norm(a, h).luxemburg_norm * ff.luxemburg_norm(b, hc).luxemburg_norm
     worst = max(worst, lhs / bound)
 print("max ratio lhs/bound over 200 pairs: %.4f (must stay <= 1)" % worst)

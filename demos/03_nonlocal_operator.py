@@ -21,15 +21,15 @@ ctx = ff.build_context(grid, field)
 print("== operator applied to a centered spike ==")
 spike_vals = np.zeros(grid.n)
 spike_vals[grid.n // 2] = 1.0
-spike = ff.GridFunction.from_interior(grid, spike_vals)
+spike = ff.GridFunction(grid, spike_vals)
 Ls = ff.apply_operator(spike, ctx)
 mid = grid.n // 2
-print("center value:", Ls.interior[mid])
-print("decay along the row:", np.round(Ls.interior[mid : mid + 8], 4))
+print("center value:", Ls.values[mid])
+print("decay along the row:", np.round(Ls.values[mid : mid + 8], 4))
 
 print("\n== duality: <Lu, u> equals the two-point modular ==")
 for _ in range(3):
-    u = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
+    u = ff.GridFunction(grid, rng.standard_normal(grid.n))
     pairing = ff.weak_form(u, u, ctx)
     modular = ff.gagliardo_modular(u, ctx)
     print("pairing %.15g | modular %.15g | diff %.2e"
@@ -38,8 +38,8 @@ for _ in range(3):
 print("\n== strict monotonicity of the operator ==")
 gaps = []
 for _ in range(200):
-    a = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    b = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
+    a = ff.GridFunction(grid, rng.standard_normal(grid.n))
+    b = ff.GridFunction(grid, rng.standard_normal(grid.n))
     gaps.append(ff.monotonicity_gap(a, b, ctx))
 print("min gap over 200 random pairs: %.6g (all must be > 0)" % min(gaps))
 
@@ -55,7 +55,7 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(6, 4))
-    ax.plot(grid.interior_centers, Ls.interior, ".-", ms=4)
+    ax.plot(grid.interior_centers, Ls.values, ".-", ms=4)
     ax.set_xlabel("x")
     ax.set_ylabel("operator value at a unit spike")
     ax.set_yscale("symlog", linthresh=1e-2)

@@ -57,7 +57,7 @@ try:
     axes[0].set_xlabel("scaling t along the minimizer ray")
     axes[0].set_ylabel("E(t w)")
     axes[0].legend()
-    axes[1].plot(grid.interior_centers, w.interior)
+    axes[1].plot(grid.interior_centers, w.values)
     axes[1].set_xlabel("x")
     axes[1].set_ylabel("depth minimizer")
     fig.tight_layout()

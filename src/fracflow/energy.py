@@ -70,27 +70,24 @@ class WellGeometry:
 
 def standard_bump(grid):
     """Centered parabolic bump, positive part of 1 - xi^2 in interval
-    coordinates, zero-extended."""
+    coordinates."""
     a, b = grid.domain.a, grid.domain.b
     xi = (2.0 * grid.interior_centers - (a + b)) / (b - a)
-    return GridFunction.from_interior(grid, np.maximum(1.0 - xi**2, 0.0))
+    return GridFunction(grid, np.maximum(1.0 - xi**2, 0.0))
 
 
 def first_sine_mode(grid):
-    """First sine mode over the interval, zero-extended."""
+    """First sine mode over the interval."""
     a, b = grid.domain.a, grid.domain.b
-    return GridFunction.from_interior(
-        grid, np.sin(np.pi * (grid.interior_centers - a) / (b - a))
-    )
+    return GridFunction(grid, np.sin(np.pi * (grid.interior_centers - a) / (b - a)))
 
 
 def energy(u, ctx):
-    """Full energy report for a W0 state, all parts from one quadrature."""
+    """Full energy report for a state, all parts from one quadrature."""
     ctx._check_function(u)
     g = ctx.grid
     e_nonlocal, rho_sp = ctx.pair_stats(u.values)
-    ui = u.interior
-    powq = np.abs(ui) ** ctx.q_interior
+    powq = np.abs(u.values) ** ctx.q_interior
     rho_q = float(np.dot(powq, g.interior_widths))
     e_reaction = float(np.dot(powq / ctx.q_interior, g.interior_widths))
     return EnergyReport(
@@ -104,15 +101,14 @@ def energy(u, ctx):
 
 def _reaction(ctx, vals):
     """|u|^(q(x)-2) u on interior cells."""
-    ui = vals[ctx.grid.interior_slice]
-    return np.abs(ui) ** (ctx.q_interior - 2.0) * ui
+    return np.abs(vals) ** (ctx.q_interior - 2.0) * vals
 
 
 def energy_gradient(u, ctx):
     """Gradient of the energy under the cell-measure inner product:
-    operator value minus reaction, on interior cells (W0 result)."""
+    operator value minus reaction, on interior cells."""
     ctx._check_function(u)
-    return GridFunction.from_interior(ctx.grid, ctx.apply(u.values) - _reaction(ctx, u.values))
+    return GridFunction(ctx.grid, ctx.apply(u.values) - _reaction(ctx, u.values))
 
 
 def _ray_root(cp, ep, cq, eq):
@@ -152,10 +148,9 @@ def _q_norm_grad(u, h, lam):
     the Luxemburg norm of u for exponent h, given that norm ``lam``."""
     g = u.grid
     hv = exponent_values(h, g.interior_centers)
-    ui = u.interior
-    scaled = np.abs(ui) / lam
+    scaled = np.abs(u.values) / lam
     denom = float(np.dot(hv * scaled**hv, g.interior_widths))
-    return hv * scaled ** (hv - 1.0) * np.sign(ui) / denom
+    return hv * scaled ** (hv - 1.0) * np.sign(u.values) / denom
 
 
 def _seminorm_grad(u, ctx, lam):
@@ -175,17 +170,17 @@ def _starts(grid, n_starts, rng):
         raise ValueError("n_starts must be >= 1")
     starts = [standard_bump(grid), first_sine_mode(grid)][:n_starts]
     while len(starts) < n_starts:
-        starts.append(GridFunction.from_interior(grid, rng.standard_normal(grid.n)))
+        starts.append(GridFunction(grid, rng.standard_normal(grid.n)))
     return starts
 
 
 def _descend(x, value, grad, project, iters):
-    """Backtracking descent from the W0 state ``x``.
+    """Backtracking descent from the state ``x``.
 
-    ``value(x)`` returns (objective, aux) and ``grad(x, aux)`` the interior
+    ``value(x)`` returns (objective, aux) and ``grad(x, aux)`` the
     gradient, so each point is evaluated once.  Every iteration steps along
     the normalized -gradient, halving the step (at most 40 times) until
-    ``project`` of the nonzero interior trial lowers the objective, then
+    ``project`` of the nonzero trial values lowers the objective, then
     doubles it.  The first iteration without such a trial ends the descent,
     and so does the first trial that projects back onto x bitwise: the step
     is then below the resolution of x.  A trial that projects onto the last
@@ -205,7 +200,7 @@ def _descend(x, value, grad, project, iters):
         direction = g / gnorm
         a = alpha
         for _ in range(40):
-            trial = x.interior - a * direction
+            trial = x.values - a * direction
             # a zero trial has no projection
             if np.any(trial != 0.0):
                 cand = project(trial)
@@ -227,7 +222,7 @@ def _descend(x, value, grad, project, iters):
 
 def estimate_embedding_constant(ctx, n_starts=8, iters=200, rng=None, tol=1e-10):
     """Estimate the embedding constant: the least value of
-    seminorm(u) / luxemburg_q_norm(u) over nonzero W0 states.
+    seminorm(u) / luxemburg_q_norm(u) over nonzero states.
 
     Minimized by normalized gradient descent on the quotient from the bump,
     the sine mode, and random starts; the result is an infimum over a subset
@@ -247,7 +242,7 @@ def estimate_embedding_constant(ctx, n_starts=8, iters=200, rng=None, tol=1e-10)
         return _seminorm_grad(u, ctx, sn) / ln - sn * _q_norm_grad(u, q, ln) / ln**2
 
     def project(trial):
-        return GridFunction.from_interior(g, trial / np.linalg.norm(trial))
+        return GridFunction(g, trial / np.linalg.norm(trial))
 
     best = np.inf
     for u0 in _starts(g, n_starts, rng):
@@ -288,15 +283,15 @@ def well_depth(ctx, n_starts=8, iters=300, tol=1e-9, rng=None):
         return energy(w, ctx).energy, None
 
     def grad(w, _):
-        return energy_gradient(w, ctx).interior
+        return energy_gradient(w, ctx).values
 
     def project(trial):
-        cand = GridFunction.from_interior(g, trial)
+        cand = GridFunction(g, trial)
         return cand.scaled(nehari_lambda(cand, ctx, tol=tol))
 
     best_e, best_w = np.inf, None
     for u0 in _starts(g, n_starts, rng):
-        w, e, accepted = _descend(project(u0.interior), value, grad, project, iters)
+        w, e, accepted = _descend(project(u0.values), value, grad, project, iters)
         if e < best_e:
             best_e, best_w = e, w
         if not accepted:

@@ -39,7 +39,7 @@ class ExponentOutOfRange(FracflowError):
 
 
 class NotW0(FracflowError):
-    """Operation requires a grid function vanishing on the exterior collar."""
+    """A grid-function file holds a nonzero value on the exterior collar."""
 
 
 class ZeroFunction(FracflowError):

@@ -29,7 +29,7 @@ import numpy as np
 from .energy import IN_EXTERIOR, _reaction, _well_class, energy, energy_gradient
 from .errors import AuditFailed, InnerSolveStalled, NonFinite
 from .grid import GridFunction, l2_norm
-from .modular import luxemburg_norm
+from .modular import exponent_values, luxemburg_norm
 
 __all__ = [
     "StepControl",
@@ -142,15 +142,14 @@ def _make_state(u, ctx, t, op_vals):
         if op_vals is None:
             grad = energy_gradient(u, ctx)
         else:
-            grad = GridFunction.from_interior(ctx.grid, op_vals - _reaction(ctx, u.values))
+            grad = GridFunction(ctx.grid, op_vals - _reaction(ctx, u.values))
     return SimState(t=float(t), u=u, report=rep, grad=grad, phi=0.5 * rep.l2**2)
 
 
 def _finish(u_new, ctx, t_new, op_vals=None):
     if not np.all(np.isfinite(u_new)):
         raise NonFinite("state update produced non-finite values")
-    unew = GridFunction.from_interior(ctx.grid, u_new)
-    state = _make_state(unew, ctx, t_new, op_vals)
+    state = _make_state(GridFunction(ctx.grid, u_new), ctx, t_new, op_vals)
     if not np.isfinite(state.report.energy):
         raise NonFinite("energy overflowed at the updated state")
     return state
@@ -161,7 +160,7 @@ def step_explicit(state, dt, ctx):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        u_new = state.u.interior - dt * state.grad.interior
+        u_new = state.u.values - dt * state.grad.values
     return _finish(u_new, ctx, state.t + dt)
 
 
@@ -183,21 +182,15 @@ def step_imex(state, dt, ctx, inner_tol=1e-8, inner_max=300):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    g = ctx.grid
-    wi = g.interior_widths
-    u0 = state.u.interior
-    react = _reaction(ctx, state.u.values)
-
-    def full(v_int):
-        out = np.zeros(g.n_total)
-        out[g.interior_slice] = v_int
-        return out
+    wi = ctx.grid.interior_widths
+    u0 = state.u.values
+    react = _reaction(ctx, u0)
 
     def wnorm(r):
         return float(np.sqrt(np.dot(r * r, wi)))
 
     # r(u) = A(u) - reaction(u), since (u - u)/dt = 0
-    v, r = u0, state.grad.interior
+    v, r = u0, state.grad.values
     rnorm = wnorm(r)
     target = inner_tol * max(1.0, rnorm)
     op_vals = jac = None
@@ -205,13 +198,13 @@ def step_imex(state, dt, ctx, inner_tol=1e-8, inner_max=300):
         if rnorm <= target:
             break
         if jac is None:
-            jac = ctx.linearize(full(v))[1]
+            jac = ctx.linearize(v)[1]
         jac[np.diag_indices_from(jac)] += 1.0 / dt
         delta = np.linalg.solve(jac, r)
         a = 1.0
         for _ in range(60):
             trial = v - a * delta
-            at, jt = ctx.linearize(full(trial))
+            at, jt = ctx.linearize(trial)
             rt = (trial - u0) / dt + at - react
             rtn = wnorm(rt)
             if np.isfinite(rtn) and rtn < rnorm:
@@ -227,8 +220,10 @@ def step_imex(state, dt, ctx, inner_tol=1e-8, inner_max=300):
     )
 
 
-def _sample_from(state, geometry, r_probe, dt, residual):
-    lux = luxemburg_norm(state.u, r_probe).luxemburg_norm
+def _sample_from(state, geometry, r_vals, dt, residual):
+    """The sample of ``state``; ``r_vals`` is the probe exponent on the
+    interior cells."""
+    lux = luxemburg_norm(state.u, r_vals).luxemburg_norm
     rep = state.report
     return Sample(
         t=state.t,
@@ -276,12 +271,14 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     Steps until the final time, the blow-up cap, a non-finite step (float
     overflow before the cap), step underflow, or the step budget; rejected
     steps halve dt and are not recorded.  The returned record holds one
-    sample per accepted step plus the initial state.
+    sample per accepted step plus the initial state; the probe exponent
+    ``r_probe`` of its ``lux_r`` column is evaluated once per run.
     """
     ctx._check_function(u0)
+    r_vals = exponent_values(r_probe, ctx.grid.interior_centers)
     state = make_state(u0, ctx, t=0.0)
     e0 = state.report.energy
-    samples = [_sample_from(state, geometry, r_probe, dt=0.0, residual=0.0)]
+    samples = [_sample_from(state, geometry, r_vals, dt=0.0, residual=0.0)]
     diss = 0.0
     dt = min(max(control.dt_init, control.dt_min), control.dt_max)
     termination = None
@@ -319,13 +316,13 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
                 termination = STEP_UNDERFLOW
                 break
             continue
-        du = new.u.interior - state.u.interior
+        du = new.u.values - state.u.values
         diss += float(np.dot(du**2, ctx.grid.interior_widths)) / dt_eff
         state = new
         accepted += 1
         residual = abs(diss + state.report.energy - e0)
         samples.append(
-            _sample_from(state, geometry, r_probe, dt=dt_eff, residual=residual)
+            _sample_from(state, geometry, r_vals, dt=dt_eff, residual=residual)
         )
         if state.report.l2 >= control.blowup_cap:
             termination = BLOWUP_CAP_HIT
@@ -421,7 +418,7 @@ def blowup_inequality_audit(record, ctx, e0, tol_factor=5.0):
         )
     if first_above is None:
         raise AuditFailed("phi never exceeded 1; blow-up regime not reached")
-    rate = min(r.ratio for r in rows if r.phi > 1.0)
+    rate = _measure_rate_constant(samples, q_plus)
     if rate <= 0.0:
         raise AuditFailed("measured rate constant is not positive past phi > 1")
     return AuditResult(rows=rows, rate_constant=rate, first_t_phi_above_one=first_above)

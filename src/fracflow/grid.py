@@ -1,20 +1,22 @@
 """1-D cell grids over a bounded interval with a truncated exterior collar.
 
-The flow lives on functions that vanish outside the open interval (a, b).
-Instead of special-casing the boundary, the grid carries explicit exterior
-cells on a collar of finite width on each side, so nonlocal pair sums can
-reach outside the interval; the collar approximates the complement of the
-interval and its cells always hold the value zero for admissible states.
+The flow lives on W0, the functions that vanish outside the open interval
+(a, b).  The grid carries exterior cells on a collar of finite width on
+each side, so nonlocal pair sums can reach outside the interval; the
+collar approximates the complement of the interval.  A grid function
+stores only its n interior values: its collar value is zero by
+definition, so every grid function is in W0 and sweeps take the n
+interior values.  The collar appears in CSV files as rows of value 0.
 
 Interval integrals (L^2 norms, inner products, modulars) use midpoint
-quadrature over the interior cells only.
+quadrature over the interior cells.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidResolution
+from .errors import GridMismatch, InvalidResolution, NotW0
 
 __all__ = [
     "Domain",
@@ -125,58 +127,31 @@ def build_grid(domain, n, m):
 
 
 class GridFunction:
-    """Cellwise-constant values on a Grid.
-
-    ``w0`` is read from the values: it holds when every collar value is
-    zero, the discrete analogue of vanishing outside the interval.
-    """
+    """Cellwise-constant function on a Grid that vanishes on the collar:
+    ``values`` holds the ``grid.n`` interior cell values."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
         values = np.array(values, dtype=float)
-        if values.shape != (grid.n_total,):
+        if values.shape != (grid.n,):
             raise GridMismatch(
-                "expected %d cell values, got shape %r" % (grid.n_total, values.shape)
+                "expected %d interior values, got shape %r" % (grid.n, values.shape)
             )
         self.grid = grid
         self.values = values
 
-    @property
-    def w0(self):
-        # every nonzero value lies in the interior; no per-call mask or copy
-        v = self.values
-        return bool(np.count_nonzero(v) == np.count_nonzero(v[self.grid.interior_slice]))
-
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.n_total))
-
-    @classmethod
-    def from_interior(cls, grid, interior_values):
-        """Zero-extend interior cell values onto the full grid (a W0 function)."""
-        interior_values = np.asarray(interior_values, dtype=float)
-        if interior_values.shape != (grid.n,):
-            raise GridMismatch(
-                "expected %d interior values, got shape %r"
-                % (grid.n, interior_values.shape)
-            )
-        values = np.zeros(grid.n_total)
-        values[grid.interior_slice] = interior_values
-        return cls(grid, values)
-
-    @property
-    def interior(self):
-        return self.values[self.grid.interior_slice]
+        return cls(grid, np.zeros(grid.n))
 
     def scaled(self, c):
         return GridFunction(self.grid, c * self.values)
 
     def __repr__(self):
-        return "GridFunction(n_total=%d, %s, linf=%g)" % (
-            self.grid.n_total,
-            "W0" if self.w0 else "not W0",
-            float(np.max(np.abs(self.values))) if self.values.size else 0.0,
+        return "GridFunction(n=%d, linf=%g)" % (
+            self.grid.n,
+            float(np.max(np.abs(self.values))),
         )
 
 
@@ -186,16 +161,14 @@ def _check_same_grid(u, v):
 
 
 def integrate(u):
-    """Midpoint quadrature of u over the interval only (collar excluded)."""
-    g = u.grid
-    return float(np.dot(u.interior, g.interior_widths))
+    """Midpoint quadrature of u over the interval."""
+    return float(np.dot(u.values, u.grid.interior_widths))
 
 
 def inner_product(u, v):
     """L^2 inner product over the interval, midpoint quadrature."""
     _check_same_grid(u, v)
-    g = u.grid
-    return float(np.dot(u.interior * v.interior, g.interior_widths))
+    return float(np.dot(u.values * v.values, u.grid.interior_widths))
 
 
 def l2_norm(u):
@@ -207,10 +180,13 @@ CSV_HEADER = "center,width,value,region"
 
 
 def save_csv(u, path):
-    """Write one row per cell: center, width, value, interior/exterior flag."""
+    """Write one row per cell: center, width, value, interior/exterior flag;
+    collar rows hold the value 0."""
     g = u.grid
+    values = np.zeros(g.n_total)
+    values[g.interior_slice] = u.values
     lines = [CSV_HEADER]
-    for c, w, v, inside in zip(g.centers, g.widths, u.values, g.interior_mask):
+    for c, w, v, inside in zip(g.centers, g.widths, values, g.interior_mask):
         lines.append(
             "%s,%s,%s,%s"
             % (repr(float(c)), repr(float(w)), repr(float(v)),
@@ -223,7 +199,8 @@ def save_csv(u, path):
 def load_csv(grid, path):
     """Read cell values written by save_csv back onto ``grid``.
 
-    Cell centers and widths must match the grid to within 1e-12.
+    Cell centers and widths must match the grid to within 1e-12, and every
+    collar value must be zero (NotW0 otherwise).
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -241,4 +218,6 @@ def load_csv(grid, path):
         np.abs(widths - grid.widths)
     ) > 1e-12:
         raise GridMismatch("cell layout in %s does not match the grid" % path)
-    return GridFunction(grid, values)
+    if np.any(values[~grid.interior_mask] != 0.0):
+        raise NotW0("%s holds a nonzero value on the exterior collar" % path)
+    return GridFunction(grid, values[grid.interior_slice])

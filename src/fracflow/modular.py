@@ -81,7 +81,7 @@ def _lebesgue_coeffs(u, h):
         raise ExponentOutOfRange(
             "pointwise exponent must exceed 1; min is %g" % float(np.min(hv))
         )
-    c = np.abs(u.interior) ** hv * g.interior_widths
+    c = np.abs(u.values) ** hv * g.interior_widths
     if np.all(hv == hv[0]):
         c, hv = np.array([c.sum()]), hv[:1]
     keep = c > 0.0
@@ -165,14 +165,14 @@ def luxemburg_norm(u, h, tol=DEFAULT_TOL):
 
 def gagliardo_modular(u, ctx):
     """Two-point modular of the difference quotients against the singular
-    kernel, summed over the pair table (requires a W0 function)."""
+    kernel, summed over the pair table."""
     ctx._check_function(u)
     return ctx.sp_modular(u.values)
 
 
 def gagliardo_seminorm(u, ctx, tol=DEFAULT_TOL):
-    """Gagliardo-Slobodetskii seminorm of a W0 function: the unit-modular
-    scaling of the two-point modular."""
+    """Gagliardo-Slobodetskii seminorm: the unit-modular scaling of the
+    two-point modular."""
     ctx._check_function(u)
     c, e = ctx.pair_coeffs(u.values)
     return _norm(c, e, tol)

@@ -14,11 +14,11 @@ interior cell, pairing it with the n interior columns and with exterior
 columns.  An ordered-pair sum over all cells equals the sum over this
 table with exterior columns weighted 2, since the pair (i, j) with j in
 the collar stands in for (j, i) as well; the diagonal carries weight 0.
-Exterior columns hold the value 0, as every W0 state does on the collar,
-and sweeps read only the interior values of their argument.  A row's term
-against exterior column j is therefore f(u_i, p_ij) times its weight, so
-collar cells whose exponent columns P[:, j] are bitwise equal fold into
-one column holding their summed weights.  The interior columns come first,
+Exterior columns hold the value 0, since grid functions vanish on the
+collar, and sweeps take the n interior values.  A row's term against
+exterior column j is therefore f(u_i, p_ij) times its weight, so collar
+cells whose exponent columns P[:, j] are bitwise equal fold into one
+column holding their summed weights.  The interior columns come first,
 then one column per group: one for constant p (shape (n, n + 1)), one per
 mirror pair for a p even in y on a symmetric collar (shape (n, n + m)),
 and every collar cell when no two columns are equal (shape (n, n_total)).
@@ -35,7 +35,7 @@ cutoff parameter appears.
 
 import numpy as np
 
-from .errors import ContextMismatch, GridMismatch, InvalidResolution, NotW0
+from .errors import ContextMismatch, GridMismatch, InvalidResolution
 from .exponents import validate_assumptions
 from .grid import GridFunction
 
@@ -134,7 +134,7 @@ class OperatorContext:
         """u_i - u_j for interior rows i against all columns j, in the first
         work buffer; exterior columns take the value 0."""
         cv = self._col_vals
-        cv[self._cols] = vals[self.grid.interior_slice]
+        cv[self._cols] = vals
         return np.subtract(cv[self._cols, None], cv, out=self._a)
 
     def _abs_pow(self, vals):
@@ -238,8 +238,6 @@ class OperatorContext:
     def _check_function(self, u):
         if not u.grid.compatible_with(self.grid):
             raise ContextMismatch("grid function does not match the context grid")
-        if not u.w0:
-            raise NotW0("operation requires exterior values pinned to zero")
 
 
 def build_context(grid, field, validate=True, sample_resolution=65):
@@ -255,18 +253,14 @@ def build_context(grid, field, validate=True, sample_resolution=65):
 
 
 def apply_operator(u, ctx):
-    """Apply the nonlocal operator to a W0 grid function.
-
-    Returns a W0 grid function holding the operator values on interior
-    cells; the operator acts on interior unknowns only, so collar entries
-    of the result are stored as zeros.
-    """
+    """Apply the nonlocal operator to a grid function: the operator values
+    on the interior cells, as a grid function."""
     ctx._check_function(u)
-    return GridFunction.from_interior(ctx.grid, ctx.apply(u.values))
+    return GridFunction(ctx.grid, ctx.apply(u.values))
 
 
 def weak_form(u, v, ctx):
-    """Duality pairing of the operator at u against v (both W0)."""
+    """Duality pairing of the operator at u against v."""
     if not u.grid.compatible_with(v.grid):
         raise GridMismatch("u and v live on different grids")
     ctx._check_function(u)

@@ -53,6 +53,3 @@ def ctx32(grid32, field):
 def rng():
     return np.random.default_rng(1234)
 
-
-def random_w0(grid, rng, scale=1.0):
-    return ff.GridFunction.from_interior(grid, scale * rng.standard_normal(grid.n))

@@ -7,6 +7,14 @@ with the vectorized package paths; used to pin the pair-table reductions.
 import numpy as np
 
 
+def zero_extended(grid, values):
+    """All n_total cell values of the grid function with interior values
+    ``values``: the oracles below index every cell, and the collar holds 0."""
+    out = np.zeros(grid.n_total)
+    out[grid.interior_slice] = values
+    return out
+
+
 def pair_allowed(grid, i, j):
     if i == j:
         return False

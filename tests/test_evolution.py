@@ -8,7 +8,7 @@ import fracflow as ff
 from fracflow.errors import InnerSolveStalled, NonFinite
 from fracflow.evolution import SCHEME_IMEX
 
-from oracles import brute_apply
+from oracles import brute_apply, zero_extended
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +30,13 @@ def test_zero_is_equilibrium(ctx16, grid16, geom16):
 
 
 def test_explicit_step_is_gradient_update(ctx16, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     st = ff.make_state(u, ctx16)
     dt = 1e-5
     new = ff.step_explicit(st, dt, ctx16)
     g = ff.energy_gradient(u, ctx16)
     # the step IS u - dt*grad, so the difference quotient equals |grad| exactly
-    rate = ff.l2_norm(ff.GridFunction.from_interior(grid16, (new.u.interior - u.interior) / dt))
+    rate = ff.l2_norm(ff.GridFunction(grid16, (new.u.values - u.values) / dt))
     assert rate == pytest.approx(ff.l2_norm(g), rel=1e-12)
     assert new.t == pytest.approx(st.t + dt)
 
@@ -47,17 +47,17 @@ def test_explicit_step_against_straight_line_recomputation(field, rng):
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.build_grid(dom, 6, 3)
     ctx = ff.build_context(grid, field, validate=False)
-    u = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
+    u = ff.GridFunction(grid, rng.standard_normal(grid.n))
     dt = 1e-4
     new = ff.step_explicit(ff.make_state(u, ctx), dt, ctx)
-    Lu = brute_apply(grid, field, u.values)
-    react = np.abs(u.interior) ** 1.0 * u.interior  # q = 3
-    expected = u.interior - dt * (Lu - react)
-    assert np.allclose(new.u.interior, expected, rtol=1e-12, atol=1e-14)
+    Lu = brute_apply(grid, field, zero_extended(grid, u.values))
+    react = np.abs(u.values) ** 1.0 * u.values  # q = 3
+    expected = u.values - dt * (Lu - react)
+    assert np.allclose(new.u.values, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_explicit_step_raises_on_overflow(ctx16, grid16):
-    huge = ff.GridFunction.from_interior(grid16, np.full(grid16.n, 1e200))
+    huge = ff.GridFunction(grid16, np.full(grid16.n, 1e200))
     with pytest.raises(NonFinite):
         ff.step_explicit(ff.make_state(huge, ctx16), 1.0, ctx16)
 
@@ -69,20 +69,20 @@ def test_imex_zero_fixed_point(ctx16, grid16):
 
 
 def test_imex_decreases_proximal_objective(ctx16, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     st = ff.make_state(u, ctx16)
     dt = 1e-3
     new = ff.step_imex(st, dt, ctx16)
     wi = grid16.interior_widths
-    react = np.abs(u.interior) ** 1.0 * u.interior
+    react = np.abs(u.values) ** 1.0 * u.values
 
     def objective(v):
-        full = ff.GridFunction.from_interior(grid16, v)
-        quad = float(np.dot((v - u.interior) ** 2, wi)) / (2.0 * dt)
+        full = ff.GridFunction(grid16, v)
+        quad = float(np.dot((v - u.values) ** 2, wi)) / (2.0 * dt)
         return quad + ctx16.i1(full.values) - float(np.dot(react * v, wi))
 
-    start = objective(u.interior)
-    end = objective(new.u.interior)
+    start = objective(u.values)
+    end = objective(new.u.values)
     assert end <= start + 1e-12 * (1.0 + abs(start))
 
 
@@ -94,7 +94,7 @@ def test_imex_second_order_agreement_with_explicit(ctx16, grid16, geom16):
         a = ff.step_explicit(st, dt, ctx16)
         b = ff.step_imex(st, dt, ctx16, inner_tol=1e-13, inner_max=2000)
         diffs.append(
-            ff.l2_norm(ff.GridFunction.from_interior(grid16, a.u.interior - b.u.interior))
+            ff.l2_norm(ff.GridFunction(grid16, a.u.values - b.u.values))
         )
     orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
@@ -173,6 +173,19 @@ def test_run_evaluates_each_state_once(ctx16, geom16, monkeypatch):
     assert calls == {"apply": n + 1, "pair_stats": n + 1}
 
 
+def test_run_evaluates_the_probe_exponent_once(ctx16, geom16):
+    calls = []
+
+    def probe(x):
+        calls.append(np.shape(x))
+        return 2.0 + 0.1 * x**2
+
+    ctl = _control(dt_init=1e-3, dt_max=1e-3, t_final=0.005)
+    rec = ff.run(geom16.minimizer.scaled(0.5), ctl, ctx16, geom16, r_probe=probe)
+    assert len(rec.samples) == 6
+    assert calls == [(ctx16.grid.n,)]
+
+
 def test_well_trajectory_decays_and_stays_in_well(ctx16, geom16):
     u0 = geom16.minimizer.scaled(0.5)
     # the coarse-collar fixture grid decays slower than the shipped default,
@@ -218,6 +231,8 @@ def test_blowup_run_and_audit(ctx16, geom16):
     assert np.all(np.diff(phis) > 0.0)
     audit = ff.blowup_inequality_audit(rec, ctx16, e0)
     assert audit.rate_constant > 0.0
+    # one measured constant: the audit reports the record's
+    assert audit.rate_constant == rec.rate_constant
     assert len(audit.rows) == len(rec.samples) - 1
     assert ff.exterior_invariance_check(rec)
     assert {s.well_class for s in rec.samples} == {ff.IN_EXTERIOR}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import GridMismatch, InvalidResolution
+from fracflow.errors import GridMismatch, InvalidResolution, NotW0
 
 
 def test_build_grid_cell_layout():
@@ -41,53 +41,68 @@ def test_domain_default_radius():
 def test_l2_norm_constants(grid16):
     zero = ff.GridFunction.zeros(grid16)
     assert ff.l2_norm(zero) == 0.0
-    one = ff.GridFunction.from_interior(grid16, np.ones(grid16.n))
+    one = ff.GridFunction(grid16, np.ones(grid16.n))
     assert ff.l2_norm(one) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
 
 def test_quadrature_exact_for_cellwise_constant(grid16, rng):
     vals = rng.standard_normal(grid16.n)
-    u = ff.GridFunction.from_interior(grid16, vals)
+    u = ff.GridFunction(grid16, vals)
     assert ff.integrate(u) == pytest.approx(float(np.dot(vals, grid16.interior_widths)), abs=1e-15)
 
 
 def test_inner_product_symmetry_and_cauchy_schwarz(grid16, rng):
     for _ in range(25):
-        u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-        v = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+        u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+        v = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
         assert ff.inner_product(u, v) == pytest.approx(ff.inner_product(v, u), rel=1e-14)
         assert abs(ff.inner_product(u, v)) <= ff.l2_norm(u) * ff.l2_norm(v) * (1 + 1e-12)
     assert ff.l2_norm(u) ** 2 == pytest.approx(ff.inner_product(u, u), rel=1e-14)
 
 
 def test_grid_mismatch_raises(grid16, grid32, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    v = ff.GridFunction.from_interior(grid32, rng.standard_normal(grid32.n))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    v = ff.GridFunction(grid32, rng.standard_normal(grid32.n))
     with pytest.raises(GridMismatch):
         ff.inner_product(u, v)
 
 
 def test_w0_construction_enforces_exterior_zeros(grid16):
-    u = ff.GridFunction.from_interior(grid16, np.ones(grid16.n))
-    assert u.w0
-    assert np.all(u.values[~grid16.interior_mask] == 0.0)
-    assert ff.GridFunction(grid16, np.ones(grid16.n_total)).w0 is False
-    # scaling keeps the flag invariant
-    w = u.scaled(3.0)
-    assert w.w0 and np.all(w.values[~grid16.interior_mask] == 0.0)
+    # a grid function holds only its interior values: the collar is zero by
+    # definition, so a vector over every cell is refused
+    u = ff.GridFunction(grid16, np.ones(grid16.n))
+    assert u.values.shape == (grid16.n,)
+    assert u.scaled(3.0).values.shape == (grid16.n,)
+    with pytest.raises(GridMismatch):
+        ff.GridFunction(grid16, np.ones(grid16.n_total))
 
 
 def test_csv_round_trip(tmp_path, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     path = tmp_path / "u.csv"
     ff.save_csv(u, path)
     back = ff.load_csv(grid16, path)
-    assert back.w0
     assert np.array_equal(back.values, u.values)
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == grid16.n_total
+    collar = [r for r in rows if r.endswith(",exterior")]
+    assert len(collar) == 2 * grid16.m
+    assert all(r.endswith(",0.0,exterior") for r in collar)
+
+
+def test_csv_nonzero_collar_raises_not_w0(tmp_path, grid16, rng):
+    path = tmp_path / "u.csv"
+    ff.save_csv(ff.GridFunction(grid16, rng.standard_normal(grid16.n)), path)
+    lines = path.read_text().splitlines()
+    # the first cell row is the outermost left collar cell
+    lines[1] = lines[1].replace(",0.0,exterior", ",1e-3,exterior")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NotW0):
+        ff.load_csv(grid16, path)
 
 
 def test_csv_layout_mismatch(tmp_path, grid16, grid32, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     path = tmp_path / "u.csv"
     ff.save_csv(u, path)
     with pytest.raises(GridMismatch):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import ContextMismatch, GridMismatch, InvalidResolution, NotW0
+from fracflow.errors import ContextMismatch, GridMismatch, InvalidResolution
 from fracflow.nonlocal_operator import MAX_TABLE_ENTRIES, OperatorContext
 
-from oracles import brute_apply, brute_i1, brute_sp_modular, brute_weak
+from oracles import brute_apply, brute_i1, brute_sp_modular, brute_weak, zero_extended
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def test_apply_zero_is_zero(ctx16, grid16):
 
 def test_apply_oddness(ctx16, grid16, rng):
     for _ in range(10):
-        u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+        u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
         plus = ff.apply_operator(u, ctx16)
         minus = ff.apply_operator(u.scaled(-1.0), ctx16)
         assert np.allclose(minus.values, -plus.values, rtol=1e-13, atol=1e-13)
@@ -34,66 +34,56 @@ def test_apply_spike_vs_bruteforce(small, field):
     grid, ctx = small
     spike = np.zeros(grid.n)
     spike[2] = 1.0
-    u = ff.GridFunction.from_interior(grid, spike)
-    expected = brute_apply(grid, field, u.values)
+    u = ff.GridFunction(grid, spike)
+    expected = brute_apply(grid, field, zero_extended(grid, u.values))
     got = ff.apply_operator(u, ctx)
-    assert np.allclose(got.interior, expected, rtol=1e-13)
+    assert np.allclose(got.values, expected, rtol=1e-13)
 
 
 def test_apply_random_vs_bruteforce(small, field, rng):
     grid, ctx = small
-    u = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    assert np.allclose(
-        ff.apply_operator(u, ctx).interior, brute_apply(grid, field, u.values), rtol=1e-13
-    )
+    u = ff.GridFunction(grid, rng.standard_normal(grid.n))
+    expected = brute_apply(grid, field, zero_extended(grid, u.values))
+    assert np.allclose(ff.apply_operator(u, ctx).values, expected, rtol=1e-13)
 
 
-def test_apply_requires_w0_and_matching_grid(ctx16, grid16, grid32, rng):
-    with pytest.raises(NotW0):
-        ff.apply_operator(ff.GridFunction(grid16, np.ones(grid16.n_total)), ctx16)
-    u32 = ff.GridFunction.from_interior(grid32, rng.standard_normal(grid32.n))
+def test_apply_requires_matching_grid(ctx16, grid32, rng):
+    u32 = ff.GridFunction(grid32, rng.standard_normal(grid32.n))
     with pytest.raises(ContextMismatch):
         ff.apply_operator(u32, ctx16)
 
 
-def test_collar_value_written_after_construction_is_caught(ctx16, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    u.values[0] = 1e-3  # the outermost collar cell
-    assert not u.w0
-    with pytest.raises(NotW0):
-        ff.apply_operator(u, ctx16)
-
-
 def test_weak_form_duality_identity(ctx16, grid16, rng):
     for _ in range(50):
-        u = ff.GridFunction.from_interior(grid16, 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(grid16.n))
+        u = ff.GridFunction(grid16, 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(grid16.n))
         rho = ff.gagliardo_modular(u, ctx16)
         assert abs(ff.weak_form(u, u, ctx16) - rho) <= 1e-12 * (1.0 + rho)
 
 
 def test_weak_form_vs_bruteforce(small, field, rng):
     grid, ctx = small
-    u = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    v = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    assert ff.weak_form(u, v, ctx) == pytest.approx(
-        brute_weak(grid, field, u.values, v.values), rel=1e-13
+    u = ff.GridFunction(grid, rng.standard_normal(grid.n))
+    v = ff.GridFunction(grid, rng.standard_normal(grid.n))
+    expected = brute_weak(
+        grid, field, zero_extended(grid, u.values), zero_extended(grid, v.values)
     )
+    assert ff.weak_form(u, v, ctx) == pytest.approx(expected, rel=1e-13)
 
 
 def test_weak_form_matches_operator_pairing(ctx16, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    v = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    v = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     lhs = ff.weak_form(u, v, ctx16)
     Lu = ff.apply_operator(u, ctx16)
-    rhs = float(np.dot(Lu.interior * v.interior, grid16.interior_widths))
+    rhs = float(np.dot(Lu.values * v.values, grid16.interior_widths))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_weak_form_bilinear_in_v(ctx16, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    v = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    w = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    combo = ff.GridFunction.from_interior(grid16, 2.0 * v.interior - 3.0 * w.interior)
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    v = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    w = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    combo = ff.GridFunction(grid16, 2.0 * v.values - 3.0 * w.values)
     lhs = ff.weak_form(u, combo, ctx16)
     rhs = 2.0 * ff.weak_form(u, v, ctx16) - 3.0 * ff.weak_form(u, w, ctx16)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -102,8 +92,8 @@ def test_weak_form_bilinear_in_v(ctx16, grid16, rng):
 
 
 def test_weak_form_grid_mismatch(ctx16, grid16, grid32, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    v = ff.GridFunction.from_interior(grid32, rng.standard_normal(grid32.n))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    v = ff.GridFunction(grid32, rng.standard_normal(grid32.n))
     with pytest.raises(GridMismatch):
         ff.weak_form(u, v, ctx16)
 
@@ -111,9 +101,9 @@ def test_weak_form_grid_mismatch(ctx16, grid16, grid32, rng):
 def test_weak_form_is_directional_derivative_of_i1(ctx16, grid16, rng):
     # central-difference oracle for the nonlocal energy along direction v
     for _ in range(5):
-        u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-        v = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-        scale = float(np.max(np.abs(u.interior))) or 1.0
+        u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+        v = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+        scale = float(np.max(np.abs(u.values))) or 1.0
         h = 1e-6 * scale
         plus = u.values + h * v.values
         minus = u.values - h * v.values
@@ -122,31 +112,32 @@ def test_weak_form_is_directional_derivative_of_i1(ctx16, grid16, rng):
 
 
 def test_apply_is_gradient_of_i1(ctx16, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    Lu = ff.apply_operator(u, ctx16).interior
-    scale = float(np.max(np.abs(u.interior)))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    Lu = ff.apply_operator(u, ctx16).values
+    scale = float(np.max(np.abs(u.values)))
     h = 1e-6 * scale
     for k in range(grid16.n):
         up = u.values.copy()
         um = u.values.copy()
-        up[grid16.interior_slice.start + k] += h
-        um[grid16.interior_slice.start + k] -= h
+        up[k] += h
+        um[k] -= h
         fd = (ctx16.i1(up) - ctx16.i1(um)) / (2.0 * h) / grid16.interior_widths[k]
         assert Lu[k] == pytest.approx(fd, rel=1e-5, abs=1e-8 * max(1.0, abs(fd)))
 
 
 def test_i1_vs_bruteforce(small, field, rng):
     grid, ctx = small
-    u = ff.GridFunction.from_interior(grid, rng.standard_normal(grid.n))
-    assert ctx.i1(u.values) == pytest.approx(brute_i1(grid, field, u.values), rel=1e-13)
+    u = ff.GridFunction(grid, rng.standard_normal(grid.n))
+    expected = brute_i1(grid, field, zero_extended(grid, u.values))
+    assert ctx.i1(u.values) == pytest.approx(expected, rel=1e-13)
 
 
 def test_monotonicity_gap(ctx16, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     assert ff.monotonicity_gap(u, u, ctx16) == 0.0
     for _ in range(30):
-        a = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-        b = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+        a = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+        b = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
         gap = ff.monotonicity_gap(a, b, ctx16)
         wa = ff.weak_form(a, a, ctx16)
         wb = ff.weak_form(b, b, ctx16)
@@ -156,9 +147,9 @@ def test_monotonicity_gap(ctx16, grid16, rng):
 
 def test_monotonicity_gap_linear_case(ctx16, grid16, rng):
     # p = 2 throughout: the gap is the weak form of the difference
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    v = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
-    d = ff.GridFunction.from_interior(grid16, u.interior - v.interior)
+    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    v = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+    d = ff.GridFunction(grid16, u.values - v.values)
     assert ff.monotonicity_gap(u, v, ctx16) == pytest.approx(
         ff.weak_form(d, d, ctx16), rel=1e-12
     )
@@ -171,11 +162,11 @@ def test_operator_bounded_on_modular_balls(ctx16, grid16, rng):
     for radius in (0.5, 1.0, 2.0, 4.0):
         worst = 0.0
         for _ in range(20):
-            u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n))
+            u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
             rho = ff.gagliardo_modular(u, ctx16)
             scale = (radius / rho) ** 0.5  # p = 2 homogeneity
             scaled = u.scaled(scale)
-            worst = max(worst, float(np.max(np.abs(ff.apply_operator(scaled, ctx16).interior))))
+            worst = max(worst, float(np.max(np.abs(ff.apply_operator(scaled, ctx16).values))))
         sups.append(worst)
         assert np.isfinite(worst)
     assert all(b >= a * (1 - 1e-12) for a, b in zip(sups, sups[1:]))
@@ -210,8 +201,7 @@ def _unfolded_case():
 def _table_cases(field):
     """(grid, field, values) on small grids: constant p, variable p(x, y)
     on a symmetric collar (mirror columns fold) and on an off-centre one
-    (nothing folds), each with a W0 vector and a vector with nonzero
-    collar values."""
+    (nothing folds), each with random interior values."""
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.build_grid(dom, 6, 3)
     variable = ff.make_exponent_field(
@@ -219,24 +209,17 @@ def _table_cases(field):
     )
     rng = np.random.default_rng(7)
     cases = []
-    for g, f in ((grid, field), (grid, variable), _unfolded_case()):
-        w0 = ff.GridFunction.from_interior(g, rng.standard_normal(g.n)).values
-        cases += [(g, f, w0), (g, f, rng.standard_normal(g.n_total))]
-    return cases
-
-
-def _zero_collar(grid, vals):
-    out = np.zeros_like(vals)
-    out[grid.interior_slice] = vals[grid.interior_slice]
-    return out
+    return [
+        (g, f, rng.standard_normal(g.n))
+        for g, f in ((grid, field), (grid, variable), _unfolded_case())
+    ]
 
 
 def test_interior_row_table_matches_oracles(field):
-    # sweeps read only interior values, so the oracles see the collar as 0
     for grid, fld, u in _table_cases(field):
         ctx = OperatorContext(grid, fld)
-        v = np.cos(3.0 * grid.centers)
-        u0, v0 = _zero_collar(grid, u), _zero_collar(grid, v)
+        v = np.cos(3.0 * grid.interior_centers)
+        u0, v0 = zero_extended(grid, u), zero_extended(grid, v)
         rho = ctx.sp_modular(u)
         assert rho == pytest.approx(brute_sp_modular(grid, fld, u0), rel=1e-13)
         assert ctx.i1(u) == pytest.approx(brute_i1(grid, fld, u0), rel=1e-13)
@@ -253,10 +236,10 @@ def test_interior_row_table_matches_oracles(field):
         assert ctx.sp_dlambda(u, lam) == pytest.approx(fd, rel=1e-7)
         grad = ctx.sp_grad_interior(u, lam)
         widths = grid.interior_widths
-        for k, cell in enumerate(range(grid.interior_slice.start, grid.interior_slice.stop)):
+        for k in range(grid.n):
             up, um = u.copy(), u.copy()
-            up[cell] += h
-            um[cell] -= h
+            up[k] += h
+            um[k] -= h
             fd = (ctx.sp_modular(up / lam) - ctx.sp_modular(um / lam)) / (2.0 * h * widths[k])
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
         _assert_linearize_matches_differences(ctx, u)
@@ -264,33 +247,28 @@ def test_interior_row_table_matches_oracles(field):
 
 def _assert_linearize_matches_differences(ctx, vals, h=1e-6):
     """``linearize``: its values bitwise equal to ``apply``, its Jacobian
-    against central differences of ``apply`` in each interior value,
-    collar values held fixed."""
-    rows = ctx.grid.interior_slice
+    against central differences of ``apply`` in each interior value."""
     values, jac = ctx.linearize(vals)
     assert np.array_equal(values, ctx.apply(vals))
     assert jac.shape == (ctx.grid.n, ctx.grid.n)
     fd = np.empty_like(jac)
-    for k, cell in enumerate(range(rows.start, rows.stop)):
+    for k in range(ctx.grid.n):
         up, um = vals.copy(), vals.copy()
-        up[cell] += h
-        um[cell] -= h
+        up[k] += h
+        um[k] -= h
         fd[:, k] = (ctx.apply(up) - ctx.apply(um)) / (2.0 * h)
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-7 * float(np.max(np.abs(jac))))
 
 
 @pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
 def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
-    # constant p = 2 and variable p(x, y); a W0 vector and one with
-    # nonzero collar values, which the sweeps read as 0
+    # constant p = 2 and variable p(x, y)
     ctx = request.getfixturevalue(name)
-    w0 = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
-    for vals in (w0, rng.standard_normal(grid16.n_total)):
-        _assert_linearize_matches_differences(ctx, vals)
+    _assert_linearize_matches_differences(ctx, rng.standard_normal(grid16.n))
 
 
 def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
-    u = rng.standard_normal(grid16.n_total)
+    u = rng.standard_normal(grid16.n)
     first = ctx16.apply(u)
     lin = ctx16.linearize(u)
     kept = [a.copy() for a in (first, *lin)]
@@ -339,36 +317,11 @@ def test_exterior_columns_fold_by_exponent_column(ctx16, ctx16_var, grid16):
     assert unfolded.P.shape == (off_grid.n, off_grid.n_total)
 
 
-@pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
-def test_sweeps_ignore_collar_values(name, grid16, rng, request):
-    ctx = request.getfixturevalue(name)
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
-    v = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
-    sweeps = {
-        "sp_modular": lambda a, b: ctx.sp_modular(a),
-        "i1": lambda a, b: ctx.i1(a),
-        "pair_stats": lambda a, b: ctx.pair_stats(a),
-        "apply": lambda a, b: ctx.apply(a),
-        "linearize": lambda a, b: np.column_stack(ctx.linearize(a)),
-        "weak": ctx.weak,
-        "gap": ctx.gap,
-        "pair_coeffs": lambda a, b: ctx.pair_coeffs(a),
-        "sp_grad_interior": lambda a, b: ctx.sp_grad_interior(a, 0.7),
-        "sp_dlambda": lambda a, b: ctx.sp_dlambda(a, 0.7),
-    }
-    collar = ~grid16.interior_mask
-    u_noisy, v_noisy = u.copy(), v.copy()
-    u_noisy[collar] = rng.standard_normal(collar.sum())
-    v_noisy[collar] = rng.standard_normal(collar.sum())
-    for name, sweep in sweeps.items():
-        assert np.array_equal(sweep(u, v), sweep(u_noisy, v_noisy)), name
-
-
 def test_constant_p_pair_coeffs_is_one_coefficient(ctx16, ctx16_var, grid16, rng):
-    u = ff.GridFunction.from_interior(grid16, rng.standard_normal(grid16.n)).values
+    u = rng.standard_normal(grid16.n)
     coeffs, exps = ctx16.pair_coeffs(u)
     assert coeffs.shape == exps.shape == (1,) and exps[0] == ctx16.P
     assert coeffs[0] == pytest.approx(ctx16.sp_modular(u), rel=1e-13)
     assert ctx16_var.pair_coeffs(u)[0].size > 1
-    c, e = ctx16.pair_coeffs(np.zeros(grid16.n_total))
+    c, e = ctx16.pair_coeffs(np.zeros(grid16.n))
     assert c.size == e.size == 0

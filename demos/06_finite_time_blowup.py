@@ -26,17 +26,17 @@ print("initial state: E = %.3f < 0, class %s" % (e0, ff.classify(u0, geom, ctx))
 control = ff.StepControl(dt_init=1e-3, dt_min=1e-14, dt_max=1e-2,
                          t_final=10.0, max_steps=200_000)
 record = ff.run(u0, control, ctx, geom, r_probe=2.0)
+audit = ff.blowup_inequality_audit(record, ctx.summary)
 print("termination:", record.termination)
 print("cap hit at t = %.6f after %d accepted steps"
       % (record.t_max_estimate, len(record.samples) - 1))
 print("blow-up time extrapolated from the rate constant: %.6f"
-      % record.t_max_extrapolated)
+      % audit.t_max_extrapolated)
 
 phis = record.column("phi")
 print("phi monotone increasing:", bool(np.all(np.diff(phis) > 0)))
 print("exterior invariant:", ff.exterior_invariance_check(record))
 
-audit = ff.blowup_inequality_audit(record, ctx, e0)
 print("\n== inequality audit over %d steps ==" % len(audit.rows))
 print("worst identity gap / step tolerance: %.3f (must stay <= 1)"
       % max(r.identity_gap / r.tol for r in audit.rows))
@@ -54,7 +54,7 @@ try:
     axes[0].semilogy(ts, phis)
     axes[0].set_xlabel("t")
     axes[0].set_ylabel("phi(t)")
-    axes[0].axvline(record.t_max_extrapolated, color="crimson", ls="--", lw=0.8,
+    axes[0].axvline(audit.t_max_extrapolated, color="crimson", ls="--", lw=0.8,
                     label="extrapolated blow-up time")
     axes[0].legend()
     rows_t = [r.t for r in audit.rows]

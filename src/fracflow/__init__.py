@@ -42,8 +42,6 @@ from .grid import (
     inner_product,
     integrate,
     l2_norm,
-    load_csv,
-    save_csv,
 )
 from .modular import (
     ModularReport,
@@ -102,7 +100,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .report import trajectory_to_csv
+from .report import load_csv, save_csv, trajectory_to_csv
 from .scenarios import run_scenario
 
 __version__ = "0.1.0"

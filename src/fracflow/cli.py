@@ -2,17 +2,16 @@
 
     fracflow <scenario> [--config PATH] [--out DIR] [--seed S]
 
-Without --config a built-in constant-exponent configuration is used.  The
-FRACFLOW_OUT environment variable overrides --out, which overrides the
-config's output directory.  The numpy kernels used here are fixed-order
-reductions, so artifacts are byte-identical for a fixed config and seed.
+Without --config a built-in constant-exponent configuration is used.
+--out overrides the config's output directory ``out``, and --seed its
+``seed``.  The numpy kernels used here are fixed-order reductions, so
+artifacts are byte-identical for a fixed config and seed.
 
 Exit status: 0 when every scenario verdict passed, 1 on failed verdicts or
 violated exponent assumptions, 2 on configuration or I/O errors.
 """
 
 import argparse
-import os
 import sys
 
 from .config import default_config, load_config
@@ -43,8 +42,9 @@ def main(argv=None):
         cfg.scenario = args.scenario
         if args.seed is not None:
             cfg.seed = args.seed
-        out = os.environ.get("FRACFLOW_OUT") or args.out or cfg.out
-        return run_scenario(cfg, out_dir=out)
+        if args.out is not None:
+            cfg.out = args.out
+        return run_scenario(cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -6,19 +6,25 @@ output directory, and random seed.  Blank lines and '#' comments are
 ignored; unknown keys are rejected so typos fail loudly.  serialize() emits
 a canonical form whose parse is the identity.
 
-Each setting is declared once.  The ``step`` section is the evolution's
-``StepControl`` itself, and ``exponents.p``, ``exponents.q`` and ``probe``
-are one ``ShapeConfig`` each: a shape kind with its ``value``, ``a`` and
-``b``.  q and the probe take the same one-point shapes (constant | bump),
-built by ``exponents.one_point_exponent``.
+Each setting and each default is declared once: the library has no
+search sizes, collar radius or output directory of its own.  The ``step``
+section is the evolution's ``StepControl`` itself, and ``exponents.p``,
+``exponents.q`` and ``probe`` are one ``ShapeConfig`` each: a shape kind
+with its ``value``, ``a`` and ``b``.  q and the probe take the same
+one-point shapes (constant | bump), built by
+``exponents.one_point_exponent``.  Parsing runs the library's own
+constructors and checks, so a bad value is a ConfigError up front.
 """
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .errors import ConfigError
-from .exponents import make_exponent_field, one_point_exponent
-from .grid import Domain, Grid, load_csv
+from .energy import _check_n_starts, first_sine_mode, standard_bump
+from .errors import ConfigError, InvalidResolution
 from .evolution import StepControl
+from .exponents import _check_resolution, make_exponent_field, one_point_exponent
+from .grid import Domain, Grid
+from .nonlocal_operator import _check_table_size
+from .report import load_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -148,9 +154,10 @@ def serialize_config(cfg):
 def parse_config(text):
     """Parse key = value lines into an ExperimentConfig.
 
-    Raises ConfigError on unknown keys, bad values (a step section that
-    StepControl rejects included), or a missing exponents.s (the
-    fractional order has no safe default in a file).
+    Raises ConfigError on unknown keys, unparsable values, a missing
+    exponents.s (the fractional order has no safe default in a file), or
+    a value that the step control, domain, grid, pair-table cap, exponent
+    field, probe, validation or depth search would reject.
     """
     cfg = ExperimentConfig()
     targets = {key: (obj, f) for key, obj, f in _walk(cfg)}
@@ -169,12 +176,19 @@ def parse_config(text):
         seen.add(key)
         obj, f = targets[key]
         setattr(obj, f.name, _coerce(key, raw, f.type))
-    if cfg.exponents.s is None:
-        raise ConfigError("missing required key exponents.s")
-    try:
-        replace(cfg.step)  # StepControl's checks, before anything is computed
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("step: %s" % exc) from exc
+    for section, check in (
+        ("step", lambda: replace(cfg.step)),
+        ("domain", lambda: build_domain(cfg)),
+        ("grid", lambda: _check_table_size(build_grid_from(cfg))),
+        ("exponents", lambda: build_field(cfg)),
+        ("probe", lambda: build_probe(cfg)),
+        ("validation", lambda: _check_resolution(cfg.validation.resolution)),
+        ("geometry", lambda: _check_n_starts(cfg.geometry.n_starts)),
+    ):
+        try:
+            check()
+        except (ValueError, TypeError, InvalidResolution) as exc:
+            raise ConfigError("%s: %s" % (section, exc)) from exc
     return cfg
 
 
@@ -247,8 +261,6 @@ def build_initial(cfg, grid, minimizer=None):
     the caller supplies; this keeps geometry computation at the scenario
     level where it can be shared.
     """
-    from .energy import first_sine_mode, standard_bump  # cycle-free local import
-
     ini = cfg.initial
     if ini.kind == "bump":
         return standard_bump(grid).scaled(ini.amplitude)

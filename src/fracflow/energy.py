@@ -163,11 +163,16 @@ def _seminorm_grad(u, ctx, lam):
 # --- descent ---------------------------------------------------------------
 
 
+def _check_n_starts(n_starts):
+    """Raise ValueError unless a descent has at least one start."""
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1, got %r" % n_starts)
+
+
 def _starts(grid, n_starts, rng):
     """The first ``n_starts`` of: the bump, the sine mode, then standard
     normal interior values drawn from ``rng``."""
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+    _check_n_starts(n_starts)
     starts = [standard_bump(grid), first_sine_mode(grid)][:n_starts]
     while len(starts) < n_starts:
         starts.append(GridFunction(grid, rng.standard_normal(grid.n)))
@@ -220,7 +225,7 @@ def _descend(x, value, grad, project, iters):
     return x, f, accepted
 
 
-def estimate_embedding_constant(ctx, n_starts=8, iters=200, rng=None, tol=1e-10):
+def estimate_embedding_constant(ctx, n_starts, iters, rng=None, tol=1e-10):
     """Estimate the embedding constant: the least value of
     seminorm(u) / luxemburg_q_norm(u) over nonzero states.
 
@@ -267,7 +272,7 @@ def depth_lower_bound(lambda_hat, summary):
     return r_hat, float((1.0 / pp - 1.0 / qm) * r_hat)
 
 
-def well_depth(ctx, n_starts=8, iters=300, tol=1e-9, rng=None):
+def well_depth(ctx, n_starts, iters, tol=1e-9, rng=None):
     """Estimate the well depth by multi-start projected gradient descent.
 
     Each start is projected onto the manifold, then alternates descent steps

@@ -123,8 +123,6 @@ class TrajectoryRecord:
     samples: list
     termination: str
     t_max_estimate: float = None
-    t_max_extrapolated: float = None
-    rate_constant: float = None  # measured inf of phi' / phi^(q+/2) past phi>1
 
     def column(self, name):
         return np.array([getattr(s, name) for s in self.samples])
@@ -164,7 +162,8 @@ def step_explicit(state, dt, ctx):
     return _finish(u_new, ctx, state.t + dt)
 
 
-def step_imex(state, dt, ctx, inner_tol=1e-8, inner_max=300):
+def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
+              inner_max=StepControl.inner_max):
     """Proximal step: implicit in the nonlocal part, explicit reaction.
 
     u+ minimizes J(v) = ||v - u||^2/(2 dt) + I1(v) - <reaction(u), v>, a
@@ -241,30 +240,6 @@ def _sample_from(state, geometry, r_vals, dt, residual):
     )
 
 
-def _extrapolate_tmax(record, q_plus):
-    """Integrate phi' = c * phi^(q+/2) from the last sample to infinity
-    using the measured rate constant; None when not measurable."""
-    c = record.rate_constant
-    if c is None or c <= 0.0 or q_plus <= 2.0:
-        return None
-    phi_last = record.samples[-1].phi
-    t_last = record.samples[-1].t
-    return t_last + phi_last ** (1.0 - q_plus / 2.0) / (c * (q_plus / 2.0 - 1.0))
-
-
-def _measure_rate_constant(samples, q_plus):
-    """Infimum of forward-difference phi' over phi^(q+/2) on steps with
-    phi > 1; the reported constant of the blow-up differential inequality."""
-    ratios = []
-    for k in range(len(samples) - 1):
-        if samples[k].phi <= 1.0:
-            continue
-        dt = samples[k + 1].dt
-        phip = (samples[k + 1].phi - samples[k].phi) / dt
-        ratios.append(phip / samples[k].phi ** (q_plus / 2.0))
-    return float(min(ratios)) if ratios else None
-
-
 def run(u0, control, ctx, geometry, r_probe=2.0):
     """Integrate from u0 with energy-based step acceptance.
 
@@ -272,7 +247,8 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     overflow before the cap), step underflow, or the step budget; rejected
     steps halve dt and are not recorded.  The returned record holds one
     sample per accepted step plus the initial state; the probe exponent
-    ``r_probe`` of its ``lux_r`` column is evaluated once per run.
+    ``r_probe`` of its ``lux_r`` column is evaluated once per run.  The
+    blow-up analysis of the record is ``blowup_inequality_audit``.
     """
     ctx._check_function(u0)
     r_vals = exponent_values(r_probe, ctx.grid.interior_centers)
@@ -329,16 +305,11 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
             t_max_estimate = state.t
             break
 
-    record = TrajectoryRecord(
+    return TrajectoryRecord(
         samples=samples,
         termination=termination,
         t_max_estimate=t_max_estimate,
     )
-    if termination == BLOWUP_CAP_HIT and e0 < 0.0 and ctx.summary is not None:
-        q_plus = ctx.summary.q_plus
-        record.rate_constant = _measure_rate_constant(samples, q_plus)
-        record.t_max_extrapolated = _extrapolate_tmax(record, q_plus)
-    return record
 
 
 @dataclass
@@ -356,29 +327,35 @@ class AuditRow:
 @dataclass
 class AuditResult:
     rows: list
-    rate_constant: float
+    rate_constant: float  # measured inf of phi' / phi^(q+/2) past phi > 1
     first_t_phi_above_one: float
-    passed: bool = True
+    t_max_extrapolated: float = None  # set when the run hit the blow-up cap
 
 
-def blowup_inequality_audit(record, ctx, e0, tol_factor=5.0):
+#: the audit's step tolerance, in units of dt times the local rate scale
+AUDIT_TOL_FACTOR = 5.0
+
+
+def blowup_inequality_audit(record, summary):
     """Verify the discrete blow-up inequality chain on an E(u0) < 0 run.
 
-    Per accepted step: (i) the forward difference of phi matches
-    rho_q - rho_sp up to a tolerance scaling with dt and the local rate of
-    change; (ii) phi' >= -p+ E0 + (1 - p+/q-) rho_q up to the same
-    tolerance; (iii) phi eventually exceeds 1 and the measured infimum of
-    phi'/phi^(q+/2) beyond that point is strictly positive (the constant is
-    reported, never assumed).  Raises AuditFailed at the first violation.
+    E(u0) is the energy of the record's first sample, and ``summary`` the
+    validated exponent extrema.  Per accepted step: (i) the forward
+    difference of phi matches rho_q - rho_sp up to a tolerance scaling with
+    dt and the local rate of change; (ii) phi' >= -p+ E0 + (1 - p+/q-)
+    rho_q up to the same tolerance; (iii) phi eventually exceeds 1 and the
+    measured infimum of phi'/phi^(q+/2) beyond that point is strictly
+    positive (the constant is reported, never assumed).  Raises
+    AuditFailed at the first violation.  When the run hit the blow-up cap,
+    the result also holds the blow-up time extrapolated from the last
+    sample by integrating phi' = rate * phi^(q+/2).
     """
+    samples = record.samples
+    e0 = samples[0].energy
     if e0 >= 0.0:
         raise ValueError("audit requires a trajectory started at negative energy")
-    summary = ctx.summary
-    if summary is None:
-        raise ValueError("context carries no validated exponent summary")
     p_plus, q_minus, q_plus = summary.p_plus, summary.q_minus, summary.q_plus
     c1 = 1.0 - p_plus / q_minus
-    samples = record.samples
     rows = []
     first_above = None
     for k in range(len(samples) - 1):
@@ -386,7 +363,7 @@ def blowup_inequality_audit(record, ctx, e0, tol_factor=5.0):
         dt = nxt.dt
         phip = (nxt.phi - cur.phi) / dt
         scale = 1.0 + cur.grad_l2**2 + abs(nxt.nehari - cur.nehari) / dt
-        tol = tol_factor * dt * scale
+        tol = AUDIT_TOL_FACTOR * dt * scale
         identity_gap = abs(phip - (-cur.nehari))
         if identity_gap > tol:
             raise AuditFailed(
@@ -418,10 +395,15 @@ def blowup_inequality_audit(record, ctx, e0, tol_factor=5.0):
         )
     if first_above is None:
         raise AuditFailed("phi never exceeded 1; blow-up regime not reached")
-    rate = _measure_rate_constant(samples, q_plus)
+    rate = float(min(r.ratio for r in rows if r.phi > 1.0))
     if rate <= 0.0:
         raise AuditFailed("measured rate constant is not positive past phi > 1")
-    return AuditResult(rows=rows, rate_constant=rate, first_t_phi_above_one=first_above)
+    t_ext = None
+    if record.termination == BLOWUP_CAP_HIT:
+        last = samples[-1]
+        t_ext = last.t + last.phi ** (1.0 - q_plus / 2.0) / (rate * (q_plus / 2.0 - 1.0))
+    return AuditResult(rows=rows, rate_constant=rate, first_t_phi_above_one=first_above,
+                       t_max_extrapolated=t_ext)
 
 
 def exterior_invariance_check(record):

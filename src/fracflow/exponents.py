@@ -115,14 +115,19 @@ def _check_declared(kind, declared, sampled_min, sampled_max, witness):
     return float(lo), float(hi)
 
 
+def _check_resolution(sample_resolution):
+    """Raise ValueError unless validation samples at least 2 points per axis."""
+    if sample_resolution < 2:
+        raise ValueError("sample_resolution must be at least 2, got %r" % sample_resolution)
+
+
 def validate_assumptions(field, domain, sample_resolution=65):
     """Check (a1)-(a4) by dense sampling over the truncated region.
 
     Returns the validated extrema; raises AssumptionViolated naming the
     first failing assumption together with a witnessing sample point.
     """
-    if sample_resolution < 2:
-        raise ValueError("sample_resolution must be at least 2")
+    _check_resolution(sample_resolution)
     N = field.spatial_dim
 
     X, Y = _pair_samples(domain, sample_resolution)

@@ -6,7 +6,8 @@ each side, so nonlocal pair sums can reach outside the interval; the
 collar approximates the complement of the interval.  A grid function
 stores only its n interior values: its collar value is zero by
 definition, so every grid function is in W0 and sweeps take the n
-interior values.  The collar appears in CSV files as rows of value 0.
+interior values.  The CSV form of a grid function, with the collar as
+rows of value 0, lives in ``report``.
 
 Interval integrals (L^2 norms, inner products, modulars) use midpoint
 quadrature over the interior cells.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidResolution, NotW0
+from .errors import GridMismatch, InvalidResolution
 
 __all__ = [
     "Domain",
@@ -26,12 +27,7 @@ __all__ = [
     "l2_norm",
     "inner_product",
     "integrate",
-    "save_csv",
-    "load_csv",
 ]
-
-#: collar width defaults to this multiple of the interval length
-DEFAULT_RADIUS_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -40,21 +36,13 @@ class Domain:
 
     a: float
     b: float
-    exterior_radius: float = None
+    exterior_radius: float
 
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError("domain requires b > a, got (%r, %r)" % (self.a, self.b))
-        if self.exterior_radius is None:
-            object.__setattr__(
-                self, "exterior_radius", DEFAULT_RADIUS_FACTOR * (self.b - self.a)
-            )
         if not self.exterior_radius > 0:
             raise ValueError("exterior_radius must be positive")
-
-    @property
-    def length(self):
-        return self.b - self.a
 
 
 class Grid:
@@ -175,49 +163,3 @@ def l2_norm(u):
     """L^2 norm over the interval; satisfies l2_norm(u)**2 == inner_product(u, u)."""
     return float(np.sqrt(inner_product(u, u)))
 
-
-CSV_HEADER = "center,width,value,region"
-
-
-def save_csv(u, path):
-    """Write one row per cell: center, width, value, interior/exterior flag;
-    collar rows hold the value 0."""
-    g = u.grid
-    values = np.zeros(g.n_total)
-    values[g.interior_slice] = u.values
-    lines = [CSV_HEADER]
-    for c, w, v, inside in zip(g.centers, g.widths, values, g.interior_mask):
-        lines.append(
-            "%s,%s,%s,%s"
-            % (repr(float(c)), repr(float(w)), repr(float(v)),
-               "interior" if inside else "exterior")
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_csv(grid, path):
-    """Read cell values written by save_csv back onto ``grid``.
-
-    Cell centers and widths must match the grid to within 1e-12, and every
-    collar value must be zero (NotW0 otherwise).
-    """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise GridMismatch("unrecognized grid-function CSV header in %s" % path)
-    rows = [ln.split(",") for ln in lines[1:]]
-    if len(rows) != grid.n_total:
-        raise GridMismatch(
-            "file has %d cells, grid has %d" % (len(rows), grid.n_total)
-        )
-    centers = np.array([float(r[0]) for r in rows])
-    widths = np.array([float(r[1]) for r in rows])
-    values = np.array([float(r[2]) for r in rows])
-    if np.max(np.abs(centers - grid.centers)) > 1e-12 or np.max(
-        np.abs(widths - grid.widths)
-    ) > 1e-12:
-        raise GridMismatch("cell layout in %s does not match the grid" % path)
-    if np.any(values[~grid.interior_mask] != 0.0):
-        raise NotW0("%s holds a nonzero value on the exterior collar" % path)
-    return GridFunction(grid, values[grid.interior_slice])

@@ -240,15 +240,11 @@ class OperatorContext:
             raise ContextMismatch("grid function does not match the context grid")
 
 
-def build_context(grid, field, validate=True, sample_resolution=65):
-    """Assemble the operator context; validates the exponent field against
-    the grid's truncated region unless told otherwise.  Raises
-    InvalidResolution, before validating or allocating, when the grid's
-    pair table would exceed MAX_TABLE_ENTRIES."""
-    _check_table_size(grid)
-    summary = (
-        validate_assumptions(field, grid.domain, sample_resolution) if validate else None
-    )
+def build_context(grid, field, sample_resolution=65):
+    """The operator context, with the exponent field validated against the
+    grid's truncated region; an unvalidated context, with no summary, is
+    ``OperatorContext(grid, field)``."""
+    summary = validate_assumptions(field, grid.domain, sample_resolution)
     return OperatorContext(grid, field, summary=summary)
 
 

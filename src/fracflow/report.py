@@ -1,17 +1,25 @@
-"""CSV and text artifact emission for trajectory records and well geometry.
+"""CSV and text artifacts: grid functions, trajectory records, the blow-up
+audit and the well geometry.
 
+Grid-function CSV schema (one row per cell, collar rows included):
+center, width, value, region; collar rows hold the value 0.
 Trajectory CSV schema (one row per sample, including t = 0):
 t, dt, E, I, phi, l2, lux_r, modular_sp, modular_q, well_class, residual.
-Floats are written with shortest round-trip repr so identical runs produce
-byte-identical files.
+Every table goes through ``_write_table``, which writes floats with
+shortest round-trip repr, so identical runs produce byte-identical files.
 """
 
 import os
 
-from .grid import save_csv
+import numpy as np
+
+from .errors import GridMismatch, NotW0
+from .grid import GridFunction
 
 __all__ = [
     "TRAJECTORY_HEADER",
+    "save_csv",
+    "load_csv",
     "trajectory_to_csv",
     "audit_to_csv",
     "geometry_report",
@@ -32,6 +40,48 @@ def _write_table(path, header, rows):
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+CSV_HEADER = "center,width,value,region"
+
+
+def save_csv(u, path):
+    """Write one row per cell: center, width, value, interior/exterior flag;
+    collar rows hold the value 0."""
+    g = u.grid
+    values = np.zeros(g.n_total)
+    values[g.interior_slice] = u.values
+    _write_table(path, CSV_HEADER, (
+        (c, w, v, "interior" if inside else "exterior")
+        for c, w, v, inside in zip(g.centers, g.widths, values, g.interior_mask)
+    ))
+
+
+def load_csv(grid, path):
+    """Read cell values written by save_csv back onto ``grid``.
+
+    Cell centers and widths must match the grid to within 1e-12, and every
+    collar value must be zero (NotW0 otherwise).
+    """
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or lines[0] != CSV_HEADER:
+        raise GridMismatch("unrecognized grid-function CSV header in %s" % path)
+    rows = [ln.split(",") for ln in lines[1:]]
+    if len(rows) != grid.n_total:
+        raise GridMismatch(
+            "file has %d cells, grid has %d" % (len(rows), grid.n_total)
+        )
+    centers = np.array([float(r[0]) for r in rows])
+    widths = np.array([float(r[1]) for r in rows])
+    values = np.array([float(r[2]) for r in rows])
+    if np.max(np.abs(centers - grid.centers)) > 1e-12 or np.max(
+        np.abs(widths - grid.widths)
+    ) > 1e-12:
+        raise GridMismatch("cell layout in %s does not match the grid" % path)
+    if np.any(values[~grid.interior_mask] != 0.0):
+        raise NotW0("%s holds a nonzero value on the exterior collar" % path)
+    return GridFunction(grid, values[grid.interior_slice])
 
 
 def trajectory_to_csv(record, path):

@@ -169,17 +169,19 @@ def _scenario_blowup(cfg, out_dir, v):
     )
     if record.t_max_estimate is not None:
         v.info("t_max_estimate = %r" % record.t_max_estimate)
-    if record.t_max_extrapolated is not None:
-        v.info("t_max_extrapolated = %r" % record.t_max_extrapolated)
     if e0 >= 0.0:
         v.check("inequality_audit", False, "not run: E(u0) >= 0")
     else:
         try:
-            audit = blowup_inequality_audit(record, ctx, e0)
+            audit = blowup_inequality_audit(record, ctx.summary)
         except AuditFailed as exc:  # surfaced as a FAIL verdict, not a crash
             v.check("inequality_audit", False, str(exc))
         else:
             audit_to_csv(audit, os.path.join(out_dir, "audit.csv"))
+            # the extrapolation rests on the measured rate, so only a
+            # passed audit reports it
+            if audit.t_max_extrapolated is not None:
+                v.info("t_max_extrapolated = %r" % audit.t_max_extrapolated)
             v.info("measured rate constant = %r" % audit.rate_constant)
             v.check("inequality_audit", True)
     v.check("exterior_invariance", exterior_invariance_check(record))
@@ -241,7 +243,7 @@ def _scenario_convergence(cfg, out_dir, v):
         # refinement and collar growth (truncation tail indicator)
         bump = standard_bump(ctx.grid)
         v.info("modular(bump) at n=%d: %r" % (n, gagliardo_modular(bump, ctx)))
-    radius = build_domain(cfg).exterior_radius
+    radius = cfg.domain.exterior_radius
     wide = _context(replace(cfg, domain=replace(cfg.domain, exterior_radius=2.0 * radius),
                             grid=replace(cfg.grid, m=2 * cfg.grid.m)))
     v.info("modular(bump) at doubled collar: %r"
@@ -265,23 +267,23 @@ SCENARIOS = {
 }
 
 
-def run_scenario(cfg, out_dir=None, echo=print):
+def run_scenario(cfg):
     """Run the configured scenario; returns the process exit status.
 
-    Artifacts land in ``out_dir`` (default: the config's output directory).
+    Artifacts land in the config's output directory ``cfg.out``.
     """
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(
             "unknown scenario %r; choose from %s"
             % (cfg.scenario, ", ".join(sorted(SCENARIOS)))
         )
-    out_dir = out_dir or cfg.out
+    out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
     v = _Verdicts()
     SCENARIOS[cfg.scenario](cfg, out_dir, v)
     v.lines.append("scenario %s: %s" % (cfg.scenario, "PASS" if v.ok else "FAIL"))
     for line in v.lines:
-        echo(line)
+        print(line)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(v.lines) + "\n")
     return 0 if v.ok else 1

@@ -231,7 +231,7 @@ def test_criterion_9_blowup(default_ctx, default_geometry):
     assert len(rec.samples) < 200_000 and rec.t_max_estimate is not None
     phis = rec.column("phi")
     assert np.all(np.diff(phis) > 0.0)
-    audit = ff.blowup_inequality_audit(rec, default_ctx, e0, tol_factor=5.0)
+    audit = ff.blowup_inequality_audit(rec, default_ctx.summary)
     assert audit.rate_constant > 0.0
     assert ff.exterior_invariance_check(rec)
     elapsed = time.time() - start

@@ -15,7 +15,7 @@ from fracflow.config import (
     parse_config,
     serialize_config,
 )
-from fracflow.errors import ConfigError
+from fracflow.errors import AuditFailed, ConfigError
 from fracflow.evolution import AuditRow, Sample
 from fracflow.modular import exponent_values
 
@@ -178,6 +178,27 @@ def test_blowup_scenario(tmp_path, capsys):
     ):
         assert verdict in out
     assert (tmp_path / "out" / "audit.csv").exists()
+    # the audit's extrapolation, printed just before its rate constant
+    lines = out.splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("t_max_extrapolated = "))
+    assert lines[k + 1].startswith("measured rate constant = ")
+
+
+def test_blowup_scenario_failed_audit_prints_no_extrapolation(tmp_path, capsys, monkeypatch):
+    def failing_audit(record, summary):
+        raise AuditFailed("forced failure")
+
+    monkeypatch.setattr(scenarios, "blowup_inequality_audit", failing_audit)
+    cfgpath = tmp_path / "blow.cfg"
+    _write_fast_config(cfgpath, "blowup", **{"initial.factor": 2.0, "step.t_final": 5.0})
+    rc = main(["blowup", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "cap_hit: PASS" in out
+    assert "inequality_audit: FAIL (forced failure)" in out
+    assert "t_max_extrapolated" not in out
+    assert "measured rate constant" not in out
+    assert not (tmp_path / "out" / "audit.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:initial state is InWell")
@@ -195,15 +216,17 @@ def test_blowup_scenario_inside_well_skips_audit(tmp_path, capsys):
     assert not (tmp_path / "out" / "audit.csv").exists()
 
 
-def test_out_dir_precedence(tmp_path, capsys, monkeypatch):
-    env_dir = tmp_path / "from-env"
+def test_out_dir_precedence(tmp_path, capsys):
+    cfg_dir = tmp_path / "from-config"
     flag_dir = tmp_path / "from-flag"
-    monkeypatch.setenv("FRACFLOW_OUT", str(env_dir))
-    rc = main(["validate", "--out", str(flag_dir)])
+    cfgpath = tmp_path / "validate.cfg"
+    _write_fast_config(cfgpath, "validate", out=str(cfg_dir))
+    assert main(["validate", "--config", str(cfgpath), "--out", str(flag_dir)]) == 0
+    assert (flag_dir / "summary.txt").exists()
+    assert not cfg_dir.exists()
+    assert main(["validate", "--config", str(cfgpath)]) == 0
     capsys.readouterr()
-    assert rc == 0
-    assert (env_dir / "summary.txt").exists()
-    assert not flag_dir.exists()
+    assert (cfg_dir / "summary.txt").exists()
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):
@@ -232,10 +255,9 @@ def test_scenario_determinism_byte_identical(tmp_path, capsys):
 
 def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "fracflow", "validate"],
+        [sys.executable, "-m", "fracflow", "validate", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env={**os.environ, "FRACFLOW_OUT": str(tmp_path)},
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert proc.returncode == 0
@@ -390,7 +412,39 @@ def test_unknown_one_point_kind_raises_config_error():
 @pytest.mark.parametrize("shape", ["exponents.p", "exponents.q", "probe"])
 @pytest.mark.parametrize("coef", ["a", "b"])
 def test_constant_shape_rejects_a_and_b(shape, coef):
-    cfg = parse_config("exponents.s = 0.4\n%s.kind = constant\n%s.%s = 0.02\n"
-                       % (shape, shape, coef))
+    # rejected by the builder, which parse_config runs on every parsed file
+    with pytest.raises(ConfigError, match="constant"):
+        parse_config("exponents.s = 0.4\n%s.kind = constant\n%s.%s = 0.02\n"
+                     % (shape, shape, coef))
+    cfg = default_config("well")
+    _, _, name = shape.rpartition(".")
+    setattr(getattr(cfg.exponents, name) if shape != "probe" else cfg.probe, coef, 0.02)
     with pytest.raises(ConfigError, match="constant"):
         build_probe(cfg) if shape == "probe" else build_field(cfg)
+
+
+@pytest.mark.parametrize("lines, section", [
+    ("domain.b = -1.0", "domain"),
+    ("domain.exterior_radius = -1", "domain"),
+    ("grid.n = 2", "grid"),
+    ("grid.m = 0", "grid"),
+    ("exponents.s = 1.5", "exponents"),
+    ("validation.resolution = 1", "validation"),
+    ("geometry.n_starts = 0", "geometry"),
+    ("grid.n = 4096\ngrid.m = 1024", "grid"),  # a pair table over MAX_TABLE_ENTRIES
+], ids=["b-not-above-a", "negative-radius", "n-below-4", "no-collar-cells", "s-above-1",
+        "one-sample", "no-starts", "table-over-cap"])
+def test_bad_config_value_is_a_config_error(lines, section, tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a depth search ran on a rejected config")
+
+    monkeypatch.setattr(scenarios, "well_depth", no_search)
+    monkeypatch.setattr(scenarios, "estimate_embedding_constant", no_search)
+    bad = tmp_path / "bad.cfg"
+    s_line = "" if lines.startswith("exponents.s") else "exponents.s = 0.4\n"
+    bad.write_text("%s%s\n" % (s_line, lines))
+    rc = main(["geometry", "--config", str(bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: %s: " % section) and "Traceback" not in err, err
+    assert not (tmp_path / "out" / "summary.txt").exists()

@@ -46,7 +46,7 @@ def test_explicit_step_against_straight_line_recomputation(field, rng):
     # force operator loop
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.build_grid(dom, 6, 3)
-    ctx = ff.build_context(grid, field, validate=False)
+    ctx = ff.OperatorContext(grid, field)
     u = ff.GridFunction(grid, rng.standard_normal(grid.n))
     dt = 1e-4
     new = ff.step_explicit(ff.make_state(u, ctx), dt, ctx)
@@ -225,24 +225,26 @@ def test_blowup_run_and_audit(ctx16, geom16):
     rec = ff.run(u0, _control(t_final=10.0, max_steps=200_000), ctx16, geom16)
     assert rec.termination == ff.BLOWUP_CAP_HIT
     assert rec.t_max_estimate is not None and np.isfinite(rec.t_max_estimate)
-    assert rec.t_max_extrapolated is not None
-    assert rec.t_max_extrapolated >= rec.t_max_estimate
     phis = rec.column("phi")
     assert np.all(np.diff(phis) > 0.0)
-    audit = ff.blowup_inequality_audit(rec, ctx16, e0)
+    audit = ff.blowup_inequality_audit(rec, ctx16.summary)
     assert audit.rate_constant > 0.0
-    # one measured constant: the audit reports the record's
-    assert audit.rate_constant == rec.rate_constant
+    # one measured constant: the least row ratio past phi > 1
+    assert audit.rate_constant == min(r.ratio for r in audit.rows if r.phi > 1.0)
+    assert audit.t_max_extrapolated is not None
+    assert audit.t_max_extrapolated >= rec.t_max_estimate
     assert len(audit.rows) == len(rec.samples) - 1
     assert ff.exterior_invariance_check(rec)
     assert {s.well_class for s in rec.samples} == {ff.IN_EXTERIOR}
 
 
 def test_audit_requires_negative_initial_energy(ctx16, geom16):
+    # E(u0) is read from the record's first sample
     u0 = geom16.minimizer.scaled(0.5)
     rec = ff.run(u0, _control(t_final=0.01), ctx16, geom16)
-    with pytest.raises(ValueError):
-        ff.blowup_inequality_audit(rec, ctx16, ff.energy(u0, ctx16).energy)
+    assert rec.samples[0].energy >= 0.0
+    with pytest.raises(ValueError, match="negative energy"):
+        ff.blowup_inequality_audit(rec, ctx16.summary)
 
 
 def test_invariance_check_diagnostics(ctx16, geom16):
@@ -278,7 +280,7 @@ def test_non_finite_step_has_its_own_termination(ctx16, geom16, monkeypatch):
     monkeypatch.setattr(evolution, "step_explicit", overflow)
     rec = ff.run(geom16.minimizer.scaled(2.0), _control(), ctx16, geom16)
     assert rec.termination == ff.NON_FINITE
-    assert rec.t_max_estimate is None and rec.t_max_extrapolated is None
+    assert rec.t_max_estimate is None
     assert len(rec.samples) == 1
 
 

@@ -32,10 +32,11 @@ def test_build_grid_rejects_bad_resolution():
 
 
 def test_domain_default_radius():
-    dom = ff.Domain(-1.0, 1.0)
-    assert dom.exterior_radius == 8.0
+    # the collar radius has one default, the config's domain.exterior_radius
+    with pytest.raises(TypeError):
+        ff.Domain(-1.0, 1.0)
     with pytest.raises(ValueError):
-        ff.Domain(1.0, -1.0)
+        ff.Domain(1.0, -1.0, 8.0)
 
 
 def test_l2_norm_constants(grid16):

@@ -52,7 +52,7 @@ def test_gagliardo_modular_spike_vs_bruteforce(field):
     # tiny grid, single unit spike: the whole pair table is hand-enumerable
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.build_grid(dom, 4, 2)
-    ctx = ff.build_context(grid, field, validate=False)
+    ctx = ff.OperatorContext(grid, field)
     assert ff.gagliardo_modular(ff.GridFunction.zeros(grid), ctx) == 0.0
     spike = np.zeros(grid.n)
     spike[1] = 1.0
@@ -65,7 +65,7 @@ def test_gagliardo_modular_spike_vs_bruteforce(field):
 def test_gagliardo_modular_random_vs_bruteforce(field, rng):
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.build_grid(dom, 6, 3)
-    ctx = ff.build_context(grid, field, validate=False)
+    ctx = ff.OperatorContext(grid, field)
     u = ff.GridFunction(grid, rng.standard_normal(grid.n))
     expected = brute_sp_modular(grid, field, zero_extended(grid, u.values))
     assert ff.gagliardo_modular(u, ctx) == pytest.approx(expected, rel=1e-13)

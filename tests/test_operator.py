@@ -14,7 +14,7 @@ from oracles import brute_apply, brute_i1, brute_sp_modular, brute_weak, zero_ex
 def small(field):
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.build_grid(dom, 4, 2)
-    return grid, ff.build_context(grid, field, validate=False)
+    return grid, ff.OperatorContext(grid, field)
 
 
 def test_apply_zero_is_zero(ctx16, grid16):

@@ -22,7 +22,6 @@ from .errors import (
     InvalidResolution,
     NoDescentProgress,
     NonFinite,
-    NotW0,
     ProjectionFailed,
     RootFindFailed,
     ZeroFunction,

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .config import default_config, load_config
-from .errors import AssumptionViolated, ConfigError
+from .errors import AssumptionViolated, ConfigError, InvalidResolution
 from .scenarios import SCENARIOS, run_scenario
 
 __all__ = ["main"]
@@ -45,7 +45,7 @@ def main(argv=None):
         if args.out is not None:
             cfg.out = args.out
         return run_scenario(cfg)
-    except ConfigError as exc:
+    except (ConfigError, InvalidResolution) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -19,7 +19,7 @@ constructors and checks, so a bad value is a ConfigError up front.
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .energy import _check_n_starts, first_sine_mode, standard_bump
-from .errors import ConfigError, InvalidResolution
+from .errors import ConfigError, GridMismatch, InvalidResolution
 from .evolution import StepControl
 from .exponents import _check_resolution, make_exponent_field, one_point_exponent
 from .grid import Domain, Grid
@@ -73,9 +73,12 @@ class ExponentsConfig:
     q: ShapeConfig = field(default_factory=lambda: ShapeConfig(value=3.0))
 
 
+INITIAL_KINDS = ("bump", "sine", "scaled-nehari-minimizer", "file")
+
+
 @dataclass
 class InitialConfig:
-    kind: str = "scaled-nehari-minimizer"  # bump | sine | scaled-nehari-minimizer | file
+    kind: str = "scaled-nehari-minimizer"  # one of INITIAL_KINDS
     factor: float = 0.5
     amplitude: float = 1.0
     path: str = None
@@ -157,7 +160,8 @@ def parse_config(text):
     Raises ConfigError on unknown keys, unparsable values, a missing
     exponents.s (the fractional order has no safe default in a file), or
     a value that the step control, domain, grid, pair-table cap, exponent
-    field, probe, validation or depth search would reject.
+    field, probe, initial-data recipe, validation or depth search would
+    reject.
     """
     cfg = ExperimentConfig()
     targets = {key: (obj, f) for key, obj, f in _walk(cfg)}
@@ -182,6 +186,7 @@ def parse_config(text):
         ("grid", lambda: _check_table_size(build_grid_from(cfg))),
         ("exponents", lambda: build_field(cfg)),
         ("probe", lambda: build_probe(cfg)),
+        ("initial", lambda: _check_initial(cfg.initial)),
         ("validation", lambda: _check_resolution(cfg.validation.resolution)),
         ("geometry", lambda: _check_n_starts(cfg.geometry.n_starts)),
     ):
@@ -254,26 +259,34 @@ def build_probe(cfg):
     return one_point_exponent(cfg.probe.kind, _shape_params(cfg.probe), 2.0, None)[0]
 
 
+def _check_initial(ini):
+    """Refuse a recipe not in INITIAL_KINDS, or 'file' without a path."""
+    if ini.kind not in INITIAL_KINDS:
+        raise ValueError("unknown initial-data recipe %r; choose from %s"
+                         % (ini.kind, ", ".join(INITIAL_KINDS)))
+    if ini.kind == "file" and not ini.path:
+        raise ValueError("recipe 'file' requires initial.path")
+
+
 def build_initial(cfg, grid, minimizer=None):
     """Realize the initial-data recipe on ``grid``.
 
     The scaled-minimizer recipe needs the well geometry's minimizer, which
     the caller supplies; this keeps geometry computation at the scenario
-    level where it can be shared.
+    level where it can be shared.  A bad recipe, or a file that does not
+    hold one value per cell of ``grid``, is a ConfigError.
     """
     ini = cfg.initial
+    try:
+        _check_initial(ini)
+        if ini.kind == "file":
+            return load_csv(grid, ini.path)
+    except (ValueError, GridMismatch) as exc:
+        raise ConfigError("initial: %s" % exc) from exc
     if ini.kind == "bump":
         return standard_bump(grid).scaled(ini.amplitude)
     if ini.kind == "sine":
         return first_sine_mode(grid).scaled(ini.amplitude)
-    if ini.kind == "scaled-nehari-minimizer":
-        if minimizer is None:
-            raise ConfigError(
-                "initial recipe scaled-nehari-minimizer requires the well minimizer"
-            )
-        return minimizer.scaled(ini.factor)
-    if ini.kind == "file":
-        if not ini.path:
-            raise ConfigError("initial recipe 'file' requires initial.path")
-        return load_csv(grid, ini.path)
-    raise ConfigError("unknown initial-data recipe %r" % ini.kind)
+    if minimizer is None:
+        raise ConfigError("initial recipe scaled-nehari-minimizer requires the well minimizer")
+    return minimizer.scaled(ini.factor)

@@ -38,10 +38,6 @@ class ExponentOutOfRange(FracflowError):
     """Pointwise exponent outside the admissible range (must exceed 1)."""
 
 
-class NotW0(FracflowError):
-    """A grid-function file holds a nonzero value on the exterior collar."""
-
-
 class ZeroFunction(FracflowError):
     """Operation undefined for the identically-zero function."""
 

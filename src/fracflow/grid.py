@@ -1,16 +1,15 @@
-"""1-D cell grids over a bounded interval with a truncated exterior collar.
+"""1-D cell grids over a bounded interval.
 
 The flow lives on W0, the functions that vanish outside the open interval
-(a, b).  The grid carries exterior cells on a collar of finite width on
-each side, so nonlocal pair sums can reach outside the interval; the
-collar approximates the complement of the interval.  A grid function
-stores only its n interior values: its collar value is zero by
-definition, so every grid function is in W0 and sweeps take the n
-interior values.  The CSV form of a grid function, with the collar as
-rows of value 0, lives in ``report``.
+(a, b).  A grid is the uniform partition of (a, b) into n cells, and a
+grid function holds its n cell values: it vanishes outside the interval by
+definition, so every grid function is in W0.  The complement of the
+interval enters only through the nonlocal operator, which truncates it to
+a collar of m cells per side (``nonlocal_operator``); the grid carries the
+counts m and n_total that size that collar.
 
 Interval integrals (L^2 norms, inner products, modulars) use midpoint
-quadrature over the interior cells.
+quadrature over the cells.
 """
 
 from dataclasses import dataclass
@@ -46,11 +45,11 @@ class Domain:
 
 
 class Grid:
-    """Uniform cell partition of (a - R, b + R): collar | interior | collar.
+    """Uniform partition of (a, b) into n cells of width (b - a)/n, left
+    to right, plus the count m of collar cells per side that the operator
+    context lays out on the truncated exterior.
 
-    Cells are ordered left to right; the n interior cells occupy the
-    contiguous index range ``interior_slice``.  Interior cells have width
-    (b - a)/n, exterior cells width R/m (m cells per side).
+    Two grids are compatible when they share (domain, n, m).
     """
 
     def __init__(self, domain, n, m):
@@ -61,42 +60,18 @@ class Grid:
         self.domain = domain
         self.n = int(n)
         self.m = int(m)
-        a, b, radius = domain.a, domain.b, domain.exterior_radius
-        h_int = (b - a) / n
-        h_ext = radius / m
-        left = a - radius + (np.arange(m) + 0.5) * h_ext
-        mid = a + (np.arange(n) + 0.5) * h_int
-        right = b + (np.arange(m) + 0.5) * h_ext
-        self.centers = np.concatenate([left, mid, right])
-        self.widths = np.concatenate(
-            [np.full(m, h_ext), np.full(n, h_int), np.full(m, h_ext)]
-        )
-        self.interior_mask = np.zeros(self.n_total, dtype=bool)
-        self.interior_mask[m : m + n] = True
-        self.interior_slice = slice(m, m + n)
+        h = (domain.b - domain.a) / n
+        self.interior_centers = domain.a + (np.arange(n) + 0.5) * h
+        self.interior_widths = np.full(n, h)
 
     @property
     def n_total(self):
+        """Cell count of the operator's truncated region: n plus 2m."""
         return self.n + 2 * self.m
 
-    @property
-    def interior_centers(self):
-        return self.centers[self.interior_slice]
-
-    @property
-    def interior_widths(self):
-        return self.widths[self.interior_slice]
-
     def compatible_with(self, other):
-        return (
-            self is other
-            or (
-                self.n == other.n
-                and self.m == other.m
-                and np.array_equal(self.centers, other.centers)
-                and np.array_equal(self.widths, other.widths)
-            )
-        )
+        return self is other or (
+            (self.domain, self.n, self.m) == (other.domain, other.n, other.m))
 
     def __repr__(self):
         return "Grid(n=%d, m=%d, domain=(%g, %g), radius=%g)" % (
@@ -109,14 +84,14 @@ class Grid:
 
 
 def build_grid(domain, n, m):
-    """Build the uniform cell grid for ``domain`` with n interior and m
-    exterior cells per side."""
+    """Build the uniform cell grid for ``domain`` with n interior cells and
+    m collar cells per side for the operator."""
     return Grid(domain, n, m)
 
 
 class GridFunction:
-    """Cellwise-constant function on a Grid that vanishes on the collar:
-    ``values`` holds the ``grid.n`` interior cell values."""
+    """Cellwise-constant function on a Grid that vanishes outside (a, b):
+    ``values`` holds the ``grid.n`` cell values."""
 
     __slots__ = ("grid", "values")
 

@@ -1,5 +1,10 @@
 """Discrete fractional p(x)-Laplacian on the cell grid.
 
+The complement of the interval enters only here: the context truncates
+it to the collar (a - R, a) and (b, b + R), R the domain's
+``exterior_radius``, with m cells of width R/m per side.  Its n_total
+cells are the grid's n cells, then the left and the right collar cells.
+
 All nonlocal quantities reduce to sums over ordered cell pairs (i, j),
 i != j, with pairs where both cells lie on the exterior collar excluded
 (such pairs are outside the operator's support set).  Each unordered pair
@@ -65,15 +70,26 @@ def _check_table_size(grid):
         )
 
 
-def _exterior_groups(grid, P):
-    """Exterior column indices grouped by bitwise-equal exponent column
-    P[:, j], as one (k, groups) index array per group size k; groups keep
-    the order of their first column."""
-    ext = np.flatnonzero(~grid.interior_mask)
+def _cells(grid):
+    """Centers and widths of the context's cells: the grid's, then the m
+    collar cells on (a - R, a) and the m on (b, b + R), left to right."""
+    a, b, radius = grid.domain.a, grid.domain.b, grid.domain.exterior_radius
+    h = radius / grid.m
+    offsets = (np.arange(grid.m) + 0.5) * h
+    x = np.concatenate([grid.interior_centers, a - radius + offsets, b + offsets])
+    w = np.concatenate([grid.interior_widths, np.full(2 * grid.m, h)])
+    return x, w
+
+
+def _exterior_groups(P, n):
+    """Exterior column indices j >= n grouped by bitwise-equal exponent
+    column P[:, j], as one (k, groups) index array per group size k;
+    groups keep the order of their first column."""
     # one key per column: its n exponents as raw bytes
-    keys = P.T[ext].view(np.dtype((np.void, P.shape[0] * P.itemsize)))[:, 0].tolist()
+    cols = np.ascontiguousarray(P.T[n:])
+    keys = cols.view(np.dtype((np.void, P.shape[0] * P.itemsize)))[:, 0].tolist()
     groups = {}
-    for j, key in zip(ext.tolist(), keys):
+    for j, key in enumerate(keys, start=n):
         groups.setdefault(key, []).append(j)
     by_size = {}
     for idx in groups.values():
@@ -81,14 +97,15 @@ def _exterior_groups(grid, P):
     return [np.array(idx).T for idx in by_size.values()]
 
 
-def _fold(t, rows, blocks):
-    """The interior columns of t, then one column per exterior group holding
-    the row sums of t over the group's columns, block by block."""
-    return np.concatenate([t[:, rows]] + [t[:, b].sum(axis=1) for b in blocks], axis=1)
+def _fold(t, n, blocks):
+    """The n interior columns of t, then one column per exterior group
+    holding the row sums of t over the group's columns, block by block."""
+    return np.concatenate([t[:, :n]] + [t[:, b].sum(axis=1) for b in blocks], axis=1)
 
 
 class OperatorContext:
-    """Grid + exponent field + the interior-row pair table.
+    """Grid + exponent field + the interior-row pair table over the cells
+    that ``_cells`` lays out.
 
     ``P`` is the exponent table, a float when all its entries are equal;
     ``row_w`` is k_ij w_j, the row weight of ``apply``; ``pair_w`` the
@@ -107,24 +124,23 @@ class OperatorContext:
         self.field = field
         self.summary = summary
         self.q_interior = np.asarray(field.q(grid.interior_centers), dtype=float)
-        rows = grid.interior_slice
-        x, w = grid.centers, grid.widths
-        diag = (np.arange(grid.n), np.arange(rows.start, rows.stop))
-        d = np.abs(x[rows, None] - x[None, :])
-        d[diag] = 1.0
-        P = np.asarray(field.p(x[rows, None], x[None, :]), dtype=float)
+        n = grid.n
+        x, w = _cells(grid)
+        d = np.abs(x[:n, None] - x[None, :])
+        np.fill_diagonal(d, 1.0)
+        P = np.asarray(field.p(x[:n, None], x[None, :]), dtype=float)
         row_w = d ** -(field.spatial_dim + field.s * P)
         del d
-        row_w[diag] = 0.0
+        np.fill_diagonal(row_w, 0.0)
         row_w *= w
-        pair_w = row_w * w[rows, None]
-        pair_w *= np.where(grid.interior_mask, 1.0, 2.0)
-        blocks = _exterior_groups(grid, P)
-        P = np.concatenate([P[:, rows]] + [P[:, b[0]] for b in blocks], axis=1)
-        self.row_w, self.pair_w = (_fold(t, rows, blocks) for t in (row_w, pair_w))
+        pair_w = row_w * w[:n, None]
+        pair_w[:, n:] *= 2.0
+        blocks = _exterior_groups(P, n)
+        P = np.concatenate([P[:, :n]] + [P[:, b[0]] for b in blocks], axis=1)
+        self.row_w, self.pair_w = (_fold(t, n, blocks) for t in (row_w, pair_w))
         self.P = float(P.flat[0]) if np.all(P == P.flat[0]) else P
         self._p_minus_2 = self.P - 2.0
-        self._cols = slice(0, grid.n)
+        self._cols = slice(0, n)
         self.pair_w_by_p = self.pair_w / self.P
         self._col_vals = np.zeros(self.row_w.shape[1])
         self._a = np.empty(self.row_w.shape)

@@ -1,8 +1,8 @@
 """CSV and text artifacts: grid functions, trajectory records, the blow-up
 audit and the well geometry.
 
-Grid-function CSV schema (one row per cell, collar rows included):
-center, width, value, region; collar rows hold the value 0.
+Grid-function CSV schema (one row per grid cell, left to right):
+center, width, value.
 Trajectory CSV schema (one row per sample, including t = 0):
 t, dt, E, I, phi, l2, lux_r, modular_sp, modular_q, well_class, residual.
 Every table goes through ``_write_table``, which writes floats with
@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import GridMismatch, NotW0
+from .errors import GridMismatch
 from .grid import GridFunction
 
 __all__ = [
@@ -42,46 +42,34 @@ def _write_table(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-CSV_HEADER = "center,width,value,region"
+CSV_HEADER = "center,width,value"
 
 
 def save_csv(u, path):
-    """Write one row per cell: center, width, value, interior/exterior flag;
-    collar rows hold the value 0."""
+    """Write one row per grid cell: center, width, value."""
     g = u.grid
-    values = np.zeros(g.n_total)
-    values[g.interior_slice] = u.values
-    _write_table(path, CSV_HEADER, (
-        (c, w, v, "interior" if inside else "exterior")
-        for c, w, v, inside in zip(g.centers, g.widths, values, g.interior_mask)
-    ))
+    _write_table(path, CSV_HEADER, zip(g.interior_centers, g.interior_widths, u.values))
 
 
 def load_csv(grid, path):
     """Read cell values written by save_csv back onto ``grid``.
 
-    Cell centers and widths must match the grid to within 1e-12, and every
-    collar value must be zero (NotW0 otherwise).
+    The file must hold one row per cell of ``grid``, with centers and
+    widths that match the grid's to within 1e-12 (GridMismatch otherwise).
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise GridMismatch("unrecognized grid-function CSV header in %s" % path)
     rows = [ln.split(",") for ln in lines[1:]]
-    if len(rows) != grid.n_total:
-        raise GridMismatch(
-            "file has %d cells, grid has %d" % (len(rows), grid.n_total)
-        )
-    centers = np.array([float(r[0]) for r in rows])
-    widths = np.array([float(r[1]) for r in rows])
-    values = np.array([float(r[2]) for r in rows])
-    if np.max(np.abs(centers - grid.centers)) > 1e-12 or np.max(
-        np.abs(widths - grid.widths)
+    if len(rows) != grid.n:
+        raise GridMismatch("file has %d cells, grid has %d" % (len(rows), grid.n))
+    centers, widths, values = np.array(rows, dtype=float).T
+    if np.max(np.abs(centers - grid.interior_centers)) > 1e-12 or np.max(
+        np.abs(widths - grid.interior_widths)
     ) > 1e-12:
         raise GridMismatch("cell layout in %s does not match the grid" % path)
-    if np.any(values[~grid.interior_mask] != 0.0):
-        raise NotW0("%s holds a nonzero value on the exterior collar" % path)
-    return GridFunction(grid, values[grid.interior_slice])
+    return GridFunction(grid, values)
 
 
 def trajectory_to_csv(record, path):

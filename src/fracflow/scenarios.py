@@ -224,10 +224,16 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
 
 
 def _scenario_convergence(cfg, out_dir, v):
+    # every context is built before the first search, so a grid over the
+    # pair-table cap fails up front; the largest, at 2n, goes first
+    fine = _context(cfg, n=2 * cfg.grid.n)
+    radius = cfg.domain.exterior_radius
+    wide = _context(replace(cfg, domain=replace(cfg.domain, exterior_radius=2.0 * radius),
+                            grid=replace(cfg.grid, m=2 * cfg.grid.m)))
     rows = []
     orders = []
-    for n in (cfg.grid.n, 2 * cfg.grid.n):
-        ctx = _context(cfg, n=n)
+    for ctx in (_context(cfg), fine):
+        n = ctx.grid.n
         geom = _geometry(cfg, ctx)
         residuals = []
         for k in range(3):
@@ -243,9 +249,6 @@ def _scenario_convergence(cfg, out_dir, v):
         # refinement and collar growth (truncation tail indicator)
         bump = standard_bump(ctx.grid)
         v.info("modular(bump) at n=%d: %r" % (n, gagliardo_modular(bump, ctx)))
-    radius = cfg.domain.exterior_radius
-    wide = _context(replace(cfg, domain=replace(cfg.domain, exterior_radius=2.0 * radius),
-                            grid=replace(cfg.grid, m=2 * cfg.grid.m)))
     v.info("modular(bump) at doubled collar: %r"
            % gagliardo_modular(standard_bump(wide.grid), wide))
     _write_table(os.path.join(out_dir, "convergence.csv"), "n,dt,residual", rows)

@@ -7,28 +7,44 @@ with the vectorized package paths; used to pin the pair-table reductions.
 import numpy as np
 
 
+def cells(grid):
+    """(centers, widths, interior flags) of every cell of the truncated
+    region (a - R, b + R), left to right: m collar cells of width R/m, the
+    n interior cells of width (b - a)/n, m collar cells; laid out here from
+    the cell edges, not by the package's formulas."""
+    a, b, radius = grid.domain.a, grid.domain.b, grid.domain.exterior_radius
+    n, m = grid.n, grid.m
+    edges = np.concatenate([
+        np.linspace(a - radius, a, m + 1),
+        np.linspace(a, b, n + 1)[1:],
+        np.linspace(b, b + radius, m + 1)[1:],
+    ])
+    inside = np.zeros(n + 2 * m, dtype=bool)
+    inside[m : m + n] = True
+    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges), inside
+
+
 def zero_extended(grid, values):
-    """All n_total cell values of the grid function with interior values
+    """All cell values of the grid function with interior values
     ``values``: the oracles below index every cell, and the collar holds 0."""
-    out = np.zeros(grid.n_total)
-    out[grid.interior_slice] = values
+    inside = cells(grid)[2]
+    out = np.zeros(inside.size)
+    out[inside] = values
     return out
 
 
-def pair_allowed(grid, i, j):
-    if i == j:
-        return False
-    return bool(grid.interior_mask[i] or grid.interior_mask[j])
+def pair_allowed(inside, i, j):
+    return i != j and bool(inside[i] or inside[j])
 
 
 def brute_sp_modular(grid, field, values):
     """sum over allowed ordered pairs of |u_i-u_j|^p_ij d^-(N+s p_ij) w_i w_j."""
-    x, w = grid.centers, grid.widths
+    x, w, inside = cells(grid)
     N, s = field.spatial_dim, field.s
     total = 0.0
-    for i in range(grid.n_total):
-        for j in range(grid.n_total):
-            if not pair_allowed(grid, i, j):
+    for i in range(x.size):
+        for j in range(x.size):
+            if not pair_allowed(inside, i, j):
                 continue
             d = abs(x[i] - x[j])
             p = float(field.p(x[i], x[j]))
@@ -37,12 +53,12 @@ def brute_sp_modular(grid, field, values):
 
 
 def brute_i1(grid, field, values):
-    x, w = grid.centers, grid.widths
+    x, w, inside = cells(grid)
     N, s = field.spatial_dim, field.s
     total = 0.0
-    for i in range(grid.n_total):
-        for j in range(grid.n_total):
-            if not pair_allowed(grid, i, j):
+    for i in range(x.size):
+        for j in range(x.size):
+            if not pair_allowed(inside, i, j):
                 continue
             d = abs(x[i] - x[j])
             p = float(field.p(x[i], x[j]))
@@ -54,13 +70,13 @@ def brute_i1(grid, field, values):
 
 def brute_apply(grid, field, values):
     """(Lu)_i = 2 sum_j |u_i-u_j|^(p-2)(u_i-u_j) d^-(N+s p) w_j, interior i."""
-    x, w = grid.centers, grid.widths
+    x, w, inside = cells(grid)
     N, s = field.spatial_dim, field.s
     out = np.zeros(grid.n)
-    for k, i in enumerate(np.flatnonzero(grid.interior_mask)):
+    for k, i in enumerate(np.flatnonzero(inside)):
         acc = 0.0
-        for j in range(grid.n_total):
-            if not pair_allowed(grid, i, j):
+        for j in range(x.size):
+            if not pair_allowed(inside, i, j):
                 continue
             d = abs(x[i] - x[j])
             p = float(field.p(x[i], x[j]))
@@ -71,12 +87,12 @@ def brute_apply(grid, field, values):
 
 
 def brute_weak(grid, field, uvals, vvals):
-    x, w = grid.centers, grid.widths
+    x, w, inside = cells(grid)
     N, s = field.spatial_dim, field.s
     total = 0.0
-    for i in range(grid.n_total):
-        for j in range(grid.n_total):
-            if not pair_allowed(grid, i, j):
+    for i in range(x.size):
+        for j in range(x.size):
+            if not pair_allowed(inside, i, j):
                 continue
             d = abs(x[i] - x[j])
             p = float(field.p(x[i], x[j]))

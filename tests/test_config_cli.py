@@ -9,7 +9,9 @@ import fracflow as ff
 from fracflow import scenarios
 from fracflow.cli import main
 from fracflow.config import (
+    build_domain,
     build_field,
+    build_grid_from,
     build_probe,
     default_config,
     parse_config,
@@ -151,6 +153,62 @@ def test_well_scenario_verdicts_and_row_count(tmp_path, capsys):
     assert lines[0] == "t,dt,E,I,phi,l2,lux_r,modular_sp,modular_q,well_class,residual"
     accepted_steps = round(cfg.step.t_final / cfg.step.dt_init)
     assert len(lines) == 1 + accepted_steps + 1  # header + t=0 + accepted
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a depth search ran on a rejected config")
+
+
+def test_well_scenario_from_file(tmp_path, capsys):
+    cfgpath = tmp_path / "well.cfg"
+    state = tmp_path / "u0.csv"
+    cfg = _write_fast_config(cfgpath, "well", **{"step.t_final": 2.0, "initial.kind": "file",
+                                                 "initial.path": str(state)})
+    grid = build_grid_from(cfg)
+    ff.save_csv(ff.standard_bump(grid).scaled(0.5), state)
+    rc = main(["well", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    for verdict in ("invariance: PASS", "dissipativity: PASS", "decay: PASS"):
+        assert verdict in out
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    ctx = ff.build_context(grid, build_field(cfg, build_domain(cfg)))
+    assert float(rows[1].split(",")[2]) == ff.energy(ff.load_csv(grid, state), ctx).energy
+
+
+def test_initial_file_off_the_grid_is_a_config_error(tmp_path, capsys):
+    # a file for another grid, and one in the older format with a region
+    # column and collar rows, are refused without a traceback
+    cfgpath = tmp_path / "well.cfg"
+    cfg = _write_fast_config(cfgpath, "well")
+    grid = build_grid_from(cfg)
+    other = tmp_path / "other.csv"
+    ff.save_csv(ff.GridFunction.zeros(build_grid_from(cfg, n=2 * cfg.grid.n)), other)
+    collar = tmp_path / "collar.csv"
+    collar.write_text("center,width,value,region\n" + "".join(
+        "%r,%r,0.5,interior\n" % (x, w)
+        for x, w in zip(grid.interior_centers, grid.interior_widths)) + "9.0,1.0,0.0,exterior\n")
+    for path, reason in ((other, "file has 32 cells, grid has 16"),
+                         (collar, "unrecognized grid-function CSV header")):
+        _write_fast_config(cfgpath, "well", **{"initial.kind": "file", "initial.path": str(path)})
+        rc = main(["well", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: initial: ") and reason in err, err
+
+
+def test_convergence_grid_over_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # (n, m) = (256, 4000) passes the table cap, the scenario's 2n context
+    # does not: it fails before the first search
+    monkeypatch.setattr(scenarios, "well_depth", _no_search)
+    monkeypatch.setattr(scenarios, "estimate_embedding_constant", _no_search)
+    bad = tmp_path / "big.cfg"
+    bad.write_text("exponents.s = 0.4\ngrid.n = 256\ngrid.m = 4000\n")
+    rc = main(["convergence", "--config", str(bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: pair table of 512 x 8512") and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_well_scenario_failure_exit_one(tmp_path, capsys):
@@ -432,14 +490,14 @@ def test_constant_shape_rejects_a_and_b(shape, coef):
     ("validation.resolution = 1", "validation"),
     ("geometry.n_starts = 0", "geometry"),
     ("grid.n = 4096\ngrid.m = 1024", "grid"),  # a pair table over MAX_TABLE_ENTRIES
+    ("initial.kind = bogus", "initial"),
+    ("initial.kind = file", "initial"),
 ], ids=["b-not-above-a", "negative-radius", "n-below-4", "no-collar-cells", "s-above-1",
-        "one-sample", "no-starts", "table-over-cap"])
+        "one-sample", "no-starts", "table-over-cap", "unknown-initial-kind",
+        "file-without-path"])
 def test_bad_config_value_is_a_config_error(lines, section, tmp_path, capsys, monkeypatch):
-    def no_search(*args, **kwargs):
-        raise AssertionError("a depth search ran on a rejected config")
-
-    monkeypatch.setattr(scenarios, "well_depth", no_search)
-    monkeypatch.setattr(scenarios, "estimate_embedding_constant", no_search)
+    monkeypatch.setattr(scenarios, "well_depth", _no_search)
+    monkeypatch.setattr(scenarios, "estimate_embedding_constant", _no_search)
     bad = tmp_path / "bad.cfg"
     s_line = "" if lines.startswith("exponents.s") else "exponents.s = 0.4\n"
     bad.write_text("%s%s\n" % (s_line, lines))

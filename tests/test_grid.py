@@ -2,25 +2,27 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import GridMismatch, InvalidResolution, NotW0
+from fracflow.errors import GridMismatch, InvalidResolution
 
 
 def test_build_grid_cell_layout():
     g = ff.build_grid(ff.Domain(-1.0, 1.0, 1.0), 4, 2)
     assert g.n_total == 8
-    assert np.allclose(g.widths[g.interior_mask], 0.5)
-    assert np.allclose(g.widths[~g.interior_mask], 0.5)
-    # cells partition (-2, 2) without overlap
-    edges = np.concatenate([[g.centers[0] - g.widths[0] / 2], g.centers + g.widths / 2])
-    assert edges[0] == -2.0 and edges[-1] == 2.0
+    assert np.allclose(g.interior_widths, 0.5)
+    # cells partition (-1, 1) without overlap; the collar is the operator's
+    edges = np.concatenate([g.interior_centers - g.interior_widths / 2,
+                            [g.interior_centers[-1] + g.interior_widths[-1] / 2]])
+    assert edges[0] == -1.0 and edges[-1] == 1.0
     assert np.all(np.diff(edges) > 0)
-    assert np.allclose(edges[1:] - edges[:-1], g.widths)
+    assert np.allclose(np.diff(edges), g.interior_widths)
 
 
 def test_build_grid_asymmetric_widths():
     g = ff.build_grid(ff.Domain(0.0, 1.0, 2.0), 10, 4)
+    assert g.interior_centers.shape == g.interior_widths.shape == (10,)
     assert np.allclose(g.interior_widths, 0.1)
-    assert np.allclose(g.widths[~g.interior_mask], 0.5)
+    assert np.allclose(g.interior_centers, np.linspace(0.05, 0.95, 10))
+    assert (g.m, g.n_total) == (4, 18)
 
 
 def test_build_grid_rejects_bad_resolution():
@@ -84,22 +86,10 @@ def test_csv_round_trip(tmp_path, grid16, rng):
     ff.save_csv(u, path)
     back = ff.load_csv(grid16, path)
     assert np.array_equal(back.values, u.values)
-    rows = path.read_text().splitlines()[1:]
-    assert len(rows) == grid16.n_total
-    collar = [r for r in rows if r.endswith(",exterior")]
-    assert len(collar) == 2 * grid16.m
-    assert all(r.endswith(",0.0,exterior") for r in collar)
-
-
-def test_csv_nonzero_collar_raises_not_w0(tmp_path, grid16, rng):
-    path = tmp_path / "u.csv"
-    ff.save_csv(ff.GridFunction(grid16, rng.standard_normal(grid16.n)), path)
     lines = path.read_text().splitlines()
-    # the first cell row is the outermost left collar cell
-    lines[1] = lines[1].replace(",0.0,exterior", ",1e-3,exterior")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(NotW0):
-        ff.load_csv(grid16, path)
+    # one row per grid cell: the collar is not part of a grid function
+    assert lines[0] == "center,width,value"
+    assert len(lines) == 1 + grid16.n
 
 
 def test_csv_layout_mismatch(tmp_path, grid16, grid32, rng):
@@ -108,3 +98,7 @@ def test_csv_layout_mismatch(tmp_path, grid16, grid32, rng):
     ff.save_csv(u, path)
     with pytest.raises(GridMismatch):
         ff.load_csv(grid32, path)
+    # same cell count, other cells
+    other = ff.build_grid(ff.Domain(0.0, 1.0, 8.0), grid16.n, grid16.m)
+    with pytest.raises(GridMismatch):
+        ff.load_csv(other, path)

@@ -53,6 +53,25 @@ def test_apply_requires_matching_grid(ctx16, grid32, rng):
         ff.apply_operator(u32, ctx16)
 
 
+def test_grid_identity_is_domain_n_and_m(ctx16, grid16, rng):
+    # the interior cells alone do not identify a grid: the collar radius and
+    # count set the operator, so grids that differ only there are apart
+    dom = grid16.domain
+    vals = rng.standard_normal(grid16.n)
+    for other in (
+        ff.build_grid(ff.Domain(dom.a, dom.b, 2.0 * dom.exterior_radius), grid16.n, grid16.m),
+        ff.build_grid(dom, grid16.n, 2 * grid16.m),
+    ):
+        assert np.array_equal(other.interior_centers, grid16.interior_centers)
+        assert not other.compatible_with(grid16)
+        with pytest.raises(ContextMismatch):
+            ff.apply_operator(ff.GridFunction(other, vals), ctx16)
+    twin = ff.build_grid(ff.Domain(dom.a, dom.b, dom.exterior_radius), grid16.n, grid16.m)
+    assert twin is not grid16 and twin.compatible_with(grid16)
+    u = ff.GridFunction(twin, vals)
+    assert np.array_equal(ff.apply_operator(u, ctx16).values, ctx16.apply(vals))
+
+
 def test_weak_form_duality_identity(ctx16, grid16, rng):
     for _ in range(50):
         u = ff.GridFunction(grid16, 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(grid16.n))
@@ -201,17 +220,18 @@ def _unfolded_case():
 def _table_cases(field):
     """(grid, field, values) on small grids: constant p, variable p(x, y)
     on a symmetric collar (mirror columns fold) and on an off-centre one
-    (nothing folds), each with random interior values."""
+    (nothing folds), and constant p with collar cells wider than the
+    interior cells, each with random interior values."""
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.build_grid(dom, 6, 3)
     variable = ff.make_exponent_field(
         0.3, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.3}, domain=dom
     )
     rng = np.random.default_rng(7)
-    cases = []
     return [
         (g, f, rng.standard_normal(g.n))
-        for g, f in ((grid, field), (grid, variable), _unfolded_case())
+        for g, f in ((grid, field), (grid, variable), _unfolded_case(),
+                     (ff.build_grid(ff.Domain(0.0, 1.0, 2.0), 10, 4), field))
     ]
 
 

@@ -9,6 +9,20 @@ energy-based step control, and audits the decay and finite-time blow-up
 behavior predicted by the well geometry.
 """
 
+import os as _os
+
+# The only threaded BLAS call is the IMEX step's small Newton solve, where a
+# second OpenBLAS thread costs CPU at load and after every solve and saves
+# no wall time.  OpenBLAS reads its thread count once, when numpy loads it,
+# so this precedes every submodule import.  A thread count the user set is
+# kept, and the environment is left as it was.
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _np
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     AssumptionViolated,
     AuditFailed,

@@ -161,7 +161,9 @@ def parse_config(text):
     exponents.s (the fractional order has no safe default in a file), or
     a value that the step control, domain, grid, pair-table cap, exponent
     field, probe, initial-data recipe, validation or depth search would
-    reject.
+    reject, including an initial-data file that does not hold one value
+    per grid cell.  An initial-data file that cannot be read raises
+    OSError.
     """
     cfg = ExperimentConfig()
     targets = {key: (obj, f) for key, obj, f in _walk(cfg)}
@@ -186,13 +188,13 @@ def parse_config(text):
         ("grid", lambda: _check_table_size(build_grid_from(cfg))),
         ("exponents", lambda: build_field(cfg)),
         ("probe", lambda: build_probe(cfg)),
-        ("initial", lambda: _check_initial(cfg.initial)),
+        ("initial", lambda: _check_initial(cfg.initial, build_grid_from(cfg))),
         ("validation", lambda: _check_resolution(cfg.validation.resolution)),
         ("geometry", lambda: _check_n_starts(cfg.geometry.n_starts)),
     ):
         try:
             check()
-        except (ValueError, TypeError, InvalidResolution) as exc:
+        except (ValueError, TypeError, InvalidResolution, GridMismatch) as exc:
             raise ConfigError("%s: %s" % (section, exc)) from exc
     return cfg
 
@@ -259,13 +261,18 @@ def build_probe(cfg):
     return one_point_exponent(cfg.probe.kind, _shape_params(cfg.probe), 2.0, None)[0]
 
 
-def _check_initial(ini):
-    """Refuse a recipe not in INITIAL_KINDS, or 'file' without a path."""
+def _check_initial(ini, grid):
+    """Refuse a recipe not in INITIAL_KINDS, or 'file' without a path or
+    with a file that does not hold one value per cell of ``grid``; the
+    file's grid function for 'file', else None."""
     if ini.kind not in INITIAL_KINDS:
         raise ValueError("unknown initial-data recipe %r; choose from %s"
                          % (ini.kind, ", ".join(INITIAL_KINDS)))
-    if ini.kind == "file" and not ini.path:
+    if ini.kind != "file":
+        return None
+    if not ini.path:
         raise ValueError("recipe 'file' requires initial.path")
+    return load_csv(grid, ini.path)
 
 
 def build_initial(cfg, grid, minimizer=None):
@@ -278,11 +285,11 @@ def build_initial(cfg, grid, minimizer=None):
     """
     ini = cfg.initial
     try:
-        _check_initial(ini)
-        if ini.kind == "file":
-            return load_csv(grid, ini.path)
+        u0 = _check_initial(ini, grid)
     except (ValueError, GridMismatch) as exc:
         raise ConfigError("initial: %s" % exc) from exc
+    if u0 is not None:
+        return u0
     if ini.kind == "bump":
         return standard_bump(grid).scaled(ini.amplitude)
     if ini.kind == "sine":

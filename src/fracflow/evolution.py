@@ -9,9 +9,10 @@ proximal step is a strictly convex minimization, solved by Newton iteration
 on its optimality residual with the operator's Jacobian from the pair
 table; each Newton step is halved until the residual strictly decreases,
 and ``inner_max`` caps the Newton iterations.  Each trial costs one
-``linearize`` sweep, which gives its residual, the Jacobian of the next
-iteration and, for the accepted trial, the new state's gradient; the
-residual at the start is the state's own gradient.
+``linearize`` sweep, which gives its residual and, for the accepted trial,
+the new state's gradient; the Jacobian is formed from that sweep's table
+only when another Newton solve follows.  The residual at the start is the
+state's own gradient.
 
 Along the run the engine records, per accepted step, the energy balance
 residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
@@ -173,11 +174,12 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     ``inner_max`` iterations solves (A'(v) + I/dt) delta = r(v) with the
     Jacobian of the operator, then halves the step from 1 (at most 60
     times) until the measure-weighted residual norm strictly decreases.
-    One ``linearize`` sweep per trial gives its residual and the Jacobian
-    for the next iteration, and the accepted trial's operator values give
-    the new state's gradient.  Converged once that norm is at most
-    ``inner_tol`` times max(1, its initial value); otherwise raises
-    InnerSolveStalled.
+    One ``linearize`` sweep per trial gives its residual, and the accepted
+    trial's operator values give the new state's gradient; its Jacobian is
+    formed from the same sweep only if the residual is still above
+    tolerance, so there is one Jacobian per solve.  Converged once that
+    norm is at most ``inner_tol`` times max(1, its initial value);
+    otherwise raises InnerSolveStalled.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -192,12 +194,13 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     v, r = u0, state.grad.values
     rnorm = wnorm(r)
     target = inner_tol * max(1.0, rnorm)
-    op_vals = jac = None
+    op_vals = jacobian = None
     for _ in range(inner_max):
         if rnorm <= target:
             break
-        if jac is None:
-            jac = ctx.linearize(v)[1]
+        if jacobian is None:
+            jacobian = ctx.linearize(v)[1]
+        jac = jacobian()
         jac[np.diag_indices_from(jac)] += 1.0 / dt
         delta = np.linalg.solve(jac, r)
         a = 1.0
@@ -207,7 +210,7 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
             rt = (trial - u0) / dt + at - react
             rtn = wnorm(rt)
             if np.isfinite(rtn) and rtn < rnorm:
-                v, r, rnorm, op_vals, jac = trial, rt, rtn, at, jt
+                v, r, rnorm, op_vals, jacobian = trial, rt, rtn, at, jt
                 break
             a *= 0.5
         else:

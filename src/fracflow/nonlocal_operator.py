@@ -115,7 +115,8 @@ class OperatorContext:
     cells with bitwise-equal exponent columns, holding the group's summed
     weights and its shared exponent; groups of equal size sit together, in
     order of their first cell.  Sweeps write into preallocated work buffers
-    and return only reductions or fresh arrays, never a view of a buffer.
+    and return only reductions or fresh arrays, never a view of a buffer;
+    ``linearize`` also returns a function that reads its table from one.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -145,10 +146,12 @@ class OperatorContext:
         self._col_vals = np.zeros(self.row_w.shape[1])
         self._a = np.empty(self.row_w.shape)
         self._b = np.empty(self.row_w.shape)
+        self._table_owner = None
 
     def _diff(self, vals):
         """u_i - u_j for interior rows i against all columns j, in the first
         work buffer; exterior columns take the value 0."""
+        self._table_owner = None
         cv = self._col_vals
         cv[self._cols] = vals
         return np.subtract(cv[self._cols, None], cv, out=self._a)
@@ -186,8 +189,13 @@ class OperatorContext:
         return 2.0 * np.einsum("ij,ij->i", self._pow_sign(vals), self.row_w)
 
     def linearize(self, vals):
-        """(``apply(vals)``, its n x n Jacobian in the interior values), both
-        from one |du|^(p-2) table and each bitwise equal to a separate sweep.
+        """(``apply(vals)``, a function forming its n x n Jacobian in the
+        interior values) from one |du|^(p-2) table.
+
+        The values are bitwise equal to ``apply``, and the Jacobian to one
+        formed from a separate sweep.  The table stays in a work buffer, so
+        the function forms the Jacobian once, before the context's next
+        sweep, and raises ContextMismatch otherwise.
 
         Jacobian entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2)
         k_ik w_k; the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2)
@@ -198,14 +206,22 @@ class OperatorContext:
         c = np.abs(du, out=self._b)
         np.power(c, self._p_minus_2, out=c)
         values = 2.0 * np.einsum("ij,ij->i", np.multiply(c, du, out=self._a), self.row_w)
-        c *= self.row_w
-        # (p - 1) c as p c - c, without a table-sized temporary
-        pc = np.multiply(c, self.P, out=self._a)
-        pc -= c
-        jac = -2.0 * pc[:, self._cols]
-        # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
-        np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
-        return values, jac
+        self._table_owner = owner = object()
+
+        def jacobian():
+            if self._table_owner is not owner:
+                raise ContextMismatch("Jacobian already formed, or its table overwritten")
+            self._table_owner = None
+            np.multiply(c, self.row_w, out=c)
+            # (p - 1) c as p c - c, without a table-sized temporary
+            pc = np.multiply(c, self.P, out=self._a)
+            pc -= c
+            jac = -2.0 * pc[:, self._cols]
+            # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
+            np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
+            return jac
+
+        return values, jacobian
 
     def weak(self, uvals, vvals):
         """Pair sum |du|^(p-2) du dv k_ij w_i w_j."""

@@ -21,6 +21,8 @@ from fracflow.errors import AuditFailed, ConfigError
 from fracflow.evolution import AuditRow, Sample
 from fracflow.modular import exponent_values
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
 
 def test_config_round_trip():
     cfg = default_config("well")
@@ -195,6 +197,27 @@ def test_initial_file_off_the_grid_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error: initial: ") and reason in err, err
+        assert not (tmp_path / "out").exists()
+
+
+def test_mismatched_initial_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # the shipped well config on 32 cells with a 16-cell file: parsing
+    # refuses it, before any context, search or output directory
+    monkeypatch.setattr(scenarios, "well_depth", _no_search)
+    state = tmp_path / "u16.csv"
+    ff.save_csv(ff.standard_bump(ff.build_grid(ff.Domain(-1.0, 1.0, 8.0), 16, 128)), state)
+    cfgpath = tmp_path / "well.cfg"
+    with open(os.path.join(CONFIGS, "well.cfg")) as fh:
+        shipped = fh.read()
+    cfgpath.write_text(shipped.replace(
+        "initial.kind = scaled-nehari-minimizer",
+        "initial.kind = file\ninitial.path = %s" % state))
+    out = tmp_path / "out"
+    rc = main(["well", "--config", str(cfgpath), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "config error: initial: file has 16 cells, grid has 32\n"
+    assert not out.exists()
 
 
 def test_convergence_grid_over_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -339,6 +362,55 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: prints OpenBLAS's thread count after ``import fracflow`` (None when no
+#: OpenBLAS symbol is found next to numpy), and whether the import left
+#: os.environ as it was
+_BLAS_THREADS = """\
+import ctypes, glob, os
+before = dict(os.environ)
+import fracflow
+import numpy
+unchanged = dict(os.environ) == before
+threads = None
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        fn = getattr(lib, sym, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            threads = fn()
+            break
+print(threads, unchanged)
+"""
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+], ids=["unset", "openblas-set", "omp-set"])
+def test_import_runs_openblas_on_one_thread_unless_the_user_set_a_count(env, threads):
+    # in a fresh process, since this suite imports numpy before fracflow;
+    # OpenBLAS caps a requested count at the usable CPUs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ff.__file__)))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS],
+        capture_output=True,
+        text=True,
+        env={**base, **env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, unchanged = proc.stdout.split()
+    if count == "None":
+        pytest.skip("no OpenBLAS thread-count symbol found next to numpy")
+    assert int(count) == min(threads, len(os.sched_getaffinity(0)))
+    assert unchanged == "True"
 
 
 def test_header_only_csv_for_empty_trajectory(tmp_path):

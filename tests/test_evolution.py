@@ -112,20 +112,34 @@ _SEPARATE_SWEEPS = {("ctx16", 1e-3): 5, ("ctx16_var", 1e-3): 7,
 def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
     # Newton on the proximal residual: one linearize sweep at the start and
     # one per trial, whose values also give the new state's gradient, plus
-    # the new state's energy
+    # the new state's energy.  A Jacobian is formed only for a solve, so the
+    # converged last trial forms none
     ctx = request.getfixturevalue(name)
     st = ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx)
     calls = Counter()
-    for meth in ("apply", "linearize", "pair_stats"):
-        def counted(self, vals, _meth=meth, _orig=getattr(ff.OperatorContext, meth)):
-            calls[_meth] += 1
-            return _orig(self, vals)
 
-        monkeypatch.setattr(ff.OperatorContext, meth, counted)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    def linearize(self, vals, _orig=ff.OperatorContext.linearize):
+        values, jacobian = _orig(self, vals)
+        return values, counting("jacobian", jacobian)
+
+    for meth in ("apply", "pair_stats"):
+        monkeypatch.setattr(ff.OperatorContext, meth,
+                            counting(meth, getattr(ff.OperatorContext, meth)))
+    monkeypatch.setattr(ff.OperatorContext, "linearize", counting("linearize", linearize))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     new = ff.step_imex(st, dt, ctx)
+    sweeps = calls["apply"] + calls["pair_stats"] + calls["linearize"]
     assert calls["apply"] == 0
     assert calls["pair_stats"] == 1 and calls["linearize"] >= 2
-    assert sum(calls.values()) < _SEPARATE_SWEEPS[name, dt]
+    assert sweeps < _SEPARATE_SWEEPS[name, dt]
+    assert 1 <= calls["jacobian"] == calls["solve"] < calls["linearize"]
     # the gradient kept from the last trial is the one a fresh sweep gives
     assert np.array_equal(new.grad.values, ff.energy_gradient(new.u, ctx).values)
 

@@ -268,7 +268,8 @@ def test_interior_row_table_matches_oracles(field):
 def _assert_linearize_matches_differences(ctx, vals, h=1e-6):
     """``linearize``: its values bitwise equal to ``apply``, its Jacobian
     against central differences of ``apply`` in each interior value."""
-    values, jac = ctx.linearize(vals)
+    values, jacobian = ctx.linearize(vals)
+    jac = jacobian()
     assert np.array_equal(values, ctx.apply(vals))
     assert jac.shape == (ctx.grid.n, ctx.grid.n)
     fd = np.empty_like(jac)
@@ -287,10 +288,23 @@ def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
     _assert_linearize_matches_differences(ctx, rng.standard_normal(grid16.n))
 
 
+def test_jacobian_is_formed_once_before_the_next_sweep(ctx16_var, grid16, rng):
+    u = rng.standard_normal(grid16.n)
+    jacobian = ctx16_var.linearize(u)[1]
+    ctx16_var.apply(u)
+    with pytest.raises(ContextMismatch):
+        jacobian()
+    jacobian = ctx16_var.linearize(u)[1]
+    jacobian()
+    with pytest.raises(ContextMismatch):
+        jacobian()
+
+
 def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     u = rng.standard_normal(grid16.n)
     first = ctx16.apply(u)
-    lin = ctx16.linearize(u)
+    values, jacobian = ctx16.linearize(u)
+    lin = (values, jacobian())
     kept = [a.copy() for a in (first, *lin)]
     coeffs = ctx16.pair_coeffs(u)[0]
     kept_c = coeffs.copy()

@@ -22,12 +22,7 @@ print("critical exponent at x=0:", ff.critical_exponent(field, 0.0))
 print("admissible q window: (%g, %g)" % (summary.p_plus, summary.min_critical_bound))
 
 print("\n== variable exponents: p = 2 + 0.01 (x^2+y^2), q = 3 + 0.2 x^2, s = 0.3 ==")
-var = ff.make_exponent_field(
-    0.3,
-    p_kind="affine-radial", p_params={"a": 2.0, "b": 0.02},
-    q_kind="bump", q_params={"a": 3.0, "b": 0.2},
-    domain=dom,
-)
+var = ff.make_exponent_field(0.3, p=(2.0, 0.02), q=(3.0, 0.2), domain=dom)
 vs = ff.validate_assumptions(var, dom)
 print("extrema:", vs)
 xs = np.linspace(-1, 1, 9)
@@ -38,8 +33,8 @@ print("pointwise bound p*_s(x)/2 + 1:",
 print("\n== three ways to fail ==")
 for label, bad in [
     ("s too large (a4)", dict(s=0.6)),
-    ("q below p+ (a3)", dict(s=0.4, q_params={"value": 2.0})),
-    ("q above the critical bound (a3)", dict(s=0.4, q_params={"value": 7.0})),
+    ("q below p+ (a3)", dict(s=0.4, q=(2.0, 0.0))),
+    ("q above the critical bound (a3)", dict(s=0.4, q=(7.0, 0.0))),
 ]:
     try:
         ff.validate_assumptions(ff.make_exponent_field(domain=dom, **bad), dom)

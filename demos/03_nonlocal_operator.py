@@ -14,7 +14,7 @@ import fracflow as ff
 
 rng = np.random.default_rng(5)
 dom = ff.Domain(-1.0, 1.0, 8.0)
-grid = ff.build_grid(dom, 32, 32)
+grid = ff.Grid(dom, 32, 32)
 field = ff.make_exponent_field(0.4, domain=dom)
 ctx = ff.build_context(grid, field)
 

@@ -14,7 +14,7 @@ import numpy as np
 import fracflow as ff
 
 dom = ff.Domain(-1.0, 1.0, 8.0)
-grid = ff.build_grid(dom, 32, 128)
+grid = ff.Grid(dom, 32, 128)
 field = ff.make_exponent_field(0.4, domain=dom)
 ctx = ff.build_context(grid, field)
 geom = ff.well_depth(ctx, n_starts=4, iters=400, rng=0)

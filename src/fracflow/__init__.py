@@ -51,7 +51,6 @@ from .grid import (
     Domain,
     Grid,
     GridFunction,
-    build_grid,
     inner_product,
     integrate,
     l2_norm,

@@ -10,9 +10,10 @@ Each setting and each default is declared once: the library has no
 search sizes, collar radius or output directory of its own.  The ``step``
 section is the evolution's ``StepControl`` itself, and ``exponents.p``,
 ``exponents.q`` and ``probe`` are one ``ShapeConfig`` each: a shape kind
-with its ``value``, ``a`` and ``b``.  q and the probe take the same
-one-point shapes (constant | bump), built by
-``exponents.one_point_exponent``.  Parsing runs the library's own
+with its ``value``, ``a`` and ``b``.  The shape names live only here;
+``_coefficients`` turns a shape into the coefficient pair (a, b) that the
+library's exponent builders take.  q and the probe take the same
+one-point shapes (constant | bump).  Parsing runs the library's own
 constructors and checks, so a bad value is a ConfigError up front.
 """
 
@@ -56,9 +57,8 @@ class GridConfig:
 
 @dataclass
 class ShapeConfig:
-    """One exponent shape.  Unset coefficients are left out of what the
-    builders pass on; ``exponents._coefficients`` holds the default rule
-    and refuses ``a`` or ``b`` on a constant shape."""
+    """One exponent shape; ``_coefficients`` holds the default rule for
+    unset coefficients and refuses ``a`` or ``b`` on a constant shape."""
 
     kind: str = "constant"  # p: constant | affine-radial; q, probe: constant | bump
     value: float = 2.0
@@ -229,9 +229,22 @@ def build_grid_from(cfg, domain=None, n=None):
     return Grid(domain, n if n is not None else cfg.grid.n, cfg.grid.m)
 
 
-def _shape_params(shape_cfg):
-    return {k: getattr(shape_cfg, k) for k in ("value", "a", "b")
-            if getattr(shape_cfg, k) is not None}
+def _coefficients(shape, curved, default):
+    """(a, b) of ``shape``: b = 0 for "constant", the one kind besides
+    ``curved``, which takes neither ``a`` nor ``b``.  A missing ``value``
+    is ``default``, a missing ``a`` is ``value`` and a missing ``b`` is 0."""
+    value = default if shape.value is None else shape.value
+    if shape.kind == "constant":
+        extra = ["%s = %r" % (k, getattr(shape, k)) for k in ("a", "b")
+                 if getattr(shape, k) is not None]
+        if extra:
+            raise ConfigError("exponent kind 'constant' takes only 'value', got %s"
+                              % ", ".join(extra))
+        return value, 0.0
+    if shape.kind == curved:
+        return (value if shape.a is None else shape.a,
+                0.0 if shape.b is None else shape.b)
+    raise ConfigError("unknown exponent kind %r (constant | %s)" % (shape.kind, curved))
 
 
 def build_field(cfg, domain=None):
@@ -239,11 +252,9 @@ def build_field(cfg, domain=None):
     if cfg.exponents.s is None:
         raise ConfigError("missing required key exponents.s")
     return make_exponent_field(
-        s=cfg.exponents.s,
-        p_kind=cfg.exponents.p.kind,
-        p_params=_shape_params(cfg.exponents.p),
-        q_kind=cfg.exponents.q.kind,
-        q_params=_shape_params(cfg.exponents.q),
+        cfg.exponents.s,
+        p=_coefficients(cfg.exponents.p, "affine-radial", 2.0),
+        q=_coefficients(cfg.exponents.q, "bump", 3.0),
         domain=domain,
     )
 
@@ -258,7 +269,7 @@ def build_control(cfg, dt_init=None):
 
 def build_probe(cfg):
     """The probe exponent r(x), one of the one-point shapes that q takes."""
-    return one_point_exponent(cfg.probe.kind, _shape_params(cfg.probe), 2.0, None)[0]
+    return one_point_exponent(*_coefficients(cfg.probe, "bump", 2.0))
 
 
 def _check_initial(ini, grid):

@@ -225,7 +225,7 @@ def _descend(x, value, grad, project, iters):
     return x, f, accepted
 
 
-def estimate_embedding_constant(ctx, n_starts, iters, rng=None, tol=1e-10):
+def estimate_embedding_constant(ctx, n_starts, iters, rng=None):
     """Estimate the embedding constant: the least value of
     seminorm(u) / luxemburg_q_norm(u) over nonzero states.
 
@@ -238,8 +238,8 @@ def estimate_embedding_constant(ctx, n_starts, iters, rng=None, tol=1e-10):
     rng = np.random.default_rng(rng)
 
     def value(u):
-        sn = gagliardo_seminorm(u, ctx, tol=tol).luxemburg_norm
-        ln = luxemburg_norm(u, q, tol=tol).luxemburg_norm
+        sn = gagliardo_seminorm(u, ctx).luxemburg_norm
+        ln = luxemburg_norm(u, q).luxemburg_norm
         return sn / ln, (sn, ln)
 
     def grad(u, norms):

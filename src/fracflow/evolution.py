@@ -92,13 +92,12 @@ class StepControl:
 @dataclass
 class SimState:
     """State of the flow at one time: function, energy report, energy
-    gradient, phi = l2^2/2."""
+    gradient."""
 
     t: float
     u: GridFunction
     report: object
     grad: GridFunction
-    phi: float
 
 
 @dataclass
@@ -109,7 +108,7 @@ class Sample:
     dt: float
     energy: float
     nehari: float
-    phi: float
+    phi: float  # l2^2 / 2
     l2: float
     lux_r: float
     modular_sp: float
@@ -142,7 +141,7 @@ def _make_state(u, ctx, t, op_vals):
             grad = energy_gradient(u, ctx)
         else:
             grad = GridFunction(ctx.grid, op_vals - _reaction(ctx, u.values))
-    return SimState(t=float(t), u=u, report=rep, grad=grad, phi=0.5 * rep.l2**2)
+    return SimState(t=float(t), u=u, report=rep, grad=grad)
 
 
 def _finish(u_new, ctx, t_new, op_vals=None):
@@ -232,7 +231,7 @@ def _sample_from(state, geometry, r_vals, dt, residual):
         dt=dt,
         energy=rep.energy,
         nehari=rep.nehari,
-        phi=state.phi,
+        phi=0.5 * rep.l2**2,
         l2=rep.l2,
         lux_r=lux,
         modular_sp=rep.gagliardo_modular,
@@ -259,7 +258,7 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     e0 = state.report.energy
     samples = [_sample_from(state, geometry, r_vals, dt=0.0, residual=0.0)]
     diss = 0.0
-    dt = min(max(control.dt_init, control.dt_min), control.dt_max)
+    dt = control.dt_init
     termination = None
     t_max_estimate = None
     accepted = 0

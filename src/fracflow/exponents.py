@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import AssumptionViolated, DegenerateDenominator, ConfigError
+from .errors import AssumptionViolated, DegenerateDenominator
 
 __all__ = [
     "ExponentField",
@@ -209,14 +209,6 @@ def validate_assumptions(field, domain, sample_resolution=65):
 
 
 # --- built-in fields -------------------------------------------------------
-#
-# "affine-radial"      p(x,y) = a + b*(x^2 + y^2)/2    (p only)
-# "bump"               h(x)   = a + b*x^2              (one-point only)
-# "constant"           the b = 0 member of either: p(x,y) = h(x) = value,
-#                      set by ``value`` alone
-#
-# The one-point shapes h serve both q and the probe exponent r of the
-# Luxemburg norm reported along a run; ``one_point_exponent`` builds them.
 
 
 def _sq_range(lo, hi):
@@ -247,68 +239,48 @@ def _bump_bounds(a_coef, b_coef, domain):
     return min(vals), max(vals)
 
 
-def _coefficients(kind, params, default, curved):
-    """(a, b) of the shape ``kind``: b = 0 for "constant", the one kind
-    besides ``curved``, which takes neither ``a`` nor ``b``.  A missing
-    ``value`` is ``default``, a missing ``a`` is ``value`` and a missing
-    ``b`` is 0."""
-    value = float(params.get("value", default))
-    if kind == "constant":
-        extra = ["%s = %r" % (k, params[k]) for k in ("a", "b") if k in params]
-        if extra:
-            raise ConfigError("exponent kind 'constant' takes only 'value', got %s"
-                              % ", ".join(extra))
-        return value, 0.0
-    if kind == curved:
-        return float(params.get("a", value)), float(params.get("b", 0.0))
-    raise ConfigError("unknown exponent kind %r (constant | %s)" % (kind, curved))
+def _declared_bounds(a_coef, b_coef, domain, bounds):
+    """(a, a) when b = 0, else ``bounds`` over the region of ``domain``;
+    None when b != 0 and no domain is given."""
+    if b_coef == 0.0:
+        return a_coef, a_coef
+    return bounds(a_coef, b_coef, domain) if domain else None
 
 
-def one_point_exponent(kind, params, default, domain):
-    """A one-point exponent shape and its declared bounds, as (h, bounds).
+def one_point_exponent(a, b=0.0):
+    """The one-point exponent h(x) = a + b*x^2; b = 0 is the constant a.
 
-    h(x) = a + b*x^2 with (a, b) from ``_coefficients``; "constant" is
-    b = 0 and "bump" takes ``a`` and ``b``.  Bounds are (min, max) over the
-    interval of ``domain``; (a, a) when b = 0, None for a bump without a
-    domain.
+    It serves both q and the probe exponent r of the Luxemburg norm
+    reported along a run.
     """
-    a_coef, b_coef = _coefficients(kind, params, default, "bump")
+    a_coef, b_coef = float(a), float(b)
 
     def h(x):
         x = np.asarray(x, dtype=float)
         return a_coef + b_coef * x**2
 
-    if b_coef == 0.0:
-        return h, (a_coef, a_coef)
-    return h, (_bump_bounds(a_coef, b_coef, domain) if domain else None)
+    return h
 
 
-def make_exponent_field(
-    s,
-    p_kind="constant",
-    p_params=None,
-    q_kind="constant",
-    q_params=None,
-    domain=None,
-):
-    """Assemble an ExponentField from named built-in exponent shapes.
+def make_exponent_field(s, p=(2.0, 0.0), q=(3.0, 0.0), domain=None):
+    """Assemble an ExponentField from coefficient pairs (a, b).
 
-    p(x, y) = a + b*(x^2 + y^2)/2 with (a, b) from ``_coefficients``.
-    Declared analytic bounds are attached whenever the truncated region is
-    known (``domain`` given) or b = 0.
+    p(x, y) = a + b*(x^2 + y^2)/2 and q(x) = a + b*x^2; b = 0 is the
+    constant exponent a.  Declared analytic bounds are attached whenever
+    the truncated region is known (``domain`` given) or b = 0.
     """
-    a_coef, b_coef = _coefficients(p_kind, p_params or {}, 2.0, "affine-radial")
+    a_p, b_p = map(float, p)
+    a_q, b_q = map(float, q)
 
     def p_fn(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return a_coef + b_coef * (x**2 + y**2) / 2.0
+        return a_p + b_p * (x**2 + y**2) / 2.0
 
-    if b_coef == 0.0:
-        p_bounds = (a_coef, a_coef)
-    else:
-        p_bounds = _affine_radial_bounds(a_coef, b_coef, domain) if domain else None
-    q_fn, q_bounds = one_point_exponent(q_kind, q_params or {}, 3.0, domain)
     return ExponentField(
-        p=p_fn, q=q_fn, s=float(s), p_bounds=p_bounds, q_bounds=q_bounds
+        p=p_fn,
+        q=one_point_exponent(a_q, b_q),
+        s=float(s),
+        p_bounds=_declared_bounds(a_p, b_p, domain, _affine_radial_bounds),
+        q_bounds=_declared_bounds(a_q, b_q, domain, _bump_bounds),
     )

@@ -22,7 +22,6 @@ __all__ = [
     "Domain",
     "Grid",
     "GridFunction",
-    "build_grid",
     "l2_norm",
     "inner_product",
     "integrate",
@@ -81,12 +80,6 @@ class Grid:
             self.domain.b,
             self.domain.exterior_radius,
         )
-
-
-def build_grid(domain, n, m):
-    """Build the uniform cell grid for ``domain`` with n interior cells and
-    m collar cells per side for the operator."""
-    return Grid(domain, n, m)
 
 
 class GridFunction:

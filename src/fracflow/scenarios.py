@@ -29,7 +29,7 @@ from .energy import (
     standard_bump,
     well_depth,
 )
-from .errors import AuditFailed, ConfigError
+from .errors import AssumptionViolated, AuditFailed, ConfigError
 from .evolution import (
     BLOWUP_CAP_HIT,
     blowup_inequality_audit,
@@ -87,8 +87,12 @@ def _geometry(cfg, ctx):
 
 def _scenario_validate(cfg, out_dir, v):
     domain = build_domain(cfg)
-    field = build_field(cfg, domain)
-    summary = validate_assumptions(field, domain, cfg.validation.resolution)
+    try:
+        summary = validate_assumptions(build_field(cfg, domain), domain,
+                                       cfg.validation.resolution)
+    except AssumptionViolated as exc:
+        v.check("assumptions", False, str(exc))
+        return
     crit_min = 2.0 * (summary.min_critical_bound - 1.0)
     v.info("p- = %r" % summary.p_minus)
     v.info("p+ = %r" % summary.p_plus)
@@ -273,13 +277,18 @@ SCENARIOS = {
 def run_scenario(cfg):
     """Run the configured scenario; returns the process exit status.
 
-    Artifacts land in the config's output directory ``cfg.out``.
+    Artifacts land in the config's output directory ``cfg.out``.  A
+    config the scenario cannot run, such as an initial-data file for the
+    convergence study, is a ConfigError before the directory is made.
     """
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(
             "unknown scenario %r; choose from %s"
             % (cfg.scenario, ", ".join(sorted(SCENARIOS)))
         )
+    if cfg.scenario == "convergence" and cfg.initial.kind == "file":
+        raise ConfigError("initial: recipe 'file' holds one grid, and the convergence "
+                          "scenario runs on n and 2n cells")
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
     v = _Verdicts()

@@ -17,7 +17,7 @@ def field(domain):
 
 @pytest.fixture(scope="session")
 def grid16(domain):
-    return ff.build_grid(domain, 16, 8)
+    return ff.Grid(domain, 16, 8)
 
 
 @pytest.fixture(scope="session")
@@ -28,20 +28,13 @@ def ctx16(grid16, field):
 @pytest.fixture(scope="session")
 def ctx16_var(grid16, domain):
     # variable exponents: affine-radial p(x, y) and bump q(x) at s = 0.3
-    field = ff.make_exponent_field(
-        0.3,
-        p_kind="affine-radial",
-        p_params={"a": 2.0, "b": 0.02},
-        q_kind="bump",
-        q_params={"a": 3.0, "b": 0.2},
-        domain=domain,
-    )
+    field = ff.make_exponent_field(0.3, p=(2.0, 0.02), q=(3.0, 0.2), domain=domain)
     return ff.build_context(grid16, field)
 
 
 @pytest.fixture(scope="session")
 def grid32(domain):
-    return ff.build_grid(domain, 32, 16)
+    return ff.Grid(domain, 32, 16)
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ def _verdict(num, name):
 
 @pytest.fixture(scope="module")
 def default_ctx(domain, field):
-    grid = ff.build_grid(domain, 32, 128)
+    grid = ff.Grid(domain, 32, 128)
     return ff.build_context(grid, field)
 
 
@@ -38,7 +38,7 @@ def default_geometry(default_ctx):
 
 @pytest.fixture(scope="module")
 def ctx64(domain, field):
-    grid = ff.build_grid(domain, 64, 128)
+    grid = ff.Grid(domain, 64, 128)
     return ff.build_context(grid, field)
 
 
@@ -58,7 +58,7 @@ def test_criterion_1_duality_identity(default_ctx):
 
 
 def test_criterion_2_gradient_oracle(domain, field):
-    grid = ff.build_grid(domain, 16, 16)
+    grid = ff.Grid(domain, 16, 16)
     ctx = ff.build_context(grid, field)
     rng = np.random.default_rng(12)
     worst = 0.0
@@ -91,7 +91,7 @@ def test_criterion_3_luxemburg_oracle(default_ctx, domain, field):
             closed = rep.modular_value ** (1.0 / h)
             assert abs(rep.luxemburg_norm - closed) <= 1e-8
     # envelope suites on 1000 samples each, variable exponents included
-    small_grid = ff.build_grid(domain, 16, 16)
+    small_grid = ff.Grid(domain, 16, 16)
     small_ctx = ff.build_context(small_grid, field)
     hv = ff.modular.exponent_values(lambda x: 2.0 + x**2, small_grid.interior_centers)
     lo, hi = float(np.min(hv)), float(np.max(hv))

@@ -116,7 +116,8 @@ def test_assumption_violation_exit_one(tmp_path, capsys):
     bad.write_text("exponents.s = 0.6\n")  # s p+ = 1.2 >= N
     rc = main(["validate", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
-    assert "a4" in capsys.readouterr().err
+    assert "assumptions: FAIL (a4: " in capsys.readouterr().out
+    assert (tmp_path / "summary.txt").exists()
 
 
 def test_nehari_sweep_scenario(tmp_path, capsys):
@@ -205,7 +206,7 @@ def test_mismatched_initial_file_is_refused_before_any_work(tmp_path, capsys, mo
     # refuses it, before any context, search or output directory
     monkeypatch.setattr(scenarios, "well_depth", _no_search)
     state = tmp_path / "u16.csv"
-    ff.save_csv(ff.standard_bump(ff.build_grid(ff.Domain(-1.0, 1.0, 8.0), 16, 128)), state)
+    ff.save_csv(ff.standard_bump(ff.Grid(ff.Domain(-1.0, 1.0, 8.0), 16, 128)), state)
     cfgpath = tmp_path / "well.cfg"
     with open(os.path.join(CONFIGS, "well.cfg")) as fh:
         shipped = fh.read()
@@ -217,6 +218,23 @@ def test_mismatched_initial_file_is_refused_before_any_work(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "config error: initial: file has 16 cells, grid has 32\n"
+    assert not out.exists()
+
+
+def test_convergence_refuses_initial_file_before_any_work(tmp_path, capsys, monkeypatch):
+    # the file matches grid.n, but the study also runs on 2n cells
+    monkeypatch.setattr(scenarios, "well_depth", _no_search)
+    cfgpath = tmp_path / "conv.cfg"
+    cfg = _write_fast_config(cfgpath, "convergence")
+    state = tmp_path / "u16.csv"
+    ff.save_csv(ff.standard_bump(build_grid_from(cfg)), state)
+    _write_fast_config(cfgpath, "convergence",
+                       **{"initial.kind": "file", "initial.path": str(state)})
+    out = tmp_path / "out"
+    rc = main(["convergence", "--config", str(cfgpath), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: initial: ") and "convergence" in err, err
     assert not out.exists()
 
 

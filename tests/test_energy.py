@@ -38,7 +38,7 @@ def test_energy_ray_sweep_signs(domain, field):
     # frozen oracle run: on the default collar the unit bump's ray energy is
     # still climbing on t in 1..8; it crosses zero at exactly 1.5x the
     # manifold scaling and is strongly negative past it
-    grid = ff.build_grid(domain, 64, 256)
+    grid = ff.Grid(domain, 64, 256)
     ctx = ff.build_context(grid, field)
     bump = ff.standard_bump(grid)
     es = [ff.energy(bump.scaled(float(t)), ctx).energy for t in range(1, 9)]
@@ -189,7 +189,7 @@ def test_embedding_constant_below_bump_quotient(ctx16, grid16):
 
 def test_embedding_constant_start_stability(domain, field):
     # frozen oracle: 8 vs 16 starts agree to well within 5 percent
-    grid = ff.build_grid(domain, 32, 32)
+    grid = ff.Grid(domain, 32, 32)
     ctx = ff.build_context(grid, field)
     l8 = ff.estimate_embedding_constant(ctx, n_starts=8, iters=120, rng=1)
     l16 = ff.estimate_embedding_constant(ctx, n_starts=16, iters=120, rng=2)
@@ -301,6 +301,12 @@ def test_well_geometry_contracts(geom16, ctx16):
     # the inequality behind the attainment argument: every manifold point
     # carries at least the bound's worth of reaction modular
     assert rep.q_modular >= (1.0 / ctx16.summary.p_plus - 1.0 / ctx16.summary.q_minus) * r_hat
+    # with constant exponents the depth is (1/p - 1/q) lambda^(pq/(q-p)),
+    # so the depth search and the embedding-constant search must meet;
+    # an under-converged search misses by far more than 1e-12
+    p, q = ctx16.summary.p_plus, ctx16.summary.q_minus
+    assert geom16.depth_hat == pytest.approx(
+        (1.0 / p - 1.0 / q) * lam_hat ** (p * q / (q - p)), rel=1e-12)
 
 
 def test_bound_constant_uses_all_four_powers(ctx16):

@@ -45,7 +45,7 @@ def test_explicit_step_against_straight_line_recomputation(field, rng):
     # independent recomputation: u - dt*(Lu - |u|^(q-2)u) with the brute
     # force operator loop
     dom = ff.Domain(-1.0, 1.0, 1.0)
-    grid = ff.build_grid(dom, 6, 3)
+    grid = ff.Grid(dom, 6, 3)
     ctx = ff.OperatorContext(grid, field)
     u = ff.GridFunction(grid, rng.standard_normal(grid.n))
     dt = 1e-4

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import fracflow as ff
+from fracflow.config import build_field, default_config
 from fracflow.errors import AssumptionViolated, DegenerateDenominator
 
 
 def _constant_field(p=2.0, q=3.0, s=0.4, domain=None):
-    return ff.make_exponent_field(
-        s, p_params={"value": p}, q_params={"value": q}, domain=domain
-    )
+    return ff.make_exponent_field(s, p=(p, 0.0), q=(q, 0.0), domain=domain)
 
 
 def test_constant_field_valid(domain):
@@ -63,9 +62,7 @@ def test_symmetric_absolute_difference_field(domain):
 
 
 def test_symmetry_exact_on_random_pairs(domain, rng):
-    f = ff.make_exponent_field(
-        0.3, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.02}, domain=domain
-    )
+    f = ff.make_exponent_field(0.3, p=(2.0, 0.02), domain=domain)
     lo, hi = domain.a - domain.exterior_radius, domain.b + domain.exterior_radius
     x = rng.uniform(lo, hi, size=1000)
     y = rng.uniform(lo, hi, size=1000)
@@ -73,14 +70,7 @@ def test_symmetry_exact_on_random_pairs(domain, rng):
 
 
 def test_variable_field_extrema(domain):
-    f = ff.make_exponent_field(
-        0.3,
-        p_kind="affine-radial",
-        p_params={"a": 2.0, "b": 0.02},
-        q_kind="bump",
-        q_params={"a": 3.0, "b": 0.2},
-        domain=domain,
-    )
+    f = ff.make_exponent_field(0.3, p=(2.0, 0.02), q=(3.0, 0.2), domain=domain)
     summary = ff.validate_assumptions(f, domain)
     # p max: one leg pinned in [-1,1] (x^2 <= 1), other in [-9,9] (y^2 <= 81)
     assert summary.p_plus == pytest.approx(2.0 + 0.01 * 82.0, rel=1e-12)
@@ -101,20 +91,22 @@ def test_declared_bounds_cross_check(domain):
         ff.validate_assumptions(f, domain)
 
 
-def test_curved_p_takes_value_as_a(domain):
-    f = ff.make_exponent_field(
-        0.3, p_kind="affine-radial", p_params={"value": 2.5}, domain=domain
-    )
+def test_curved_p_takes_value_as_a():
+    cfg = default_config()
+    cfg.exponents.s, cfg.exponents.p.kind, cfg.exponents.p.value = 0.3, "affine-radial", 2.5
+    f = build_field(cfg)
     x = np.linspace(-9.0, 9.0, 7)
     np.testing.assert_array_equal(f.p(x[:, None], x[None, :]), np.full((7, 7), 2.5))
     assert f.p_bounds == (2.5, 2.5)
 
 
 def test_constant_p_is_the_flat_affine_radial(grid16):
-    # built without a domain: b = 0 declares (a, a) for every kind
-    const = ff.make_exponent_field(0.4, p_params={"value": 2.0})
-    flat = ff.make_exponent_field(0.4, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.0})
-    assert const.p_bounds == flat.p_bounds == (2.0, 2.0)
+    # b = 0 declares (a, a) for every kind, with or without a domain
+    cfg = default_config()
+    const = build_field(cfg)
+    cfg.exponents.p.kind, cfg.exponents.p.a, cfg.exponents.p.b = "affine-radial", 2.0, 0.0
+    flat = build_field(cfg)
+    assert const.p_bounds == flat.p_bounds == ff.make_exponent_field(0.4).p_bounds == (2.0, 2.0)
     c, f = ff.build_context(grid16, const), ff.build_context(grid16, flat)
     assert type(c.P) is float and type(f.P) is float and c.P == f.P
     for table in ("row_w", "pair_w", "pair_w_by_p"):

@@ -6,7 +6,7 @@ from fracflow.errors import GridMismatch, InvalidResolution
 
 
 def test_build_grid_cell_layout():
-    g = ff.build_grid(ff.Domain(-1.0, 1.0, 1.0), 4, 2)
+    g = ff.Grid(ff.Domain(-1.0, 1.0, 1.0), 4, 2)
     assert g.n_total == 8
     assert np.allclose(g.interior_widths, 0.5)
     # cells partition (-1, 1) without overlap; the collar is the operator's
@@ -18,7 +18,7 @@ def test_build_grid_cell_layout():
 
 
 def test_build_grid_asymmetric_widths():
-    g = ff.build_grid(ff.Domain(0.0, 1.0, 2.0), 10, 4)
+    g = ff.Grid(ff.Domain(0.0, 1.0, 2.0), 10, 4)
     assert g.interior_centers.shape == g.interior_widths.shape == (10,)
     assert np.allclose(g.interior_widths, 0.1)
     assert np.allclose(g.interior_centers, np.linspace(0.05, 0.95, 10))
@@ -28,9 +28,9 @@ def test_build_grid_asymmetric_widths():
 def test_build_grid_rejects_bad_resolution():
     dom = ff.Domain(-1.0, 1.0, 1.0)
     with pytest.raises(InvalidResolution):
-        ff.build_grid(dom, 0, 2)
+        ff.Grid(dom, 0, 2)
     with pytest.raises(InvalidResolution):
-        ff.build_grid(dom, 8, 0)
+        ff.Grid(dom, 8, 0)
 
 
 def test_domain_default_radius():
@@ -99,6 +99,6 @@ def test_csv_layout_mismatch(tmp_path, grid16, grid32, rng):
     with pytest.raises(GridMismatch):
         ff.load_csv(grid32, path)
     # same cell count, other cells
-    other = ff.build_grid(ff.Domain(0.0, 1.0, 8.0), grid16.n, grid16.m)
+    other = ff.Grid(ff.Domain(0.0, 1.0, 8.0), grid16.n, grid16.m)
     with pytest.raises(GridMismatch):
         ff.load_csv(other, path)

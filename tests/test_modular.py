@@ -51,7 +51,7 @@ def test_luxemburg_zero(grid16):
 def test_gagliardo_modular_spike_vs_bruteforce(field):
     # tiny grid, single unit spike: the whole pair table is hand-enumerable
     dom = ff.Domain(-1.0, 1.0, 1.0)
-    grid = ff.build_grid(dom, 4, 2)
+    grid = ff.Grid(dom, 4, 2)
     ctx = ff.OperatorContext(grid, field)
     assert ff.gagliardo_modular(ff.GridFunction.zeros(grid), ctx) == 0.0
     spike = np.zeros(grid.n)
@@ -64,7 +64,7 @@ def test_gagliardo_modular_spike_vs_bruteforce(field):
 
 def test_gagliardo_modular_random_vs_bruteforce(field, rng):
     dom = ff.Domain(-1.0, 1.0, 1.0)
-    grid = ff.build_grid(dom, 6, 3)
+    grid = ff.Grid(dom, 6, 3)
     ctx = ff.OperatorContext(grid, field)
     u = ff.GridFunction(grid, rng.standard_normal(grid.n))
     expected = brute_sp_modular(grid, field, zero_extended(grid, u.values))

@@ -13,7 +13,7 @@ from oracles import brute_apply, brute_i1, brute_sp_modular, brute_weak, zero_ex
 @pytest.fixture(scope="module")
 def small(field):
     dom = ff.Domain(-1.0, 1.0, 1.0)
-    grid = ff.build_grid(dom, 4, 2)
+    grid = ff.Grid(dom, 4, 2)
     return grid, ff.OperatorContext(grid, field)
 
 
@@ -59,14 +59,14 @@ def test_grid_identity_is_domain_n_and_m(ctx16, grid16, rng):
     dom = grid16.domain
     vals = rng.standard_normal(grid16.n)
     for other in (
-        ff.build_grid(ff.Domain(dom.a, dom.b, 2.0 * dom.exterior_radius), grid16.n, grid16.m),
-        ff.build_grid(dom, grid16.n, 2 * grid16.m),
+        ff.Grid(ff.Domain(dom.a, dom.b, 2.0 * dom.exterior_radius), grid16.n, grid16.m),
+        ff.Grid(dom, grid16.n, 2 * grid16.m),
     ):
         assert np.array_equal(other.interior_centers, grid16.interior_centers)
         assert not other.compatible_with(grid16)
         with pytest.raises(ContextMismatch):
             ff.apply_operator(ff.GridFunction(other, vals), ctx16)
-    twin = ff.build_grid(ff.Domain(dom.a, dom.b, dom.exterior_radius), grid16.n, grid16.m)
+    twin = ff.Grid(ff.Domain(dom.a, dom.b, dom.exterior_radius), grid16.n, grid16.m)
     assert twin is not grid16 and twin.compatible_with(grid16)
     u = ff.GridFunction(twin, vals)
     assert np.array_equal(ff.apply_operator(u, ctx16).values, ctx16.apply(vals))
@@ -211,10 +211,8 @@ def _unfolded_case():
     collar cells all differ in |y|, so no two exterior exponent columns
     are equal."""
     dom = ff.Domain(-1.0, 2.0, 8.0)
-    field = ff.make_exponent_field(
-        0.3, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.3}, domain=dom
-    )
-    return ff.build_grid(dom, 6, 3), field
+    field = ff.make_exponent_field(0.3, p=(2.0, 0.3), domain=dom)
+    return ff.Grid(dom, 6, 3), field
 
 
 def _table_cases(field):
@@ -223,15 +221,13 @@ def _table_cases(field):
     (nothing folds), and constant p with collar cells wider than the
     interior cells, each with random interior values."""
     dom = ff.Domain(-1.0, 1.0, 1.0)
-    grid = ff.build_grid(dom, 6, 3)
-    variable = ff.make_exponent_field(
-        0.3, p_kind="affine-radial", p_params={"a": 2.0, "b": 0.3}, domain=dom
-    )
+    grid = ff.Grid(dom, 6, 3)
+    variable = ff.make_exponent_field(0.3, p=(2.0, 0.3), domain=dom)
     rng = np.random.default_rng(7)
     return [
         (g, f, rng.standard_normal(g.n))
         for g, f in ((grid, field), (grid, variable), _unfolded_case(),
-                     (ff.build_grid(ff.Domain(0.0, 1.0, 2.0), 10, 4), field))
+                     (ff.Grid(ff.Domain(0.0, 1.0, 2.0), 10, 4), field))
     ]
 
 
@@ -318,7 +314,7 @@ def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
 
 def test_table_over_entry_cap_raises_before_allocating(field):
     n = 1024
-    grid = ff.build_grid(ff.Domain(-1.0, 1.0, 8.0), n, MAX_TABLE_ENTRIES // n)
+    grid = ff.Grid(ff.Domain(-1.0, 1.0, 8.0), n, MAX_TABLE_ENTRIES // n)
     assert grid.n * grid.n_total > MAX_TABLE_ENTRIES
     tracemalloc.start()
     try:

@@ -46,7 +46,7 @@ def test_critical_exponent_monotone_in_s(s1, delta):
 @given(data=st.lists(st.floats(min_value=-10, max_value=10), min_size=16, max_size=16),
        scale=st.floats(min_value=1e-3, max_value=1e3))
 def test_luxemburg_norm_is_homogeneous(data, scale):
-    grid = ff.build_grid(ff.Domain(-1.0, 1.0, 1.0), 16, 2)
+    grid = ff.Grid(ff.Domain(-1.0, 1.0, 1.0), 16, 2)
     u = ff.GridFunction(grid, np.asarray(data))
     h = lambda x: 2.0 + x**2
     base = ff.luxemburg_norm(u, h).luxemburg_norm
@@ -57,7 +57,7 @@ def test_luxemburg_norm_is_homogeneous(data, scale):
 @settings(max_examples=40, deadline=None)
 @given(data=st.lists(st.floats(min_value=-10, max_value=10), min_size=16, max_size=16))
 def test_modular_zero_iff_norm_zero(data):
-    grid = ff.build_grid(ff.Domain(-1.0, 1.0, 1.0), 16, 2)
+    grid = ff.Grid(ff.Domain(-1.0, 1.0, 1.0), 16, 2)
     u = ff.GridFunction(grid, np.asarray(data))
     rep = ff.luxemburg_norm(u, 2.5)
     assert (rep.modular_value == 0.0) == (rep.luxemburg_norm == 0.0)

@@ -9,10 +9,10 @@ proximal step is a strictly convex minimization, solved by Newton iteration
 on its optimality residual with the operator's Jacobian from the pair
 table; each Newton step is halved until the residual strictly decreases,
 and ``inner_max`` caps the Newton iterations.  Each trial costs one
-``linearize`` sweep, which gives its residual and, for the accepted trial,
-the new state's gradient; the Jacobian is formed from that sweep's table
-only when another Newton solve follows.  The residual at the start is the
-state's own gradient.
+``apply`` sweep, which gives its residual and, for the accepted trial,
+the new state's gradient; ``jacobian`` forms the next solve's Jacobian
+from the table that sweep left.  The residual at the start is the state's
+own gradient, and one ``apply`` at the start gives the first Jacobian.
 
 Along the run the engine records, per accepted step, the energy balance
 residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
@@ -173,12 +173,12 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     ``inner_max`` iterations solves (A'(v) + I/dt) delta = r(v) with the
     Jacobian of the operator, then halves the step from 1 (at most 60
     times) until the measure-weighted residual norm strictly decreases.
-    One ``linearize`` sweep per trial gives its residual, and the accepted
-    trial's operator values give the new state's gradient; its Jacobian is
-    formed from the same sweep only if the residual is still above
-    tolerance, so there is one Jacobian per solve.  Converged once that
-    norm is at most ``inner_tol`` times max(1, its initial value);
-    otherwise raises InnerSolveStalled.
+    One ``ctx.apply`` per trial gives its residual, and the accepted
+    trial's values the new state's gradient; ``ctx.jacobian()`` forms the
+    next solve's Jacobian from that sweep's table (before the first solve,
+    from one ``ctx.apply(u)``), so a Jacobian costs no sweep.  Converged
+    once that norm is at most ``inner_tol`` times max(1, its initial
+    value); otherwise raises InnerSolveStalled.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -193,23 +193,23 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     v, r = u0, state.grad.values
     rnorm = wnorm(r)
     target = inner_tol * max(1.0, rnorm)
-    op_vals = jacobian = None
+    op_vals = None
     for _ in range(inner_max):
         if rnorm <= target:
             break
-        if jacobian is None:
-            jacobian = ctx.linearize(v)[1]
-        jac = jacobian()
+        if op_vals is None:
+            ctx.apply(v)  # the table at u, for the first Jacobian
+        jac = ctx.jacobian()
         jac[np.diag_indices_from(jac)] += 1.0 / dt
         delta = np.linalg.solve(jac, r)
         a = 1.0
         for _ in range(60):
             trial = v - a * delta
-            at, jt = ctx.linearize(trial)
+            at = ctx.apply(trial)
             rt = (trial - u0) / dt + at - react
             rtn = wnorm(rt)
             if np.isfinite(rtn) and rtn < rnorm:
-                v, r, rnorm, op_vals, jacobian = trial, rt, rtn, at, jt
+                v, r, rnorm, op_vals = trial, rt, rtn, at
                 break
             a *= 0.5
         else:

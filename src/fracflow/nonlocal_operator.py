@@ -116,7 +116,8 @@ class OperatorContext:
     weights and its shared exponent; groups of equal size sit together, in
     order of their first cell.  Sweeps write into preallocated work buffers
     and return only reductions or fresh arrays, never a view of a buffer;
-    ``linearize`` also returns a function that reads its table from one.
+    ``apply`` also leaves its |du|^(p-2) table in one, from which
+    ``jacobian`` forms the Jacobian until the next sweep.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -134,11 +135,11 @@ class OperatorContext:
         del d
         np.fill_diagonal(row_w, 0.0)
         row_w *= w
-        pair_w = row_w * w[:n, None]
-        pair_w[:, n:] *= 2.0
         blocks = _exterior_groups(P, n)
         P = np.concatenate([P[:, :n]] + [P[:, b[0]] for b in blocks], axis=1)
-        self.row_w, self.pair_w = (_fold(t, n, blocks) for t in (row_w, pair_w))
+        self.row_w = _fold(row_w, n, blocks)
+        self.pair_w = self.row_w * w[:n, None]
+        self.pair_w[:, n:] *= 2.0
         self.P = float(P.flat[0]) if np.all(P == P.flat[0]) else P
         self._p_minus_2 = self.P - 2.0
         self._cols = slice(0, n)
@@ -146,12 +147,12 @@ class OperatorContext:
         self._col_vals = np.zeros(self.row_w.shape[1])
         self._a = np.empty(self.row_w.shape)
         self._b = np.empty(self.row_w.shape)
-        self._table_owner = None
+        self._has_table = False
 
     def _diff(self, vals):
         """u_i - u_j for interior rows i against all columns j, in the first
         work buffer; exterior columns take the value 0."""
-        self._table_owner = None
+        self._has_table = False
         cv = self._col_vals
         cv[self._cols] = vals
         return np.subtract(cv[self._cols, None], cv, out=self._a)
@@ -185,43 +186,36 @@ class OperatorContext:
         return e, float(np.einsum("ij,ij->", t, self.pair_w))
 
     def apply(self, vals):
-        """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j."""
-        return 2.0 * np.einsum("ij,ij->i", self._pow_sign(vals), self.row_w)
-
-    def linearize(self, vals):
-        """(``apply(vals)``, a function forming its n x n Jacobian in the
-        interior values) from one |du|^(p-2) table.
-
-        The values are bitwise equal to ``apply``, and the Jacobian to one
-        formed from a separate sweep.  The table stays in a work buffer, so
-        the function forms the Jacobian once, before the context's next
-        sweep, and raises ContextMismatch otherwise.
-
-        Jacobian entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2)
-        k_ik w_k; the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2)
-        k_ij w_j over all columns j, so exterior columns fold into the
-        diagonal.  Finite since p >= 2.
-        """
+        """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j;
+        the |du|^(p-2) table stays in a work buffer for ``jacobian``."""
         du = self._diff(vals)
         c = np.abs(du, out=self._b)
         np.power(c, self._p_minus_2, out=c)
         values = 2.0 * np.einsum("ij,ij->i", np.multiply(c, du, out=self._a), self.row_w)
-        self._table_owner = owner = object()
+        self._has_table = True
+        return values
 
-        def jacobian():
-            if self._table_owner is not owner:
-                raise ContextMismatch("Jacobian already formed, or its table overwritten")
-            self._table_owner = None
-            np.multiply(c, self.row_w, out=c)
-            # (p - 1) c as p c - c, without a table-sized temporary
-            pc = np.multiply(c, self.P, out=self._a)
-            pc -= c
-            jac = -2.0 * pc[:, self._cols]
-            # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
-            np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
-            return jac
+    def jacobian(self):
+        """The n x n Jacobian, in the interior values, of the operator at
+        the last ``apply``, from the table it left: formed once, before the
+        context's next sweep, and ContextMismatch otherwise.
 
-        return values, jacobian
+        Entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2) k_ik w_k;
+        the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2) k_ij w_j
+        over all columns j, so exterior columns fold into the diagonal.
+        Finite since p >= 2.
+        """
+        if not self._has_table:
+            raise ContextMismatch("Jacobian already formed, or no apply since the last sweep")
+        self._has_table = False
+        c = np.multiply(self._b, self.row_w, out=self._b)
+        # (p - 1) c as p c - c, without a table-sized temporary
+        pc = np.multiply(c, self.P, out=self._a)
+        pc -= c
+        jac = -2.0 * pc[:, self._cols]
+        # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
+        np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
+        return jac
 
     def weak(self, uvals, vvals):
         """Pair sum |du|^(p-2) du dv k_ij w_i w_j."""

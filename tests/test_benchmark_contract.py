@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+import fracflow as ff
 from fracflow.config import (build_domain, build_field, build_grid_from, load_config,
                              serialize_config)
 from fracflow.nonlocal_operator import OperatorContext
@@ -80,6 +81,15 @@ def test_traced_names_resolve(tracer):
     for modname, attr in tracer.FUNCTIONS:
         module = importlib.import_module("fracflow." + modname)
         assert callable(getattr(module, attr, None)), (modname, attr)
+
+
+def test_trace_sees_the_imex_inner_solve(tracer, ctx16_var, grid16):
+    # the trace counts the sweeps step_imex makes itself as its inner solve
+    state = ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx16_var)
+    trace = tracer.Tracer()
+    with trace.installed():
+        ff.step_imex(state, 5e-2, ctx16_var)
+    assert trace.layer_metrics(0.0)["evolution.imex_inner_per_step"] >= 2
 
 
 def _setup_snippet():

@@ -120,6 +120,20 @@ def test_assumption_violation_exit_one(tmp_path, capsys):
     assert (tmp_path / "summary.txt").exists()
 
 
+def test_assumption_violation_is_a_verdict_in_every_scenario(tmp_path, capsys, monkeypatch):
+    # geometry validates the field when it builds its context, before the
+    # embedding-constant search
+    monkeypatch.setattr(scenarios, "estimate_embedding_constant", _no_search)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("exponents.s = 0.6\n")
+    rc = main(["geometry", "--config", str(bad), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "assumptions: FAIL (a4: " in out
+    assert "scenario geometry: FAIL" in out
+    assert (tmp_path / "out" / "summary.txt").read_text() == out
+
+
 def test_nehari_sweep_scenario(tmp_path, capsys):
     cfgpath = tmp_path / "sweep.cfg"
     _write_fast_config(cfgpath, "nehari-sweep")

@@ -100,9 +100,9 @@ def test_imex_second_order_agreement_with_explicit(ctx16, grid16, geom16):
     assert min(orders) >= 1.8
 
 
-#: power-table sweeps per step_imex when each Newton trial called ``apply``
-#: and each iteration ``jacobian`` separately, and the new state's gradient
-#: swept again
+#: power-table sweeps per step_imex when each Newton trial called ``apply``,
+#: each iteration swept again for its Jacobian, and the new state's
+#: gradient was swept again
 _SEPARATE_SWEEPS = {("ctx16", 1e-3): 5, ("ctx16_var", 1e-3): 7,
                     ("ctx16", 5e-2): 5, ("ctx16_var", 5e-2): 9}
 
@@ -110,10 +110,10 @@ _SEPARATE_SWEEPS = {("ctx16", 1e-3): 5, ("ctx16_var", 1e-3): 7,
 @pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
 @pytest.mark.parametrize("dt", [1e-3, 5e-2])
 def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
-    # Newton on the proximal residual: one linearize sweep at the start and
+    # Newton on the proximal residual: one apply sweep at the start and
     # one per trial, whose values also give the new state's gradient, plus
-    # the new state's energy.  A Jacobian is formed only for a solve, so the
-    # converged last trial forms none
+    # the new state's energy.  A Jacobian is formed from the last sweep's
+    # table only for a solve, so the converged last trial forms none
     ctx = request.getfixturevalue(name)
     st = ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx)
     calls = Counter()
@@ -125,21 +125,15 @@ def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
 
         return counted
 
-    def linearize(self, vals, _orig=ff.OperatorContext.linearize):
-        values, jacobian = _orig(self, vals)
-        return values, counting("jacobian", jacobian)
-
-    for meth in ("apply", "pair_stats"):
+    for meth in ("apply", "pair_stats", "jacobian"):
         monkeypatch.setattr(ff.OperatorContext, meth,
                             counting(meth, getattr(ff.OperatorContext, meth)))
-    monkeypatch.setattr(ff.OperatorContext, "linearize", counting("linearize", linearize))
     monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     new = ff.step_imex(st, dt, ctx)
-    sweeps = calls["apply"] + calls["pair_stats"] + calls["linearize"]
-    assert calls["apply"] == 0
-    assert calls["pair_stats"] == 1 and calls["linearize"] >= 2
+    sweeps = calls["apply"] + calls["pair_stats"]
+    assert calls["pair_stats"] == 1 and calls["apply"] >= 2
     assert sweeps < _SEPARATE_SWEEPS[name, dt]
-    assert 1 <= calls["jacobian"] == calls["solve"] < calls["linearize"]
+    assert 1 <= calls["jacobian"] == calls["solve"] < calls["apply"]
     # the gradient kept from the last trial is the one a fresh sweep gives
     assert np.array_equal(new.grad.values, ff.energy_gradient(new.u, ctx).values)
 

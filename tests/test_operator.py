@@ -218,16 +218,20 @@ def _unfolded_case():
 def _table_cases(field):
     """(grid, field, values) on small grids: constant p, variable p(x, y)
     on a symmetric collar (mirror columns fold) and on an off-centre one
-    (nothing folds), and constant p with collar cells wider than the
-    interior cells, each with random interior values."""
+    (nothing folds), constant p with collar cells wider than the interior
+    cells, and variable p on an off-centre collar wide enough that some
+    collar cells have a mirror (groups of two and of one), each with
+    random interior values."""
     dom = ff.Domain(-1.0, 1.0, 1.0)
     grid = ff.Grid(dom, 6, 3)
     variable = ff.make_exponent_field(0.3, p=(2.0, 0.3), domain=dom)
+    off_grid, off_field = _unfolded_case()
     rng = np.random.default_rng(7)
     return [
         (g, f, rng.standard_normal(g.n))
-        for g, f in ((grid, field), (grid, variable), _unfolded_case(),
-                     (ff.Grid(ff.Domain(0.0, 1.0, 2.0), 10, 4), field))
+        for g, f in ((grid, field), (grid, variable), (off_grid, off_field),
+                     (ff.Grid(ff.Domain(0.0, 1.0, 2.0), 10, 4), field),
+                     (ff.Grid(off_grid.domain, 6, 8), off_field))
     ]
 
 
@@ -258,14 +262,15 @@ def test_interior_row_table_matches_oracles(field):
             um[k] -= h
             fd = (ctx.sp_modular(up / lam) - ctx.sp_modular(um / lam)) / (2.0 * h * widths[k])
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-        _assert_linearize_matches_differences(ctx, u)
+        _assert_jacobian_matches_differences(ctx, u)
 
 
-def _assert_linearize_matches_differences(ctx, vals, h=1e-6):
-    """``linearize``: its values bitwise equal to ``apply``, its Jacobian
-    against central differences of ``apply`` in each interior value."""
-    values, jacobian = ctx.linearize(vals)
-    jac = jacobian()
+def _assert_jacobian_matches_differences(ctx, vals, h=1e-6):
+    """``jacobian`` after ``apply``: forming it leaves the values of a new
+    ``apply`` bitwise equal, and it matches central differences of
+    ``apply`` in each interior value."""
+    values = ctx.apply(vals)
+    jac = ctx.jacobian()
     assert np.array_equal(values, ctx.apply(vals))
     assert jac.shape == (ctx.grid.n, ctx.grid.n)
     fd = np.empty_like(jac)
@@ -281,33 +286,34 @@ def _assert_linearize_matches_differences(ctx, vals, h=1e-6):
 def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
     # constant p = 2 and variable p(x, y)
     ctx = request.getfixturevalue(name)
-    _assert_linearize_matches_differences(ctx, rng.standard_normal(grid16.n))
+    _assert_jacobian_matches_differences(ctx, rng.standard_normal(grid16.n))
 
 
 def test_jacobian_is_formed_once_before_the_next_sweep(ctx16_var, grid16, rng):
     u = rng.standard_normal(grid16.n)
-    jacobian = ctx16_var.linearize(u)[1]
     ctx16_var.apply(u)
+    ctx16_var.pair_stats(u)
     with pytest.raises(ContextMismatch):
-        jacobian()
-    jacobian = ctx16_var.linearize(u)[1]
-    jacobian()
+        ctx16_var.jacobian()
+    ctx16_var.apply(u)
+    ctx16_var.jacobian()
     with pytest.raises(ContextMismatch):
-        jacobian()
+        ctx16_var.jacobian()
 
 
 def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     u = rng.standard_normal(grid16.n)
     first = ctx16.apply(u)
-    values, jacobian = ctx16.linearize(u)
-    lin = (values, jacobian())
+    values = ctx16.apply(u)
+    lin = (values, ctx16.jacobian())
     kept = [a.copy() for a in (first, *lin)]
     coeffs = ctx16.pair_coeffs(u)[0]
     kept_c = coeffs.copy()
     ctx16.apply(2.0 * u)
     ctx16.pair_stats(3.0 * u)
     ctx16.sp_grad_interior(u, 0.5)
-    ctx16.linearize(4.0 * u)
+    ctx16.apply(4.0 * u)
+    ctx16.jacobian()
     assert all(np.array_equal(a, k) for a, k in zip((first, *lin), kept))
     assert np.array_equal(coeffs, kept_c)
 

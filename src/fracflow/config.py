@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from .energy import _check_n_starts, first_sine_mode, standard_bump
 from .errors import ConfigError, GridMismatch, InvalidResolution
 from .evolution import StepControl
-from .exponents import _check_resolution, make_exponent_field, one_point_exponent
+from .exponents import (_bump_bounds, _check_resolution, make_exponent_field,
+                        one_point_exponent)
 from .grid import Domain, Grid
 from .nonlocal_operator import _check_table_size
 from .report import load_csv
@@ -161,9 +162,10 @@ def parse_config(text):
     exponents.s (the fractional order has no safe default in a file), or
     a value that the step control, domain, grid, pair-table cap, exponent
     field, probe, initial-data recipe, validation or depth search would
-    reject, including an initial-data file that does not hold one value
-    per grid cell.  An initial-data file that cannot be read raises
-    OSError.
+    reject, including a probe exponent not above 1 somewhere on the
+    interval, a depth-search tolerance that is not positive, and an
+    initial-data file that does not hold one value per grid cell.  An
+    initial-data file that cannot be read raises OSError.
     """
     cfg = ExperimentConfig()
     targets = {key: (obj, f) for key, obj, f in _walk(cfg)}
@@ -190,7 +192,7 @@ def parse_config(text):
         ("probe", lambda: build_probe(cfg)),
         ("initial", lambda: _check_initial(cfg.initial, build_grid_from(cfg))),
         ("validation", lambda: _check_resolution(cfg.validation.resolution)),
-        ("geometry", lambda: _check_n_starts(cfg.geometry.n_starts)),
+        ("geometry", lambda: _check_geometry(cfg.geometry)),
     ):
         try:
             check()
@@ -268,8 +270,24 @@ def build_control(cfg, dt_init=None):
 
 
 def build_probe(cfg):
-    """The probe exponent r(x), one of the one-point shapes that q takes."""
-    return one_point_exponent(*_coefficients(cfg.probe, "bump", 2.0))
+    """The probe exponent r(x), one of the one-point shapes that q takes;
+    ValueError unless it exceeds 1 on the closed interval, as the
+    Luxemburg norm requires."""
+    domain = build_domain(cfg)
+    a, b = _coefficients(cfg.probe, "bump", 2.0)
+    r_min = _bump_bounds(a, b, domain)[0]
+    if not r_min > 1.0:
+        raise ValueError("exponent must exceed 1 on [%r, %r]; its minimum there is %r"
+                         % (domain.a, domain.b, r_min))
+    return one_point_exponent(a, b)
+
+
+def _check_geometry(geo):
+    """Refuse a depth search without starts or with a projection tolerance
+    that is not positive."""
+    _check_n_starts(geo.n_starts)
+    if not geo.tol > 0.0:
+        raise ValueError("tol must be positive, got %r" % geo.tol)
 
 
 def _check_initial(ini, grid):

@@ -188,15 +188,12 @@ def _descend(x, value, grad, project, iters):
     ``project`` of the nonzero trial values lowers the objective, then
     doubles it.  The first iteration without such a trial ends the descent,
     and so does the first trial that projects back onto x bitwise: the step
-    is then below the resolution of x.  A trial that projects onto the last
-    rejected state bitwise is rejected without evaluating it again, since
-    the objective only decreases.  Returns the last accepted state, its
-    objective and the accepted count.
+    is then below the resolution of x.  Returns the last accepted state,
+    its objective and the accepted count.
     """
     f, aux = value(x)
     alpha = 1.0
     accepted = 0
-    rejected = None
     for _ in range(iters):
         g = grad(x, aux)
         gnorm = np.linalg.norm(g)
@@ -211,11 +208,9 @@ def _descend(x, value, grad, project, iters):
                 cand = project(trial)
                 if np.array_equal(cand.values, x.values):
                     return x, f, accepted
-                if rejected is None or not np.array_equal(cand.values, rejected):
-                    f_new, aux_new = value(cand)
-                    if f_new < f:
-                        break
-                    rejected = cand.values
+                f_new, aux_new = value(cand)
+                if f_new < f:
+                    break
             a *= 0.5
         else:
             break

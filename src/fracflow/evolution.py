@@ -11,8 +11,8 @@ table; each Newton step is halved until the residual strictly decreases,
 and ``inner_max`` caps the Newton iterations.  Each trial costs one
 ``apply`` sweep, which gives its residual and, for the accepted trial,
 the new state's gradient; ``jacobian`` forms the next solve's Jacobian
-from the table that sweep left.  The residual at the start is the state's
-own gradient, and one ``apply`` at the start gives the first Jacobian.
+from the table that sweep left.  The first reuses the table that the
+state's gradient left, unless a rejected step's sweeps replaced it.
 
 Along the run the engine records, per accepted step, the energy balance
 residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
@@ -174,11 +174,11 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     Jacobian of the operator, then halves the step from 1 (at most 60
     times) until the measure-weighted residual norm strictly decreases.
     One ``ctx.apply`` per trial gives its residual, and the accepted
-    trial's values the new state's gradient; ``ctx.jacobian()`` forms the
-    next solve's Jacobian from that sweep's table (before the first solve,
-    from one ``ctx.apply(u)``), so a Jacobian costs no sweep.  Converged
-    once that norm is at most ``inner_tol`` times max(1, its initial
-    value); otherwise raises InnerSolveStalled.
+    trial's values the new state's gradient; ``ctx.jacobian(v)`` reuses
+    that sweep's table, and at v = u the table of the state's gradient,
+    so a Jacobian costs no sweep after an accepted step.  Converged once
+    that norm is at most ``inner_tol`` times max(1, its initial value);
+    otherwise raises InnerSolveStalled.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -197,9 +197,7 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     for _ in range(inner_max):
         if rnorm <= target:
             break
-        if op_vals is None:
-            ctx.apply(v)  # the table at u, for the first Jacobian
-        jac = ctx.jacobian()
+        jac = ctx.jacobian(v)
         jac[np.diag_indices_from(jac)] += 1.0 / dt
         delta = np.linalg.solve(jac, r)
         a = 1.0

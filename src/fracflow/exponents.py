@@ -79,15 +79,19 @@ class ExponentSummary:
 
 
 def critical_exponent(field, x):
-    """Critical embedding exponent p*_s(x) = N pbar(x) / (N - s pbar(x))."""
+    """Critical embedding exponent p*_s(x) = N pbar(x) / (N - s pbar(x)):
+    a float for a scalar x, an array for an array x.  Raises
+    DegenerateDenominator if the denominator is <= 0 at any x."""
     N = field.spatial_dim
-    pbar = float(field.pbar(x))
+    pbar = field.pbar(x)
     denom = N - field.s * pbar
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
+        k = int(np.argmin(denom))
         raise DegenerateDenominator(
-            "N - s*pbar(x) = %g <= 0 at x=%r" % (denom, x)
+            "N - s*pbar(x) = %g <= 0 at x=%r" % (denom.flat[k], float(np.ravel(x)[k]))
         )
-    return N * pbar / denom
+    crit = N * pbar / denom
+    return float(crit) if crit.ndim == 0 else crit
 
 
 def _pair_samples(domain, resolution):
@@ -179,9 +183,8 @@ def validate_assumptions(field, domain, sample_resolution=65):
             "q", field.q_bounds, q_minus, q_plus, float(xs[jmax])
         )
 
-    pbar = np.asarray(field.pbar(xs), dtype=float)
-    crit = N * pbar / (N - field.s * pbar)  # denominators positive by (a4)
-    bound = crit / 2.0 + 1.0
+    # denominators positive by (a4)
+    bound = critical_exponent(field, xs) / 2.0 + 1.0
     jb = int(np.argmin(bound))
     min_bound = float(bound[jb])
 

@@ -116,8 +116,8 @@ class OperatorContext:
     weights and its shared exponent; groups of equal size sit together, in
     order of their first cell.  Sweeps write into preallocated work buffers
     and return only reductions or fresh arrays, never a view of a buffer;
-    ``apply`` also leaves its |du|^(p-2) table in one, from which
-    ``jacobian`` forms the Jacobian until the next sweep.
+    ``apply`` also leaves its |du|^(p-2) table in one, which ``jacobian``
+    at the same values reuses until another sweep overwrites it.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -147,12 +147,11 @@ class OperatorContext:
         self._col_vals = np.zeros(self.row_w.shape[1])
         self._a = np.empty(self.row_w.shape)
         self._b = np.empty(self.row_w.shape)
-        self._has_table = False
+        self._table_of = None  # the values of apply's table in _b, if intact
 
     def _diff(self, vals):
         """u_i - u_j for interior rows i against all columns j, in the first
         work buffer; exterior columns take the value 0."""
-        self._has_table = False
         cv = self._col_vals
         cv[self._cols] = vals
         return np.subtract(cv[self._cols, None], cv, out=self._a)
@@ -164,6 +163,7 @@ class OperatorContext:
 
     def _pow_sign(self, vals):
         """|du|^(p_ij - 2) du in the second work buffer; du stays in the first."""
+        self._table_of = None
         du = self._diff(vals)
         a = np.abs(du, out=self._b)
         np.power(a, self._p_minus_2, out=a)
@@ -192,22 +192,22 @@ class OperatorContext:
         c = np.abs(du, out=self._b)
         np.power(c, self._p_minus_2, out=c)
         values = 2.0 * np.einsum("ij,ij->i", np.multiply(c, du, out=self._a), self.row_w)
-        self._has_table = True
+        self._table_of = np.array(vals, dtype=float)
         return values
 
-    def jacobian(self):
+    def jacobian(self, vals):
         """The n x n Jacobian, in the interior values, of the operator at
-        the last ``apply``, from the table it left: formed once, before the
-        context's next sweep, and ContextMismatch otherwise.
+        ``vals``, from the table of an ``apply`` at ``vals``: the last one's
+        if nothing overwrote it since, else a new one's.
 
         Entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2) k_ik w_k;
         the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2) k_ij w_j
         over all columns j, so exterior columns fold into the diagonal.
         Finite since p >= 2.
         """
-        if not self._has_table:
-            raise ContextMismatch("Jacobian already formed, or no apply since the last sweep")
-        self._has_table = False
+        if not np.array_equal(self._table_of, vals):
+            self.apply(vals)
+        self._table_of = None
         c = np.multiply(self._b, self.row_w, out=self._b)
         # (p - 1) c as p c - c, without a table-sized temporary
         pc = np.multiply(c, self.P, out=self._a)

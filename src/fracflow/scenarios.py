@@ -140,7 +140,7 @@ def _scenario_well(cfg, out_dir, v):
         bool(
             np.all(np.diff(energies) <= cfg.step.energy_increase_tol)
         ),
-        "max increase %r" % float(np.max(np.diff(energies))),
+        "max increase %r" % float(np.max(np.diff(energies))) if len(energies) > 1 else "no steps",
     )
     l2s = record.column("l2")
     v.check(

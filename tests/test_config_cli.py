@@ -92,15 +92,21 @@ def test_bad_step_value_fails_at_parse_time(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(scenarios, "well_depth", no_search)
     bad = tmp_path / "bad.cfg"
-    for line, reason in (
-        ("step.scheme = bogus", "scheme must be 'explicit' or 'imex'"),
-        ("step.t_final = 0", "t_final must be positive"),
+    for section, lines, reason in (
+        ("step", "step.scheme = bogus", "scheme must be 'explicit' or 'imex'"),
+        ("step", "step.t_final = 0", "t_final must be positive"),
+        # the Luxemburg norm of a run's samples needs a probe exponent above 1
+        ("probe", "probe.value = 1.0", "its minimum there is 1.0"),
+        ("probe", "probe.kind = bump\nprobe.b = -2.0", "its minimum there is 0.0"),
+        ("geometry", "geometry.tol = 0.0", "tol must be positive"),
+        ("geometry", "geometry.tol = -1e-9", "tol must be positive"),
     ):
-        bad.write_text("exponents.s = 0.4\n%s\n" % line)
+        bad.write_text("exponents.s = 0.4\n%s\n" % lines)
         rc = main(["well", "--config", str(bad), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("config error: step: ") and reason in err, err
+        assert err.startswith("config error: %s: " % section) and reason in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_config_exit_two(tmp_path, capsys):
@@ -274,6 +280,18 @@ def test_well_scenario_failure_exit_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "decay: FAIL" in out
+
+
+def test_well_scenario_with_no_steps_fails_decay(tmp_path, capsys):
+    # a record of the initial sample alone has no energy increase to report
+    cfgpath = tmp_path / "still.cfg"
+    _write_fast_config(cfgpath, "well", **{"step.max_steps": 0})
+    rc = main(["well", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "termination: MaxSteps" in out and "dissipativity: PASS" in out
+    assert "decay: FAIL (final/initial l2 = 1.0)" in out
+    assert (tmp_path / "out" / "summary.txt").read_text().splitlines() == out.splitlines()
 
 
 def test_blowup_scenario(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.energy import _descend, _q_norm_grad, _seminorm_grad
+from fracflow.energy import _q_norm_grad, _seminorm_grad
 from fracflow.errors import ProjectionFailed, ZeroFunction
 from fracflow.modular import _log_root
 
@@ -241,27 +241,6 @@ def test_well_depth_projects_no_trial_below_resolution(ctx16, monkeypatch):
     ff.well_depth(ctx16, n_starts=n_starts, iters=300, rng=0)
     assert calls["energy"] > 10 * n_starts
     assert calls["nehari_lambda"] <= calls["energy"] + n_starts
-
-
-def test_descend_evaluates_a_rejected_state_once(grid16):
-    # trials round to whole numbers: from 0.9 every halving lands on 1.0,
-    # which is worse than x, and is rejected each time
-    seen = Counter()
-
-    def value(u):
-        seen[u.values.tobytes()] += 1
-        return float(np.sum((u.values - 0.5) ** 2)), None
-
-    def grad(u, _):
-        return 2.0 * (u.values - 0.5)
-
-    def project(trial):
-        return ff.GridFunction(grid16, np.round(trial))
-
-    x = ff.GridFunction(grid16, np.full(grid16.n, 0.9))
-    got, f, accepted = _descend(x, value, grad, project, iters=5)
-    assert got is x and accepted == 0 and f == pytest.approx(16 * 0.16)
-    assert len(seen) == 2 and max(seen.values()) == 1
 
 
 def test_norm_gradients_match_finite_differences(ctx16, grid16, rng):

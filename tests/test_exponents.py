@@ -125,6 +125,14 @@ def test_critical_exponent_values(field):
     )
     with pytest.raises(DegenerateDenominator):
         ff.critical_exponent(degenerate, 0.0)
+    # an array x gives the scalar values elementwise, and fails if any does
+    curved = ff.make_exponent_field(0.3, p=(2.0, 0.5))
+    xs = np.linspace(-1.0, 1.0, 5)
+    crit = ff.critical_exponent(curved, xs)
+    assert type(ff.critical_exponent(curved, 0.5)) is float
+    assert crit.tolist() == [ff.critical_exponent(curved, x) for x in xs]
+    with pytest.raises(DegenerateDenominator, match="at x=-1.0"):
+        ff.critical_exponent(ff.make_exponent_field(0.45, p=(2.0, 0.5)), xs)
 
 
 def test_critical_exponent_increasing_in_s(field):

@@ -270,15 +270,24 @@ def _assert_jacobian_matches_differences(ctx, vals, h=1e-6):
     ``apply`` bitwise equal, and it matches central differences of
     ``apply`` in each interior value."""
     values = ctx.apply(vals)
-    jac = ctx.jacobian()
+    jac = ctx.jacobian(vals)
     assert np.array_equal(values, ctx.apply(vals))
     assert jac.shape == (ctx.grid.n, ctx.grid.n)
-    fd = np.empty_like(jac)
+    _assert_close_to(jac, _differences_of_apply(ctx, vals, h))
+
+
+def _differences_of_apply(ctx, vals, h=1e-6):
+    """Central differences of ``apply`` in each interior value, as columns."""
+    fd = np.empty((ctx.grid.n, ctx.grid.n))
     for k in range(ctx.grid.n):
         up, um = vals.copy(), vals.copy()
         up[k] += h
         um[k] -= h
         fd[:, k] = (ctx.apply(up) - ctx.apply(um)) / (2.0 * h)
+    return fd
+
+
+def _assert_close_to(jac, fd):
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-7 * float(np.max(np.abs(jac))))
 
 
@@ -289,23 +298,39 @@ def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
     _assert_jacobian_matches_differences(ctx, rng.standard_normal(grid16.n))
 
 
-def test_jacobian_is_formed_once_before_the_next_sweep(ctx16_var, grid16, rng):
-    u = rng.standard_normal(grid16.n)
-    ctx16_var.apply(u)
-    ctx16_var.pair_stats(u)
-    with pytest.raises(ContextMismatch):
-        ctx16_var.jacobian()
-    ctx16_var.apply(u)
-    ctx16_var.jacobian()
-    with pytest.raises(ContextMismatch):
-        ctx16_var.jacobian()
+def test_jacobian_at_a_state_holds_after_any_sweep(ctx16_var, grid16, rng):
+    # jacobian(u) is the Jacobian at u whatever ran before it: apply's table
+    # at u is reused only while it is intact, else jacobian sweeps again
+    ctx = ctx16_var
+    u, other = rng.standard_normal((2, grid16.n))
+    # every public sweep besides apply and jacobian, with its arguments
+    sweeps = {
+        "pair_stats": (other,), "pair_coeffs": (other,), "sp_modular": (other,),
+        "i1": (other,), "sp_dlambda": (other, 0.7), "sp_grad_interior": (other, 0.7),
+        "weak": (other, 2.0 * other), "gap": (other, 2.0 * other),
+    }
+    public = {name for name in dir(OperatorContext)
+              if not name.startswith("_") and callable(getattr(OperatorContext, name))}
+    assert public - {"apply", "jacobian"} == set(sweeps)
+    ref = _differences_of_apply(ctx, u)
+    for name, args in sweeps.items():
+        ctx.apply(u)
+        getattr(ctx, name)(*args)
+        _assert_close_to(ctx.jacobian(u), ref)
+    ctx.apply(u)
+    first = ctx.jacobian(u)
+    _assert_close_to(first, ref)
+    assert np.array_equal(ctx.jacobian(u), first)
+    ctx.apply(other)
+    _assert_close_to(ctx.jacobian(u), ref)
+    assert np.array_equal(OperatorContext(grid16, ctx.field).jacobian(u), first)
 
 
 def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     u = rng.standard_normal(grid16.n)
     first = ctx16.apply(u)
     values = ctx16.apply(u)
-    lin = (values, ctx16.jacobian())
+    lin = (values, ctx16.jacobian(u))
     kept = [a.copy() for a in (first, *lin)]
     coeffs = ctx16.pair_coeffs(u)[0]
     kept_c = coeffs.copy()
@@ -313,7 +338,7 @@ def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     ctx16.pair_stats(3.0 * u)
     ctx16.sp_grad_interior(u, 0.5)
     ctx16.apply(4.0 * u)
-    ctx16.jacobian()
+    ctx16.jacobian(4.0 * u)
     assert all(np.array_equal(a, k) for a, k in zip((first, *lin), kept))
     assert np.array_equal(coeffs, kept_c)
 

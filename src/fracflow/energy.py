@@ -171,11 +171,17 @@ def _check_n_starts(n_starts):
 
 def _starts(grid, n_starts, rng):
     """The first ``n_starts`` of: the bump, the sine mode, then standard
-    normal interior values drawn from ``rng``."""
+    normal interior values drawn from ``np.random.default_rng(rng)``.
+
+    The generator is made only when a start is drawn, so a search from at
+    most two starts never imports ``numpy.random``; a Generator passed as
+    ``rng`` is used as it is, and its state advances by the draws."""
     _check_n_starts(n_starts)
     starts = [standard_bump(grid), first_sine_mode(grid)][:n_starts]
-    while len(starts) < n_starts:
-        starts.append(GridFunction(grid, rng.standard_normal(grid.n)))
+    if n_starts > len(starts):
+        rng = np.random.default_rng(rng)
+        while len(starts) < n_starts:
+            starts.append(GridFunction(grid, rng.standard_normal(grid.n)))
     return starts
 
 
@@ -230,7 +236,6 @@ def estimate_embedding_constant(ctx, n_starts, iters, rng=None):
     """
     g = ctx.grid
     q = ctx.q_interior
-    rng = np.random.default_rng(rng)
 
     def value(u):
         sn = gagliardo_seminorm(u, ctx).luxemburg_norm
@@ -277,7 +282,6 @@ def well_depth(ctx, n_starts, iters, tol=1e-9, rng=None):
     and ``depth_lower_bound``.
     """
     g = ctx.grid
-    rng = np.random.default_rng(rng)
 
     def value(w):
         return energy(w, ctx).energy, None

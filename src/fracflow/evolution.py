@@ -87,6 +87,8 @@ class StepControl:
             raise ValueError("blowup_cap and t_final must be positive")
         if self.scheme not in (SCHEME_EXPLICIT, SCHEME_IMEX):
             raise ValueError("scheme must be %r or %r" % (SCHEME_EXPLICIT, SCHEME_IMEX))
+        if self.inner_max < 1:
+            raise ValueError("inner_max must be at least 1, got %r" % self.inner_max)
 
 
 @dataclass

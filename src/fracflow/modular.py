@@ -14,7 +14,8 @@ min(t**e-, t**e+) <= modular <= max(t**e-, t**e+) at t = norm.
 
 In t = log(lam) those inequalities bound the slope of -log(modular(u/lam))
 by e- and e+; ``_log_root`` uses the bounds to bracket safeguarded Newton
-steps in t, for every norm here and for the manifold scaling in ``energy``.
+steps in t, for every norm of more than one term here and for the manifold
+scaling in ``energy``.  A one-term norm is solved in closed form.
 """
 
 import math
@@ -96,10 +97,15 @@ def lebesgue_modular(u, h):
 
 def _log_power_sum(logc, e, t):
     """log(sum(exp(logc + e*t))) and the mean of e under those weights,
-    both from one shifted power array, so no finite t overflows."""
-    a = logc + e * t
-    m = a.max()
-    w = np.exp(a - m)
+    both from one shifted power array, so no finite t overflows.  The
+    array is formed and shifted in one buffer of the size of ``e``: the
+    same operations on the same operands as ``exp(logc + e*t - max)``,
+    with no temporaries."""
+    w = np.multiply(e, t)
+    w += logc
+    m = w.max()
+    w -= m
+    np.exp(w, out=w)
     s = w.sum()
     return m + math.log(s), float(np.dot(w, e)) / s
 
@@ -144,12 +150,24 @@ def _log_root(cp, ep, cq, eq, ftol, max_evals=MAX_EVALS):
 
 def _norm(c, e, tol):
     """ModularReport for the lam with sum(c * lam**-e) = 1 * lam**0, to
-    |modular - 1| <= tol; norm 0 when no coefficient is positive."""
+    |modular - 1| <= tol; norm 0 when no coefficient is positive.
+
+    One coefficient (a constant exponent) has the closed-form root
+    t = log(c) / e, the value Newton's first step from t = 0 takes, so it
+    is returned after that one evaluation; a non-finite root raises
+    RootFindFailed, as the root-find does.  More coefficients go to
+    ``_log_root``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if c.size == 0:
         return ModularReport(0.0, 0.0, 0, (0.0, 0.0))
-    t, evals, (lo, hi) = _log_root(c, -e, np.ones(1), np.zeros(1), math.log1p(tol))
+    if c.size == 1:
+        t = lo = hi = float(np.log(c)[0] / e[0])
+        evals = 1
+        if not math.isfinite(t):
+            raise RootFindFailed("closed-form root is not finite: t = %g" % t)
+    else:
+        t, evals, (lo, hi) = _log_root(c, -e, np.ones(1), np.zeros(1), math.log1p(tol))
     return ModularReport(float(np.sum(c)), math.exp(t), evals, (math.exp(lo), math.exp(hi)))
 
 

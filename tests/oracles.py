@@ -2,7 +2,10 @@
 
 Plain triple loops straight from the formulas, deliberately sharing no code
 with the vectorized package paths; used to pin the pair-table reductions.
+The root-find's shifted power sum is here too, in its plain form.
 """
+
+import math
 
 import numpy as np
 
@@ -100,3 +103,13 @@ def brute_weak(grid, field, uvals, vvals):
             dv = vvals[i] - vvals[j]
             total += abs(du) ** (p - 2.0) * du * dv * d ** -(N + s * p) * w[i] * w[j]
     return total
+
+
+def naive_log_power_sum(logc, e, t):
+    """log(sum(exp(logc + e*t))) and the mean of e under those weights,
+    written as the formula reads, one temporary per operation."""
+    a = logc + e * t
+    m = a.max()
+    w = np.exp(a - m)
+    s = w.sum()
+    return m + math.log(s), float(np.dot(w, e)) / s

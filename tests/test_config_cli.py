@@ -294,6 +294,20 @@ def test_well_scenario_with_no_steps_fails_decay(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.txt").read_text().splitlines() == out.splitlines()
 
 
+@pytest.mark.parametrize("key", ["initial.factor", "initial.amplitude"])
+def test_well_scenario_from_zero_state_decays_without_warning(key, tmp_path, capsys):
+    # the suite turns RuntimeWarnings into errors, so a 0/0 l2 ratio fails here
+    cfgpath = tmp_path / "zero.cfg"
+    overrides = {key: 0.0}
+    if key == "initial.amplitude":
+        overrides["initial.kind"] = "bump"
+    _write_fast_config(cfgpath, "well", **overrides)
+    rc = main(["well", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "decay: PASS" in out
+
+
 def test_blowup_scenario(tmp_path, capsys):
     cfgpath = tmp_path / "blow.cfg"
     _write_fast_config(cfgpath, "blowup", **{"initial.factor": 2.0, "step.t_final": 5.0})
@@ -412,6 +426,66 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _imported(argv, cwd):
+    """Modules a fresh ``python -X importtime`` process imports, and its
+    stdout; a failed verdict (exit 1) still counts as a run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ff.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime"] + argv,
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}, proc.stdout
+
+
+@pytest.mark.parametrize("n_starts, loaded", [(None, False), (1, False), (2, False), (3, True)],
+                         ids=["import", "one-start", "two-starts", "three-starts"])
+def test_numpy_random_loads_only_for_a_drawn_start(n_starts, loaded, tmp_path):
+    # the bump and the sine mode need no generator; importing numpy.random
+    # costs a fresh process about 6 MB
+    if n_starts is None:
+        modules, _ = _imported(["-c", "import fracflow"], tmp_path)
+    else:
+        cfgpath = tmp_path / "well.cfg"
+        _write_fast_config(cfgpath, "well", **{"geometry.n_starts": n_starts})
+        modules, out = _imported(["-m", "fracflow", "well", "--config", str(cfgpath),
+                                  "--out", "out"], tmp_path)
+        assert "scenario well: " in out
+    assert "fracflow" in modules and "numpy" in modules
+    assert ("numpy.random" in modules) is loaded
+
+
+@pytest.mark.parametrize("n_starts", [1, 2, 3, 4, 5])
+def test_estimate_and_search_draw_their_starts_in_turn(n_starts, ctx16, monkeypatch):
+    # the estimate draws first from the seed, the depth search next, whether
+    # or not the estimate runs
+    seed = 11
+    gen = np.random.default_rng(seed)
+    k = max(n_starts - 2, 0)
+    draws = [gen.standard_normal(ctx16.grid.n) for _ in range(2 * k)]
+    fixed = [ff.standard_bump(ctx16.grid).values, ff.first_sine_mode(ctx16.grid).values]
+    expected_estimate = (fixed + draws[:k])[:n_starts]
+    expected_search = (fixed + draws[k:])[:n_starts]
+
+    estimate = [u.values for u in scenarios._starts(ctx16.grid, n_starts, seed)]
+    searched = []
+
+    def search(ctx, n_starts, iters, tol, rng):
+        searched.extend(u.values for u in scenarios._starts(ctx.grid, n_starts, rng))
+
+    monkeypatch.setattr(scenarios, "well_depth", search)
+    cfg = default_config("well")
+    cfg.seed, cfg.geometry.n_starts = seed, n_starts
+    scenarios._geometry(cfg, ctx16)
+    for got, want in ((estimate, expected_estimate), (searched, expected_search)):
+        assert len(got) == n_starts
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 #: prints OpenBLAS's thread count after ``import fracflow`` (None when no
@@ -614,9 +688,10 @@ def test_constant_shape_rejects_a_and_b(shape, coef):
     ("grid.n = 4096\ngrid.m = 1024", "grid"),  # a pair table over MAX_TABLE_ENTRIES
     ("initial.kind = bogus", "initial"),
     ("initial.kind = file", "initial"),
+    ("step.scheme = imex\nstep.inner_max = 0", "step"),
 ], ids=["b-not-above-a", "negative-radius", "n-below-4", "no-collar-cells", "s-above-1",
         "one-sample", "no-starts", "table-over-cap", "unknown-initial-kind",
-        "file-without-path"])
+        "file-without-path", "no-inner-iterations"])
 def test_bad_config_value_is_a_config_error(lines, section, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "well_depth", _no_search)
     monkeypatch.setattr(scenarios, "estimate_embedding_constant", _no_search)

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 import fracflow as ff
 from fracflow.errors import ContextMismatch, ExponentOutOfRange, RootFindFailed
-from fracflow.modular import _lebesgue_coeffs, _log_root, conjugate_exponent_values
+from fracflow.modular import (_lebesgue_coeffs, _log_power_sum, _log_root, _norm,
+                              conjugate_exponent_values)
 
-from oracles import brute_sp_modular, zero_extended
+from oracles import brute_sp_modular, naive_log_power_sum, zero_extended
 
 
 def test_lebesgue_modular_basic(grid16):
@@ -175,6 +178,34 @@ def test_root_find_failure_is_typed(grid16, rng):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RootFindFailed, match="not finite"):
             ff.luxemburg_norm(huge, 3.0)
+
+
+def test_log_power_sum_is_bitwise_the_plain_formula(ctx16_var, grid16, rng):
+    # the one-buffer form runs the same IEEE operations on the same operands
+    for _ in range(20):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        u = ff.GridFunction(grid16, scale * rng.standard_normal(grid16.n))
+        c, e = ctx16_var.pair_coeffs(u.values)
+        assert np.unique(e).size > 1
+        logc = np.log(c)
+        for exps in (e, -e):
+            for t in (0.0, 1e-3, -0.7, 2.5, -40.0, 300.0, -300.0, 1e4):
+                assert _log_power_sum(logc, exps, t) == naive_log_power_sum(logc, exps, t)
+
+
+def test_one_term_norm_is_the_newton_root(ctx16, grid16, rng):
+    # a constant exponent sums to one coefficient, whose norm is returned in
+    # closed form after one evaluation; Newton from t = 0 gives the same bits
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        u = ff.GridFunction(grid16, scale * rng.standard_normal(grid16.n))
+        for c, e in (_lebesgue_coeffs(u, 3.0), ctx16.pair_coeffs(u.values)):
+            assert c.size == 1
+            rep = _norm(c, e, 1e-10)
+            t, evals, _ = _log_root(c, -e, np.ones(1), np.zeros(1), math.log1p(1e-10))
+            assert rep.luxemburg_norm == math.exp(t)
+            assert rep.bisection_iterations == 1 < evals
+            assert rep.bracket == (rep.luxemburg_norm, rep.luxemburg_norm)
 
 
 def test_scaled_modular_strictly_decreasing(grid16, rng):

@@ -15,6 +15,7 @@ a unit-length projection; ``depth_lower_bound`` turns it into a lower bound
 for the depth, a separate call from ``well_depth``.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .grid import GridFunction, l2_norm
-from .modular import (EPS, _lebesgue_coeffs, _log_root, exponent_values,
+from .modular import (EPS, _lebesgue_coeffs, _log_root, _Terms, exponent_values,
                       gagliardo_seminorm, luxemburg_norm)
 
 __all__ = [
@@ -111,11 +112,12 @@ def energy_gradient(u, ctx):
     return GridFunction(ctx.grid, ctx.apply(u.values) - _reaction(ctx, u.values))
 
 
-def _ray_root(cp, ep, cq, eq):
-    """Root of g(lam) = sum cp lam^ep - sum cq lam^eq on (0, inf), unique
-    because the p-exponents all lie below the q-exponents; located to a
-    relative residual |g| / (sum of both parts) of a few float eps."""
-    t, _, _ = _log_root(cp, ep, cq, eq, 4.0 * EPS)
+def _ray_root(p, q):
+    """Root of g(lam) = sum cp lam^ep - sum cq lam^eq on (0, inf), for the
+    ``_Terms`` p and q; unique because the p-exponents all lie below the
+    q-exponents.  Located to a relative residual |g| / (sum of both parts)
+    of a few float eps."""
+    t, _, _ = _log_root(p, q, 4.0 * EPS)
     return float(np.exp(t))
 
 
@@ -127,15 +129,15 @@ def nehari_lambda(u, ctx, tol=1e-9):
     ctx._check_function(u)
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")
-    cp, ep = ctx.pair_coeffs(u.values)
-    cq, eq = _lebesgue_coeffs(u, ctx.q_interior)
-    lam = _ray_root(cp, ep, cq, eq)
-    rho_sp, rho_q = np.sum(cp * lam**ep), np.sum(cq * lam**eq)
-    resid = abs(float(rho_sp - rho_q))
-    scale = float(rho_sp + rho_q)
-    if resid > tol * scale:
+    p = ctx.pair_terms(u.values)
+    q = _Terms.of(*_lebesgue_coeffs(u, ctx.q_interior))
+    lam = _ray_root(p, q)
+    t = math.log(lam)
+    # |rho_sp - rho_q| / (rho_sp + rho_q) from the logs of both parts
+    resid = math.tanh(0.5 * abs(p.log_sum(t)[0] - q.log_sum(t)[0]))
+    if resid > tol:
         raise ProjectionFailed(
-            "manifold projection residual %g exceeds %g" % (resid, tol * scale)
+            "manifold projection relative residual %g exceeds %g" % (resid, tol)
         )
     return lam
 

@@ -95,13 +95,14 @@ def lebesgue_modular(u, h):
     return float(np.sum(c))
 
 
-def _log_power_sum(logc, e, t):
+def _log_power_sum(logc, e, t, out=None):
     """log(sum(exp(logc + e*t))) and the mean of e under those weights,
     both from one shifted power array, so no finite t overflows.  The
-    array is formed and shifted in one buffer of the size of ``e``: the
-    same operations on the same operands as ``exp(logc + e*t - max)``,
-    with no temporaries."""
-    w = np.multiply(e, t)
+    array is formed and shifted in ``out``, a buffer of the shape of ``e``
+    (a new one when None): the same operations on the same operands as
+    ``exp(logc + e*t - max)``, with no temporaries.  A coefficient log of
+    -inf is a term of weight 0."""
+    w = np.multiply(e, t, out=out)
     w += logc
     m = w.max()
     w -= m
@@ -110,8 +111,30 @@ def _log_power_sum(logc, e, t):
     return m + math.log(s), float(np.dot(w, e)) / s
 
 
-def _log_root(cp, ep, cq, eq, ftol, max_evals=MAX_EVALS):
-    """Root t = log(lam) of sum(cq * lam**eq) = sum(cp * lam**ep), c > 0.
+class _Terms:
+    """One side sum(c * lam**e) of a root-find, held as the coefficient
+    logs ``logc`` and exponents ``e`` (1-D, of one shape) with ``out``, a
+    buffer of that shape for the power sums, and the least and largest
+    exponent of a nonzero coefficient, ``e_min`` and ``e_max``.  A zero
+    coefficient has log -inf."""
+
+    def __init__(self, logc, e, out, e_min, e_max):
+        self.logc, self.e, self.out = logc, e, out
+        self.e_min, self.e_max = float(e_min), float(e_max)
+
+    @classmethod
+    def of(cls, c, e):
+        """The side for coefficients c > 0 and exponents e, in new arrays."""
+        return cls(np.log(c), e, np.empty(e.shape), e.min(), e.max())
+
+    def log_sum(self, t):
+        """``_log_power_sum`` of the side at t = log(lam)."""
+        return _log_power_sum(self.logc, self.e, t, self.out)
+
+
+def _log_root(p, q, ftol, max_evals=MAX_EVALS):
+    """Root t = log(lam) of sum(cq * lam**eq) = sum(cp * lam**ep), for the
+    ``_Terms`` p and q.
 
     phi(t) = log(sum cq lam^eq) - log(sum cp lam^ep) has slope in [a, b] =
     [min eq - max ep, max eq - min ep], so the root lies between t - phi/a
@@ -121,16 +144,15 @@ def _log_root(cp, ep, cq, eq, ftol, max_evals=MAX_EVALS):
     raises RootFindFailed for a <= 0, a non-finite bracket end, or no
     convergence within ``max_evals`` evaluations.
     """
-    slope_lo = float(eq.min() - ep.max())
-    slope_hi = float(eq.max() - ep.min())
+    slope_lo = q.e_min - p.e_max
+    slope_hi = q.e_max - p.e_min
     if not slope_lo > 0.0:
         raise RootFindFailed("slope lower bound %g is not positive" % slope_lo)
-    logcp, logcq = np.log(cp), np.log(cq)
     lo, hi = -math.inf, math.inf
     t = 0.0
     for evals in range(1, max_evals + 1):
-        fq, dq = _log_power_sum(logcq, eq, t)
-        fp, dp = _log_power_sum(logcp, ep, t)
+        fq, dq = q.log_sum(t)
+        fp, dp = p.log_sum(t)
         f = fq - fp
         ends = (t - f / slope_lo, t - f / slope_hi)
         if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
@@ -167,7 +189,8 @@ def _norm(c, e, tol):
         if not math.isfinite(t):
             raise RootFindFailed("closed-form root is not finite: t = %g" % t)
     else:
-        t, evals, (lo, hi) = _log_root(c, -e, np.ones(1), np.zeros(1), math.log1p(tol))
+        t, evals, (lo, hi) = _log_root(_Terms.of(c, -e), _Terms.of(np.ones(1), np.zeros(1)),
+                                       math.log1p(tol))
     return ModularReport(float(np.sum(c)), math.exp(t), evals, (math.exp(lo), math.exp(hi)))
 
 

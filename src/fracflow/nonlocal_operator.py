@@ -22,13 +22,16 @@ the collar stands in for (j, i) as well; the diagonal carries weight 0.
 Exterior columns hold the value 0, since grid functions vanish on the
 collar, and sweeps take the n interior values.  A row's term against
 exterior column j is therefore f(u_i, p_ij) times its weight, so collar
-cells whose exponent columns P[:, j] are bitwise equal fold into one
-column holding their summed weights.  The interior columns come first,
+cells whose exponent columns P[:, j] are equal fold into one column
+holding their summed weights.  The interior columns come first,
 then one column per group: one for constant p (shape (n, n + 1)), one per
 mirror pair for a p even in y on a symmetric collar (shape (n, n + m)),
 and every collar cell when no two columns are equal (shape (n, n_total)).
-The unfolded table, built during construction, holds n * n_total entries
-per array, at most MAX_TABLE_ENTRIES; a larger grid is refused with
+Construction takes a block of rows at a time, BLOCK_ENTRIES entries of
+the unfolded n x n_total table, and writes each block's folded rows into
+the kept arrays, so no n x n_total array is ever made.  The widest table
+a context can keep, the unfolded one, holds n * n_total entries per
+array, at most MAX_TABLE_ENTRIES; a larger grid is refused with
 InvalidResolution before anything is allocated.
 
 The operator value on a cell is the exact gradient, with respect to
@@ -43,6 +46,7 @@ import numpy as np
 from .errors import ContextMismatch, GridMismatch, InvalidResolution
 from .exponents import validate_assumptions
 from .grid import GridFunction
+from .modular import _Terms
 
 __all__ = [
     "OperatorContext",
@@ -54,11 +58,15 @@ __all__ = [
     "MAX_TABLE_ENTRIES",
 ]
 
-#: cap on the entries n * n_total of the unfolded interior-row table; it
-#: bounds construction, which builds that table before folding the collar.
-#: The kept tables are n x (n + groups), at most six float arrays of that
-#: size (48 bytes per entry)
+#: cap on the entries n * n_total of the widest table a context can keep:
+#: the unfolded one, when no two collar exponent columns are equal.  A
+#: context keeps at most six float arrays of its table's size, P, P - 2,
+#: row_w, pair_w and two work buffers (48 bytes per entry)
 MAX_TABLE_ENTRIES = 1 << 22
+
+#: entries of the unfolded table per row block of construction; a block
+#: holds as many rows as fit, and at least two
+BLOCK_ENTRIES = 1 << 13
 
 
 def _check_table_size(grid):
@@ -81,26 +89,69 @@ def _cells(grid):
     return x, w
 
 
-def _exterior_groups(P, n):
-    """Exterior column indices j >= n grouped by bitwise-equal exponent
-    column P[:, j], as one (k, groups) index array per group size k;
-    groups keep the order of their first column."""
-    # one key per column: its n exponents as raw bytes
-    cols = np.ascontiguousarray(P.T[n:])
-    keys = cols.view(np.dtype((np.void, P.shape[0] * P.itemsize)))[:, 0].tolist()
+def _row_blocks(n, width):
+    """Slices of the n >= 2 rows, as many per block as fit in BLOCK_ENTRIES
+    entries of the given width, and never one row alone: a sum over the
+    columns of a one-row block runs pairwise, while a sum over several
+    rows adds the columns one after another, as over the whole table."""
+    step = max(2, BLOCK_ENTRIES // width)
+    starts = list(range(0, n, step))
+    if n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _exterior_groups(field, x, n):
+    """Exterior column indices j >= n grouped by equal exponent column
+    p(x_i, x_j) over the interior rows i, as one (k, groups) index array
+    per group size k; groups keep the order of their first column.
+
+    The columns are compared a row block at a time.  Each column keeps the
+    first column of its group so far; a column whose exponents in a block
+    are not all equal to that one's moves to a new group, keyed by its old
+    group and its exponents' bytes, so columns share a group only when
+    they agree in every row.  Exponents are compared as floats."""
+    first = np.zeros(x.size - n, dtype=np.intp)
+    for rows in _row_blocks(n, x.size - n):
+        P = np.asarray(field.p(x[rows, None], x[None, n:]), dtype=float)
+        moved = np.flatnonzero(~np.all(P == P[:, first], axis=0))
+        keys = np.ascontiguousarray(P[:, moved].T)
+        keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0].tolist()
+        seen = {}
+        first[moved] = [seen.setdefault(key, j) for key, j
+                        in zip(zip(first[moved].tolist(), keys), moved.tolist())]
     groups = {}
-    for j, key in enumerate(keys, start=n):
-        groups.setdefault(key, []).append(j)
+    for j, f in enumerate(first.tolist(), start=n):
+        groups.setdefault(f, []).append(j)
     by_size = {}
     for idx in groups.values():
         by_size.setdefault(len(idx), []).append(idx)
     return [np.array(idx).T for idx in by_size.values()]
 
 
-def _fold(t, n, blocks):
-    """The n interior columns of t, then one column per exterior group
-    holding the row sums of t over the group's columns, block by block."""
-    return np.concatenate([t[:, :n]] + [t[:, b].sum(axis=1) for b in blocks], axis=1)
+def _fill_rows(P, row_w, field, x, w, rows, groups):
+    """Write the interior rows ``rows`` of the folded tables P and row_w:
+    their exponents p(x_i, x_j) and kernel weights d_ij ** -(N + s p_ij)
+    w_j against all cells, 0 on the diagonal, with each group's exterior
+    columns folded into one."""
+    n = P.shape[0]
+    diag = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
+    d = x[rows, None] - x
+    np.abs(d, out=d)
+    d[diag] = 1.0
+    p = np.asarray(field.p(x[rows, None], x[None, :]), dtype=float)
+    expo = field.s * p
+    expo += field.spatial_dim
+    np.power(d, np.negative(expo, out=expo), out=d)
+    d[diag] = 0.0
+    d *= w
+    P[rows, :n], row_w[rows, :n] = p[:, :n], d[:, :n]
+    j = n
+    for g in groups:
+        cols = slice(j, j + g.shape[1])
+        P[rows, cols] = p[:, g[0]]
+        row_w[rows, cols] = d[:, g].sum(axis=1)
+        j = cols.stop
 
 
 class OperatorContext:
@@ -109,15 +160,17 @@ class OperatorContext:
 
     ``P`` is the exponent table, a float when all its entries are equal;
     ``row_w`` is k_ij w_j, the row weight of ``apply``; ``pair_w`` the
-    ordered-pair weight k_ij w_i w_j, doubled on exterior columns;
-    ``pair_w_by_p`` that weight over P.  Columns are the n interior cells,
-    at ``_cols``, then one exterior column of value 0 per group of collar
-    cells with bitwise-equal exponent columns, holding the group's summed
-    weights and its shared exponent; groups of equal size sit together, in
-    order of their first cell.  Sweeps write into preallocated work buffers
-    and return only reductions or fresh arrays, never a view of a buffer;
-    ``apply`` also leaves its |du|^(p-2) table in one, which ``jacobian``
-    at the same values reuses until another sweep overwrites it.
+    ordered-pair weight k_ij w_i w_j, doubled on exterior columns.
+    Columns are the n interior cells, at ``_cols``, then one exterior
+    column of value 0 per group of collar cells with equal exponent
+    columns, holding the group's summed weights and its shared exponent;
+    groups of equal size sit together, in order of their first cell.
+    Sweeps write into preallocated work buffers and return only reductions
+    or fresh arrays, never a view of a buffer.  Two calls hand a buffer on:
+    ``apply`` leaves its |du|^(p-2) table in one, which ``jacobian`` at the
+    same values reuses until another sweep overwrites it, and
+    ``pair_terms`` returns a root-find side that reads the first buffer and
+    writes the second, valid until the next sweep.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -128,25 +181,20 @@ class OperatorContext:
         self.q_interior = np.asarray(field.q(grid.interior_centers), dtype=float)
         n = grid.n
         x, w = _cells(grid)
-        d = np.abs(x[:n, None] - x[None, :])
-        np.fill_diagonal(d, 1.0)
-        P = np.asarray(field.p(x[:n, None], x[None, :]), dtype=float)
-        row_w = d ** -(field.spatial_dim + field.s * P)
-        del d
-        np.fill_diagonal(row_w, 0.0)
-        row_w *= w
-        blocks = _exterior_groups(P, n)
-        P = np.concatenate([P[:, :n]] + [P[:, b[0]] for b in blocks], axis=1)
-        self.row_w = _fold(row_w, n, blocks)
-        self.pair_w = self.row_w * w[:n, None]
+        groups = _exterior_groups(field, x, n)
+        shape = (n, n + sum(g.shape[1] for g in groups))
+        P, row_w = np.empty(shape), np.empty(shape)
+        for rows in _row_blocks(n, x.size):
+            _fill_rows(P, row_w, field, x, w, rows, groups)
+        self.row_w = row_w
+        self.pair_w = row_w * w[:n, None]
         self.pair_w[:, n:] *= 2.0
         self.P = float(P.flat[0]) if np.all(P == P.flat[0]) else P
         self._p_minus_2 = self.P - 2.0
         self._cols = slice(0, n)
-        self.pair_w_by_p = self.pair_w / self.P
-        self._col_vals = np.zeros(self.row_w.shape[1])
-        self._a = np.empty(self.row_w.shape)
-        self._b = np.empty(self.row_w.shape)
+        self._col_vals = np.zeros(shape[1])
+        self._a = np.empty(shape)
+        self._b = np.empty(shape)
         self._table_of = None  # the values of apply's table in _b, if intact
 
     def _diff(self, vals):
@@ -173,17 +221,21 @@ class OperatorContext:
 
     def sp_modular(self, vals):
         """sum over pairs of |u_i - u_j|^p_ij k_ij w_i w_j."""
-        return float(np.einsum("ij,ij->", self._abs_pow(vals), self.pair_w))
+        return self.pair_stats(vals)[1]
 
     def i1(self, vals):
         """Nonlocal energy sum over pairs of (1/p_ij) |u_i - u_j|^p_ij k_ij w_i w_j."""
-        return float(np.einsum("ij,ij->", self._abs_pow(vals), self.pair_w_by_p))
+        return self.pair_stats(vals)[0]
 
     def pair_stats(self, vals):
-        """(i1, sp_modular) in a single pass over the table."""
+        """(i1, sp_modular) in a single pass over the table: the modular
+        from |du|^p against the weights, then the energy from |du|^p k w w
+        over p, formed in place of |du|^p."""
         t = self._abs_pow(vals)
-        e = float(np.einsum("ij,ij->", t, self.pair_w_by_p))
-        return e, float(np.einsum("ij,ij->", t, self.pair_w))
+        sp = float(np.einsum("ij,ij->", t, self.pair_w))
+        t *= self.pair_w
+        t /= self.P
+        return float(t.sum()), sp
 
     def apply(self, vals):
         """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j;
@@ -247,6 +299,27 @@ class OperatorContext:
             c = np.array([c.sum()])
         keep = c > 0.0
         return c[keep], np.broadcast_to(self.P, c.shape)[keep]
+
+    def pair_terms(self, vals):
+        """The pair side sum(coeff * lam**exponent) of ``pair_coeffs``, as
+        the ``_Terms`` of a root-find along the ray of u.
+
+        For constant p it holds the one coefficient.  Otherwise the
+        coefficient logs (-inf for a zero coefficient) stay in the first
+        work buffer, the exponents are read from ``P`` and the power sums
+        form in the second buffer, so the side is valid until the next
+        sweep and no table-sized array is made.
+        """
+        if isinstance(self.P, float):
+            return _Terms.of(*self.pair_coeffs(vals))
+        self._table_of = None
+        c = np.multiply(self._abs_pow(vals), self.pair_w, out=self._a)
+        kept = c > 0.0
+        bounds = (self.P.min(where=kept, initial=np.inf),
+                  self.P.max(where=kept, initial=-np.inf))
+        with np.errstate(divide="ignore"):
+            np.log(c, out=c)
+        return _Terms(c.reshape(-1), self.P.reshape(-1), self._b.reshape(-1), *bounds)
 
     def sp_grad_interior(self, vals, lam=1.0):
         """Measure-weighted gradient of sum |du/lam|^p k w w on interior cells:

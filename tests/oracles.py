@@ -113,3 +113,35 @@ def naive_log_power_sum(logc, e, t):
     w = np.exp(a - m)
     s = w.sum()
     return m + math.log(s), float(np.dot(w, e)) / s
+
+
+def unfolded_build(grid, field):
+    """(P, row_w, pair_w) of the interior-row table, built the direct way:
+    the whole unfolded n x n_total table first, then its collar columns
+    grouped by bitwise-equal exponent column (groups of equal size
+    together, in order of their first column) and each group summed into
+    one column.  The reference for the package's blocked build, which
+    must match it bitwise; to that end it takes the package's cell centers
+    and widths, ``nonlocal_operator._cells``, instead of ``cells`` above."""
+    from fracflow.nonlocal_operator import _cells
+
+    n = grid.n
+    x, w = _cells(grid)
+    d = np.abs(x[:n, None] - x[None, :])
+    np.fill_diagonal(d, 1.0)
+    P = np.asarray(field.p(x[:n, None], x[None, :]), dtype=float)
+    row_w = d ** -(field.spatial_dim + field.s * P)
+    np.fill_diagonal(row_w, 0.0)
+    row_w *= w
+    groups = {}
+    for j in range(n, x.size):
+        groups.setdefault(P[:, j].tobytes(), []).append(j)
+    by_size = {}
+    for idx in groups.values():
+        by_size.setdefault(len(idx), []).append(idx)
+    blocks = [np.array(idx).T for idx in by_size.values()]
+    P = np.concatenate([P[:, :n]] + [P[:, b[0]] for b in blocks], axis=1)
+    row_w = np.concatenate([row_w[:, :n]] + [row_w[:, b].sum(axis=1) for b in blocks], axis=1)
+    pair_w = row_w * w[:n, None]
+    pair_w[:, n:] *= 2.0
+    return P, row_w, pair_w

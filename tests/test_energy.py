@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -118,6 +119,21 @@ def test_nehari_lambda_root_find_cost_and_precision(ctx16, ctx16_var, grid16, rn
         cq, eq = _lebesgue_coeffs(u, ctx16_var.q_interior)
         sp, sq = np.sum(cp * lam**ep), np.sum(cq * lam**eq)
         assert abs(sp - sq) <= 1e-14 * (sp + sq)
+
+
+def test_nehari_lambda_peaks_below_one_kept_table(ctx16_var):
+    # variable p: the pair side's power sums run in the context's buffers
+    grid = ff.Grid(ctx16_var.grid.domain, 128, 512)
+    ctx = ff.OperatorContext(grid, ctx16_var.field)
+    u = ff.standard_bump(grid)
+    lam = ff.nehari_lambda(u.scaled(3.0), ctx)  # first call, outside the trace
+    tracemalloc.start()
+    try:
+        assert ff.nehari_lambda(u, ctx) == pytest.approx(3.0 * lam, rel=1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ctx.row_w.size * 8
 
 
 def test_nehari_lambda_rejects_zero(ctx16, grid16):

@@ -109,7 +109,7 @@ def test_constant_p_is_the_flat_affine_radial(grid16):
     assert const.p_bounds == flat.p_bounds == ff.make_exponent_field(0.4).p_bounds == (2.0, 2.0)
     c, f = ff.build_context(grid16, const), ff.build_context(grid16, flat)
     assert type(c.P) is float and type(f.P) is float and c.P == f.P
-    for table in ("row_w", "pair_w", "pair_w_by_p"):
+    for table in ("row_w", "pair_w"):
         np.testing.assert_array_equal(getattr(c, table), getattr(f, table))
 
 

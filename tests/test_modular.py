@@ -5,10 +5,15 @@ import pytest
 
 import fracflow as ff
 from fracflow.errors import ContextMismatch, ExponentOutOfRange, RootFindFailed
-from fracflow.modular import (_lebesgue_coeffs, _log_power_sum, _log_root, _norm,
+from fracflow.modular import (_lebesgue_coeffs, _log_power_sum, _log_root, _norm, _Terms,
                               conjugate_exponent_values)
 
 from oracles import brute_sp_modular, naive_log_power_sum, zero_extended
+
+
+def _unit_root(c, e, ftol, **kwargs):
+    """``_log_root`` of sum(c * lam**-e) = 1, the root-find ``_norm`` poses."""
+    return _log_root(_Terms.of(c, -e), _Terms.of(np.ones(1), np.zeros(1)), ftol, **kwargs)
 
 
 def test_lebesgue_modular_basic(grid16):
@@ -171,8 +176,8 @@ def test_root_find_failure_is_typed(grid16, rng):
     c = np.abs(u.values) ** e * grid16.interior_widths
     # a variable exponent needs more than the one evaluation at lam = 1
     with pytest.raises(RootFindFailed, match="within 1 evaluations"):
-        _log_root(c, -e, np.ones(1), np.zeros(1), 1e-10, max_evals=1)
-    assert _log_root(c, -e, np.ones(1), np.zeros(1), 1e-10)[1] <= 8
+        _unit_root(c, e, 1e-10, max_evals=1)
+    assert _unit_root(c, e, 1e-10)[1] <= 8
     # |u|^3 overflows: the bracket from lam = 1 is not finite
     huge = ff.GridFunction(grid16, 1e200 * np.ones(grid16.n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,7 +207,7 @@ def test_one_term_norm_is_the_newton_root(ctx16, grid16, rng):
         for c, e in (_lebesgue_coeffs(u, 3.0), ctx16.pair_coeffs(u.values)):
             assert c.size == 1
             rep = _norm(c, e, 1e-10)
-            t, evals, _ = _log_root(c, -e, np.ones(1), np.zeros(1), math.log1p(1e-10))
+            t, evals, _ = _unit_root(c, e, math.log1p(1e-10))
             assert rep.luxemburg_norm == math.exp(t)
             assert rep.bisection_iterations == 1 < evals
             assert rep.bracket == (rep.luxemburg_norm, rep.luxemburg_norm)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import fracflow as ff
+from fracflow import nonlocal_operator
 from fracflow.errors import ContextMismatch, GridMismatch, InvalidResolution
 from fracflow.nonlocal_operator import MAX_TABLE_ENTRIES, OperatorContext
 
-from oracles import brute_apply, brute_i1, brute_sp_modular, brute_weak, zero_extended
+from oracles import (brute_apply, brute_i1, brute_sp_modular, brute_weak, unfolded_build,
+                     zero_extended)
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +309,7 @@ def test_jacobian_at_a_state_holds_after_any_sweep(ctx16_var, grid16, rng):
     sweeps = {
         "pair_stats": (other,), "pair_coeffs": (other,), "sp_modular": (other,),
         "i1": (other,), "sp_dlambda": (other, 0.7), "sp_grad_interior": (other, 0.7),
-        "weak": (other, 2.0 * other), "gap": (other, 2.0 * other),
+        "weak": (other, 2.0 * other), "gap": (other, 2.0 * other), "pair_terms": (other,),
     }
     public = {name for name in dir(OperatorContext)
               if not name.startswith("_") and callable(getattr(OperatorContext, name))}
@@ -315,7 +317,9 @@ def test_jacobian_at_a_state_holds_after_any_sweep(ctx16_var, grid16, rng):
     ref = _differences_of_apply(ctx, u)
     for name, args in sweeps.items():
         ctx.apply(u)
-        getattr(ctx, name)(*args)
+        result = getattr(ctx, name)(*args)
+        if name == "pair_terms":
+            result.log_sum(0.3)  # the side's power sum writes the second buffer
         _assert_close_to(ctx.jacobian(u), ref)
     ctx.apply(u)
     first = ctx.jacobian(u)
@@ -359,6 +363,53 @@ def test_table_over_entry_cap_raises_before_allocating(field):
     assert peak < grid.n * grid.n_total  # one float table would be 8x this
 
 
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("block_entries", [nonlocal_operator.BLOCK_ENTRIES, 100, 25, 1])
+def test_blocked_build_is_bitwise_the_unfolded_oracle(block_entries, ctx16, ctx16_var,
+                                                      monkeypatch):
+    # one block per table, then blocks of a few rows (uneven at the end),
+    # then the fewest rows a block takes
+    monkeypatch.setattr(nonlocal_operator, "BLOCK_ENTRIES", block_entries)
+    off_grid, off_field = _unfolded_case()
+    cases = (
+        (ctx16.grid, ctx16.field),  # constant p: one group of 2m columns
+        (ctx16_var.grid, ctx16_var.field),  # mirror pairs: m groups of two
+        (off_grid, off_field),  # every collar cell its own group
+        (ff.Grid(off_grid.domain, 6, 8), off_field),  # groups of two and of one
+        # one group over the rows x < 0, split into groups of two and of
+        # one by the rows x > 0
+        (ff.Grid(off_grid.domain, 6, 8),
+         ff.ExponentField(p=lambda x, y: 2.0 + 0.1 * np.maximum(x, 0.0) * y**2,
+                          q=off_field.q, s=off_field.s)),
+    )
+    for grid, field in cases:
+        ctx = OperatorContext(grid, field)
+        P, row_w, pair_w = unfolded_build(grid, field)
+        assert _bits(ctx.row_w) == _bits(row_w)
+        assert _bits(ctx.pair_w) == _bits(pair_w)
+        assert (type(ctx.P) is float) == bool(np.all(P == P.flat[0]))
+        assert _bits(np.broadcast_to(ctx.P, P.shape).copy()) == _bits(P)
+    if block_entries < nonlocal_operator.BLOCK_ENTRIES:
+        assert len(nonlocal_operator._row_blocks(ctx16.grid.n, ctx16.grid.n_total)) > 1
+
+
+def test_build_peaks_below_one_unfolded_table(field):
+    # constant p with a collar far wider than the interior: the kept tables
+    # are (64, 65), the unfolded one (64, 8256)
+    grid = ff.Grid(ff.Domain(-1.0, 1.0, 8.0), 64, 4096)
+    tracemalloc.start()
+    try:
+        ctx = OperatorContext(grid, field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.row_w.shape == (64, 65)
+    assert peak < grid.n * grid.n_total * 8
+
+
 def test_exterior_columns_fold_by_exponent_column(ctx16, ctx16_var, grid16):
     # constant p: one exterior column; y-even p on a symmetric collar: one
     # per mirror pair; no equal exponent columns: every collar cell kept
@@ -371,7 +422,7 @@ def test_exterior_columns_fold_by_exponent_column(ctx16, ctx16_var, grid16):
         (unfolded, (off_grid.n, off_grid.n_total)),
     )
     for ctx, shape in layouts:
-        for table in ("row_w", "pair_w", "pair_w_by_p"):
+        for table in ("row_w", "pair_w"):
             assert getattr(ctx, table).shape == shape
     assert type(ctx16.P) is float
     assert ctx16_var.P.shape == (n, n + m)

@@ -7,6 +7,8 @@
 # split into the well (I > 0) and its exterior (I < 0).
 #
 # Usage: python3 demos/04_energy_landscape.py
+import random
+
 import numpy as np
 
 import fracflow as ff
@@ -26,7 +28,7 @@ print("E at 3x the crossing: %.1f" % ff.energy(bump.scaled(3.0 * lam), ctx).ener
 
 print("\n== well geometry (multi-start projected descent) ==")
 # one generator: the estimate draws its random starts, then the depth search
-rng = np.random.default_rng(0)
+rng = random.Random(0)
 lam_hat = ff.estimate_embedding_constant(ctx, n_starts=4, iters=400, rng=rng)
 r_hat, lower_bound = ff.depth_lower_bound(lam_hat, ctx.summary)
 geom = ff.well_depth(ctx, n_starts=4, iters=400, rng=rng)

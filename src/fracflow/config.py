@@ -163,9 +163,10 @@ def parse_config(text):
     a value that the step control, domain, grid, pair-table cap, exponent
     field, probe, initial-data recipe, validation or depth search would
     reject, including a probe exponent not above 1 somewhere on the
-    interval, a depth-search tolerance that is not positive, and an
-    initial-data file that does not hold one value per grid cell.  An
-    initial-data file that cannot be read raises OSError.
+    interval, a depth-search tolerance that is not positive, an
+    initial-data file that does not hold one value per grid cell, and a
+    negative seed.  An initial-data file that cannot be read raises
+    OSError.
     """
     cfg = ExperimentConfig()
     targets = {key: (obj, f) for key, obj, f in _walk(cfg)}
@@ -193,6 +194,7 @@ def parse_config(text):
         ("initial", lambda: _check_initial(cfg.initial, build_grid_from(cfg))),
         ("validation", lambda: _check_resolution(cfg.validation.resolution)),
         ("geometry", lambda: _check_geometry(cfg.geometry)),
+        ("seed", lambda: _check_seed(cfg.seed)),
     ):
         try:
             check()
@@ -288,6 +290,13 @@ def _check_geometry(geo):
     _check_n_starts(geo.n_starts)
     if not geo.tol > 0.0:
         raise ValueError("tol must be positive, got %r" % geo.tol)
+
+
+def _check_seed(seed):
+    """Refuse a negative seed: ``random.Random`` would draw from its
+    absolute value."""
+    if seed is not None and seed < 0:
+        raise ValueError("must be nonnegative, got %r" % seed)
 
 
 def _check_initial(ini, grid):

@@ -16,6 +16,7 @@ for the depth, a separate call from ``well_depth``.
 """
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -173,17 +174,14 @@ def _check_n_starts(n_starts):
 
 def _starts(grid, n_starts, rng):
     """The first ``n_starts`` of: the bump, the sine mode, then standard
-    normal interior values drawn from ``np.random.default_rng(rng)``.
-
-    The generator is made only when a start is drawn, so a search from at
-    most two starts never imports ``numpy.random``; a Generator passed as
-    ``rng`` is used as it is, and its state advances by the draws."""
+    normal interior values drawn from ``rng``, a seed or a
+    ``random.Random``; a ``random.Random`` advances by the draws."""
     _check_n_starts(n_starts)
+    if not isinstance(rng, random.Random):
+        rng = random.Random(rng)
     starts = [standard_bump(grid), first_sine_mode(grid)][:n_starts]
-    if n_starts > len(starts):
-        rng = np.random.default_rng(rng)
-        while len(starts) < n_starts:
-            starts.append(GridFunction(grid, rng.standard_normal(grid.n)))
+    while len(starts) < n_starts:
+        starts.append(GridFunction(grid, np.array([rng.gauss(0.0, 1.0) for _ in range(grid.n)])))
     return starts
 
 
@@ -233,8 +231,9 @@ def estimate_embedding_constant(ctx, n_starts, iters, rng=None):
     seminorm(u) / luxemburg_q_norm(u) over nonzero states.
 
     Minimized by normalized gradient descent on the quotient from the bump,
-    the sine mode, and random starts; the result is an infimum over a subset
-    and therefore an overestimate of the discrete constant.
+    the sine mode, and random starts drawn from ``rng``, a seed or a
+    ``random.Random``; the result is an infimum over a subset and therefore
+    an overestimate of the discrete constant.
     """
     g = ctx.grid
     q = ctx.q_interior
@@ -277,11 +276,13 @@ def depth_lower_bound(lambda_hat, summary):
 def well_depth(ctx, n_starts, iters, tol=1e-9, rng=None):
     """Estimate the well depth by multi-start projected gradient descent.
 
-    Each start is projected onto the manifold, then alternates descent steps
-    along -grad E with re-projection; the least energy over all runs is the
-    depth estimate and its state the minimizer.  The embedding constant and
-    the depth lower bound are separate calls: ``estimate_embedding_constant``
-    and ``depth_lower_bound``.
+    The starts are the bump, the sine mode and random starts drawn from
+    ``rng``, a seed or a ``random.Random``.  Each start is projected onto
+    the manifold, then alternates descent steps along -grad E with
+    re-projection; the least energy over all runs is the depth estimate and
+    its state the minimizer.  The embedding constant and the depth lower
+    bound are separate calls: ``estimate_embedding_constant`` and
+    ``depth_lower_bound``.
     """
     g = ctx.grid
 

@@ -29,9 +29,11 @@ mirror pair for a p even in y on a symmetric collar (shape (n, n + m)),
 and every collar cell when no two columns are equal (shape (n, n_total)).
 Construction takes a block of rows at a time, BLOCK_ENTRIES entries of
 the unfolded n x n_total table, and writes each block's folded rows into
-the kept arrays, so no n x n_total array is ever made.  The widest table
-a context can keep, the unfolded one, holds n * n_total entries per
-array, at most MAX_TABLE_ENTRIES; a larger grid is refused with
+the kept arrays, so no n x n_total array is ever made.  A context keeps
+four arrays of its table's size, three for constant p: the exponents P (a
+float when constant), the row weights k_ij w_j and two work buffers.  The widest table a
+context can keep, the unfolded one, holds n * n_total entries per array,
+at most MAX_TABLE_ENTRIES; a larger grid is refused with
 InvalidResolution before anything is allocated.
 
 The operator value on a cell is the exact gradient, with respect to
@@ -60,12 +62,13 @@ __all__ = [
 
 #: cap on the entries n * n_total of the widest table a context can keep:
 #: the unfolded one, when no two collar exponent columns are equal.  A
-#: context keeps at most six float arrays of its table's size, P, P - 2,
-#: row_w, pair_w and two work buffers (48 bytes per entry)
+#: context keeps at most four float arrays of its table's size, P, row_w
+#: and two work buffers (32 bytes per entry)
 MAX_TABLE_ENTRIES = 1 << 22
 
-#: entries of the unfolded table per row block of construction; a block
-#: holds as many rows as fit, and at least two
+#: entries per row block of construction (of the unfolded table) and of
+#: the power |du|^(p - 2) (of the kept one); a block holds as many rows as
+#: fit, and at least two
 BLOCK_ENTRIES = 1 << 13
 
 
@@ -159,8 +162,10 @@ class OperatorContext:
     that ``_cells`` lays out.
 
     ``P`` is the exponent table, a float when all its entries are equal;
-    ``row_w`` is k_ij w_j, the row weight of ``apply``; ``pair_w`` the
-    ordered-pair weight k_ij w_i w_j, doubled on exterior columns.
+    ``row_w`` is k_ij w_j, the row weight of ``apply``.  The ordered-pair
+    weight k_ij w_i w_j, doubled on exterior columns, is not kept: a pair
+    sum weighs row i by w_i and an exterior column by 2 inside its
+    reduction.  Nor is P - 2: ``apply`` forms it a row block at a time.
     Columns are the n interior cells, at ``_cols``, then one exterior
     column of value 0 per group of collar cells with equal exponent
     columns, holding the group's summed weights and its shared exponent;
@@ -187,12 +192,16 @@ class OperatorContext:
         for rows in _row_blocks(n, x.size):
             _fill_rows(P, row_w, field, x, w, rows, groups)
         self.row_w = row_w
-        self.pair_w = row_w * w[:n, None]
-        self.pair_w[:, n:] *= 2.0
         self.P = float(P.flat[0]) if np.all(P == P.flat[0]) else P
-        self._p_minus_2 = self.P - 2.0
         self._cols = slice(0, n)
         self._col_vals = np.zeros(shape[1])
+        self._row_f = w[:n]
+        self._col_f = np.ones(shape[1])
+        self._col_f[n:] = 2.0
+        if not isinstance(self.P, float):
+            # row blocks of the power to P - 2, whose exponents form in _e
+            self._blocks = _row_blocks(n, shape[1])
+            self._e = np.empty(max(b.stop - b.start for b in self._blocks) * shape[1])
         self._a = np.empty(shape)
         self._b = np.empty(shape)
         self._table_of = None  # the values of apply's table in _b, if intact
@@ -209,13 +218,34 @@ class OperatorContext:
         d = np.abs(self._diff(vals), out=self._a)
         return np.power(d, self.P, out=d)
 
+    def _pow_p_minus_2(self, vals):
+        """|du|^(p_ij - 2) in the second work buffer; du stays in the first.
+        A variable exponent's P - 2 forms in ``_e`` a row block at a time."""
+        a = np.abs(self._diff(vals), out=self._b)
+        if isinstance(self.P, float):
+            return np.power(a, self.P - 2.0, out=a)
+        for rows in self._blocks:
+            block = a[rows]
+            e = self._e[:block.size].reshape(block.shape)
+            np.power(block, np.subtract(self.P[rows], 2.0, out=e), out=block)
+        return a
+
     def _pow_sign(self, vals):
         """|du|^(p_ij - 2) du in the second work buffer; du stays in the first."""
         self._table_of = None
-        du = self._diff(vals)
-        a = np.abs(du, out=self._b)
-        np.power(a, self._p_minus_2, out=a)
-        return np.multiply(a, du, out=a)
+        return np.multiply(self._pow_p_minus_2(vals), self._a, out=self._b)
+
+    def _pair_sum(self, t):
+        """sum over ordered pairs of t_ij k_ij w_i w_j: the table t against
+        row_w, with exterior columns weighted 2 and row i by w_i."""
+        return float(np.dot(np.einsum("ij,ij,j->i", t, self.row_w, self._col_f), self._row_f))
+
+    def _pair_weighted(self, t):
+        """t_ij k_ij w_i w_j in place, doubled on exterior columns."""
+        t *= self.row_w
+        t *= self._row_f[:, None]
+        t[:, self.grid.n:] *= 2.0
+        return t
 
     # -- pair reductions ----------------------------------------------------
 
@@ -232,18 +262,15 @@ class OperatorContext:
         from |du|^p against the weights, then the energy from |du|^p k w w
         over p, formed in place of |du|^p."""
         t = self._abs_pow(vals)
-        sp = float(np.einsum("ij,ij->", t, self.pair_w))
-        t *= self.pair_w
+        sp = self._pair_sum(t)
         t /= self.P
-        return float(t.sum()), sp
+        return self._pair_sum(t), sp
 
     def apply(self, vals):
         """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j;
         the |du|^(p-2) table stays in a work buffer for ``jacobian``."""
-        du = self._diff(vals)
-        c = np.abs(du, out=self._b)
-        np.power(c, self._p_minus_2, out=c)
-        values = 2.0 * np.einsum("ij,ij->i", np.multiply(c, du, out=self._a), self.row_w)
+        c = self._pow_p_minus_2(vals)
+        values = 2.0 * np.einsum("ij,ij->i", np.multiply(c, self._a, out=self._a), self.row_w)
         self._table_of = np.array(vals, dtype=float)
         return values
 
@@ -272,8 +299,8 @@ class OperatorContext:
     def weak(self, uvals, vvals):
         """Pair sum |du|^(p-2) du dv k_ij w_i w_j."""
         a = self._pow_sign(uvals)
-        dv = self._diff(vvals)
-        return float(np.einsum("ij,ij,ij->", a, dv, self.pair_w))
+        a *= self._diff(vvals)
+        return self._pair_sum(a)
 
     def gap(self, uvals, vvals):
         """Pair sum (|du|^(p-2) du - |dv|^(p-2) dv)(du - dv) k w w.
@@ -284,8 +311,8 @@ class OperatorContext:
         av = self._pow_sign(vvals).copy()
         au = self._pow_sign(uvals)
         au -= av
-        ddiff = self._diff(uvals - vvals)
-        return float(np.einsum("ij,ij,ij->", au, ddiff, self.pair_w))
+        au *= self._diff(uvals - vvals)
+        return self._pair_sum(au)
 
     def pair_coeffs(self, vals):
         """Flattened (coeff, exponent) arrays with coeff = |du|^p k w w > 0,
@@ -294,9 +321,10 @@ class OperatorContext:
         The scaled modular of u/lam is then sum(coeff * lam**-exponent);
         used by the seminorm and ray scaling root-finds.
         """
-        c = np.multiply(self._abs_pow(vals), self.pair_w, out=self._a)
         if isinstance(self.P, float):
-            c = np.array([c.sum()])
+            c = np.array([self._pair_sum(self._abs_pow(vals))])
+        else:
+            c = self._pair_weighted(self._abs_pow(vals))
         keep = c > 0.0
         return c[keep], np.broadcast_to(self.P, c.shape)[keep]
 
@@ -313,7 +341,7 @@ class OperatorContext:
         if isinstance(self.P, float):
             return _Terms.of(*self.pair_coeffs(vals))
         self._table_of = None
-        c = np.multiply(self._abs_pow(vals), self.pair_w, out=self._a)
+        c = self._pair_weighted(self._abs_pow(vals))
         kept = c > 0.0
         bounds = (self.P.min(where=kept, initial=np.inf),
                   self.P.max(where=kept, initial=-np.inf))
@@ -332,7 +360,7 @@ class OperatorContext:
         """d/d lam of sum |du/lam|^p k w w (negative for nonzero u)."""
         t = self._abs_pow(vals / lam)
         t *= self.P
-        return -float(np.einsum("ij,ij->", t, self.pair_w)) / lam
+        return -self._pair_sum(t) / lam
 
     def _check_function(self, u):
         if not u.grid.compatible_with(self.grid):

@@ -7,11 +7,13 @@ iff every verdict passed.
 """
 
 import os
+import random
 from dataclasses import replace
 
 import numpy as np
 
 from .config import (
+    _check_seed,
     build_control,
     build_domain,
     build_field,
@@ -73,12 +75,9 @@ def _geometry(cfg, ctx):
     """Depth search for the config.  Its random starts are the draws from
     the seed that follow the embedding constant estimate's starts, so every
     scenario searches from the same starts, whether it runs the estimate
-    or not.  With at most two starts neither draws, and the seed is passed
-    on as it is, so no generator is made."""
-    rng = cfg.seed
-    if cfg.geometry.n_starts > 2:  # past the bump and the sine mode
-        rng = np.random.default_rng(rng)
-        _starts(ctx.grid, cfg.geometry.n_starts, rng)  # the estimate's starts
+    or not."""
+    rng = random.Random(cfg.seed)
+    _starts(ctx.grid, cfg.geometry.n_starts, rng)  # the estimate's starts
     return well_depth(
         ctx,
         n_starts=cfg.geometry.n_starts,
@@ -276,9 +275,9 @@ def run_scenario(cfg):
 
     Artifacts land in the config's output directory ``cfg.out``.  A
     config the scenario cannot run, such as an initial-data file for the
-    convergence study, is a ConfigError before the directory is made.  An
-    exponent field that violates (a1)-(a4) is the failed verdict
-    ``assumptions``, and ends the scenario.
+    convergence study or a negative seed from ``--seed``, is a ConfigError
+    before the directory is made.  An exponent field that violates
+    (a1)-(a4) is the failed verdict ``assumptions``, and ends the scenario.
     """
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(
@@ -288,6 +287,10 @@ def run_scenario(cfg):
     if cfg.scenario == "convergence" and cfg.initial.kind == "file":
         raise ConfigError("initial: recipe 'file' holds one grid, and the convergence "
                           "scenario runs on n and 2n cells")
+    try:
+        _check_seed(cfg.seed)
+    except ValueError as exc:
+        raise ConfigError("seed: %s" % exc) from exc
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
     v = _Verdicts()

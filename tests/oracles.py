@@ -145,3 +145,13 @@ def unfolded_build(grid, field):
     pair_w = row_w * w[:n, None]
     pair_w[:, n:] *= 2.0
     return P, row_w, pair_w
+
+
+def pair_weights(ctx):
+    """The ordered-pair weights k_ij w_i w_j of a context's table, doubled
+    on exterior columns, formed from its row weights as ``unfolded_build``
+    forms them; the context itself keeps no such table."""
+    n = ctx.grid.n
+    pair_w = ctx.row_w * ctx.grid.interior_widths[:, None]
+    pair_w[:, n:] *= 2.0
+    return pair_w

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -444,21 +445,22 @@ def _imported(argv, cwd):
             if line.startswith("import time:")}, proc.stdout
 
 
-@pytest.mark.parametrize("n_starts, loaded", [(None, False), (1, False), (2, False), (3, True)],
-                         ids=["import", "one-start", "two-starts", "three-starts"])
-def test_numpy_random_loads_only_for_a_drawn_start(n_starts, loaded, tmp_path):
-    # the bump and the sine mode need no generator; importing numpy.random
-    # costs a fresh process about 6 MB
-    if n_starts is None:
+@pytest.mark.parametrize("scenario, n_starts", [
+    (None, None), ("well", 1), ("well", 2), ("well", 3), ("geometry", 3), ("nehari-sweep", 2),
+], ids=["import", "one-start", "two-starts", "three-starts", "geometry", "nehari-sweep"])
+def test_no_run_imports_numpy_random(scenario, n_starts, tmp_path):
+    # random starts come from the stdlib generator, which numpy's own import
+    # loads; importing numpy.random costs a fresh process about 5 MB
+    if scenario is None:
         modules, _ = _imported(["-c", "import fracflow"], tmp_path)
     else:
-        cfgpath = tmp_path / "well.cfg"
-        _write_fast_config(cfgpath, "well", **{"geometry.n_starts": n_starts})
-        modules, out = _imported(["-m", "fracflow", "well", "--config", str(cfgpath),
+        cfgpath = tmp_path / "run.cfg"
+        _write_fast_config(cfgpath, scenario, **{"geometry.n_starts": n_starts})
+        modules, out = _imported(["-m", "fracflow", scenario, "--config", str(cfgpath),
                                   "--out", "out"], tmp_path)
-        assert "scenario well: " in out
-    assert "fracflow" in modules and "numpy" in modules
-    assert ("numpy.random" in modules) is loaded
+        assert "scenario %s: " % scenario in out
+    assert {"fracflow", "numpy", "random"} <= modules
+    assert "numpy.random" not in modules
 
 
 @pytest.mark.parametrize("n_starts", [1, 2, 3, 4, 5])
@@ -466,9 +468,10 @@ def test_estimate_and_search_draw_their_starts_in_turn(n_starts, ctx16, monkeypa
     # the estimate draws first from the seed, the depth search next, whether
     # or not the estimate runs
     seed = 11
-    gen = np.random.default_rng(seed)
+    gen = random.Random(seed)
     k = max(n_starts - 2, 0)
-    draws = [gen.standard_normal(ctx16.grid.n) for _ in range(2 * k)]
+    draws = [np.array([gen.gauss(0.0, 1.0) for _ in range(ctx16.grid.n)])
+             for _ in range(2 * k)]
     fixed = [ff.standard_bump(ctx16.grid).values, ff.first_sine_mode(ctx16.grid).values]
     expected_estimate = (fixed + draws[:k])[:n_starts]
     expected_search = (fixed + draws[k:])[:n_starts]
@@ -689,17 +692,22 @@ def test_constant_shape_rejects_a_and_b(shape, coef):
     ("initial.kind = bogus", "initial"),
     ("initial.kind = file", "initial"),
     ("step.scheme = imex\nstep.inner_max = 0", "step"),
+    ("seed = -1\ngeometry.n_starts = 3", "seed"),
+    ("geometry.n_starts = 3\n--seed -1", "seed"),
 ], ids=["b-not-above-a", "negative-radius", "n-below-4", "no-collar-cells", "s-above-1",
         "one-sample", "no-starts", "table-over-cap", "unknown-initial-kind",
-        "file-without-path", "no-inner-iterations"])
+        "file-without-path", "no-inner-iterations", "negative-seed", "negative-seed-flag"])
 def test_bad_config_value_is_a_config_error(lines, section, tmp_path, capsys, monkeypatch):
+    # a line that starts with "--" goes on the command line
     monkeypatch.setattr(scenarios, "well_depth", _no_search)
     monkeypatch.setattr(scenarios, "estimate_embedding_constant", _no_search)
     bad = tmp_path / "bad.cfg"
+    flags = [f for line in lines.split("\n") if line.startswith("--") for f in line.split()]
+    lines = "\n".join(line for line in lines.split("\n") if not line.startswith("--"))
     s_line = "" if lines.startswith("exponents.s") else "exponents.s = 0.4\n"
     bad.write_text("%s%s\n" % (s_line, lines))
-    rc = main(["geometry", "--config", str(bad), "--out", str(tmp_path / "out")])
+    rc = main(["geometry", "--config", str(bad), "--out", str(tmp_path / "out")] + flags)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: %s: " % section) and "Traceback" not in err, err
-    assert not (tmp_path / "out" / "summary.txt").exists()
+    assert not (tmp_path / "out").exists()

@@ -8,8 +8,8 @@ from fracflow import nonlocal_operator
 from fracflow.errors import ContextMismatch, GridMismatch, InvalidResolution
 from fracflow.nonlocal_operator import MAX_TABLE_ENTRIES, OperatorContext
 
-from oracles import (brute_apply, brute_i1, brute_sp_modular, brute_weak, unfolded_build,
-                     zero_extended)
+from oracles import (brute_apply, brute_i1, brute_sp_modular, brute_weak, pair_weights,
+                     unfolded_build, zero_extended)
 
 
 @pytest.fixture(scope="module")
@@ -389,7 +389,7 @@ def test_blocked_build_is_bitwise_the_unfolded_oracle(block_entries, ctx16, ctx1
         ctx = OperatorContext(grid, field)
         P, row_w, pair_w = unfolded_build(grid, field)
         assert _bits(ctx.row_w) == _bits(row_w)
-        assert _bits(ctx.pair_w) == _bits(pair_w)
+        assert _bits(pair_weights(ctx)) == _bits(pair_w)
         assert (type(ctx.P) is float) == bool(np.all(P == P.flat[0]))
         assert _bits(np.broadcast_to(ctx.P, P.shape).copy()) == _bits(P)
     if block_entries < nonlocal_operator.BLOCK_ENTRIES:
@@ -422,11 +422,52 @@ def test_exterior_columns_fold_by_exponent_column(ctx16, ctx16_var, grid16):
         (unfolded, (off_grid.n, off_grid.n_total)),
     )
     for ctx, shape in layouts:
-        for table in ("row_w", "pair_w"):
-            assert getattr(ctx, table).shape == shape
+        assert ctx.row_w.shape == ctx._a.shape == ctx._b.shape == shape
+        assert _bits(pair_weights(ctx)) == _bits(unfolded_build(ctx.grid, ctx.field)[2])
     assert type(ctx16.P) is float
     assert ctx16_var.P.shape == (n, n + m)
     assert unfolded.P.shape == (off_grid.n, off_grid.n_total)
+
+
+def test_variable_p_context_keeps_four_tables(ctx16_var, domain):
+    # P, row_w and the two work buffers; the exponents P - 2 form in a
+    # block smaller than this table, and constant p keeps no P table
+    grid = ff.Grid(domain, 64, 256)
+    for field, kept in ((ctx16_var.field, ["P", "_a", "_b", "row_w"]),
+                        (ff.make_exponent_field(0.4), ["_a", "_b", "row_w"])):
+        ctx = OperatorContext(grid, field)
+        size = ctx.row_w.size
+        tables = [k for k, v in vars(ctx).items() if isinstance(v, np.ndarray) and v.size >= size]
+        assert sorted(tables) == kept
+        assert sum(v.nbytes for v in vars(ctx).values() if isinstance(v, np.ndarray)) < (
+            (len(kept) + 1) * 8 * size)
+
+
+@pytest.mark.parametrize("block_entries", [nonlocal_operator.BLOCK_ENTRIES, 25, 1])
+def test_blocked_power_is_bitwise_the_whole_table(block_entries, ctx16_var, monkeypatch):
+    # apply's |du|^(P - 2), formed a row block at a time, against the whole
+    # table at once, in the values and in the Jacobian formed from them
+    several = block_entries < nonlocal_operator.BLOCK_ENTRIES
+    monkeypatch.setattr(nonlocal_operator, "BLOCK_ENTRIES", block_entries)
+    off_grid, off_field = _unfolded_case()
+    rng = np.random.default_rng(3)
+    for grid, field in ((ctx16_var.grid, ctx16_var.field), (off_grid, off_field),
+                        (ff.Grid(off_grid.domain, 7, 8), off_field)):
+        ctx = OperatorContext(grid, field)
+        assert (len(ctx._blocks) > 1) is several
+        n = grid.n
+        u = rng.standard_normal(n)
+        cols = np.zeros(ctx.row_w.shape[1])
+        cols[:n] = u
+        du = cols[:n, None] - cols
+        c = np.abs(du) ** (ctx.P - 2.0)
+        values = 2.0 * np.einsum("ij,ij->i", c * du, ctx.row_w)
+        cw = c * ctx.row_w
+        pc = cw * ctx.P - cw
+        jac = -2.0 * pc[:, :n]
+        np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
+        assert _bits(ctx.apply(u)) == _bits(values)
+        assert _bits(ctx.jacobian(u)) == _bits(jac)
 
 
 def test_constant_p_pair_coeffs_is_one_coefficient(ctx16, ctx16_var, grid16, rng):

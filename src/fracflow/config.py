@@ -164,8 +164,8 @@ def parse_config(text):
     field, probe, initial-data recipe, validation or depth search would
     reject, including a probe exponent not above 1 somewhere on the
     interval, a depth-search tolerance that is not positive, an
-    initial-data file that does not hold one value per grid cell, and a
-    negative seed.  An initial-data file that cannot be read raises
+    initial-data file that does not hold one finite value per grid cell,
+    and a negative seed.  An initial-data file that cannot be read raises
     OSError.
     """
     cfg = ExperimentConfig()
@@ -301,8 +301,8 @@ def _check_seed(seed):
 
 def _check_initial(ini, grid):
     """Refuse a recipe not in INITIAL_KINDS, or 'file' without a path or
-    with a file that does not hold one value per cell of ``grid``; the
-    file's grid function for 'file', else None."""
+    with a file that does not hold one finite value per cell of ``grid``;
+    the file's grid function for 'file', else None."""
     if ini.kind not in INITIAL_KINDS:
         raise ValueError("unknown initial-data recipe %r; choose from %s"
                          % (ini.kind, ", ".join(INITIAL_KINDS)))
@@ -319,7 +319,7 @@ def build_initial(cfg, grid, minimizer=None):
     The scaled-minimizer recipe needs the well geometry's minimizer, which
     the caller supplies; this keeps geometry computation at the scenario
     level where it can be shared.  A bad recipe, or a file that does not
-    hold one value per cell of ``grid``, is a ConfigError.
+    hold one finite value per cell of ``grid``, is a ConfigError.
     """
     ini = cfg.initial
     try:

@@ -130,7 +130,7 @@ def nehari_lambda(u, ctx, tol=1e-9):
     ctx._check_function(u)
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")
-    p = ctx.pair_terms(u.values)
+    p = ctx.pair_coeffs(u.values)
     q = _Terms.of(*_lebesgue_coeffs(u, ctx.q_interior))
     lam = _ray_root(p, q)
     t = math.log(lam)
@@ -192,10 +192,11 @@ def _descend(x, value, grad, project, iters):
     gradient, so each point is evaluated once.  Every iteration steps along
     the normalized -gradient, halving the step (at most 40 times) until
     ``project`` of the nonzero trial values lowers the objective, then
-    doubles it.  The first iteration without such a trial ends the descent,
-    and so does the first trial that projects back onto x bitwise: the step
-    is then below the resolution of x.  Returns the last accepted state,
-    its objective and the accepted count.
+    doubles it; a trial that projects onto the last one tried is not
+    evaluated again.  The first iteration without such a trial ends the
+    descent, and so does the first trial that projects back onto x
+    bitwise: the step is then below the resolution of x.  Returns the last
+    accepted state, its objective and the accepted count.
     """
     f, aux = value(x)
     alpha = 1.0
@@ -207,6 +208,7 @@ def _descend(x, value, grad, project, iters):
             break
         direction = g / gnorm
         a = alpha
+        tried = None
         for _ in range(40):
             trial = x.values - a * direction
             # a zero trial has no projection
@@ -214,9 +216,11 @@ def _descend(x, value, grad, project, iters):
                 cand = project(trial)
                 if np.array_equal(cand.values, x.values):
                     return x, f, accepted
-                f_new, aux_new = value(cand)
-                if f_new < f:
-                    break
+                if not np.array_equal(cand.values, tried):
+                    tried = cand.values
+                    f_new, aux_new = value(cand)
+                    if f_new < f:
+                        break
             a *= 0.5
         else:
             break

@@ -9,10 +9,10 @@ proximal step is a strictly convex minimization, solved by Newton iteration
 on its optimality residual with the operator's Jacobian from the pair
 table; each Newton step is halved until the residual strictly decreases,
 and ``inner_max`` caps the Newton iterations.  Each trial costs one
-``apply`` sweep, which gives its residual and, for the accepted trial,
-the new state's gradient; ``jacobian`` forms the next solve's Jacobian
-from the table that sweep left.  The first reuses the table that the
-state's gradient left, unless a rejected step's sweeps replaced it.
+``linearize`` sweep, which gives its residual, the Jacobian of the next
+solve and, for the accepted trial, the new state's gradient.  The state
+carries its Jacobian, so a step, and a retry after a rejected one, solves
+first with the Jacobian of the trial that made the state.
 
 Along the run the engine records, per accepted step, the energy balance
 residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
@@ -94,12 +94,14 @@ class StepControl:
 @dataclass
 class SimState:
     """State of the flow at one time: function, energy report, energy
-    gradient."""
+    gradient, and the operator's Jacobian at u when an IMEX step has formed
+    it (None otherwise); a step may fill ``jac`` in, never change it."""
 
     t: float
     u: GridFunction
     report: object
     grad: GridFunction
+    jac: np.ndarray = None
 
 
 @dataclass
@@ -134,22 +136,23 @@ def make_state(u, ctx, t=0.0):
     return _make_state(u, ctx, t, None)
 
 
-def _make_state(u, ctx, t, op_vals):
+def _make_state(u, ctx, t, op_vals, jac=None):
     """The state at u; ``op_vals``, the operator values at u when already
-    computed, give its gradient without another sweep."""
+    computed, give its gradient without another sweep, and ``jac`` is the
+    operator's Jacobian at u, if formed."""
     with np.errstate(over="ignore", invalid="ignore"):
         rep = energy(u, ctx)
         if op_vals is None:
             grad = energy_gradient(u, ctx)
         else:
             grad = GridFunction(ctx.grid, op_vals - _reaction(ctx, u.values))
-    return SimState(t=float(t), u=u, report=rep, grad=grad)
+    return SimState(t=float(t), u=u, report=rep, grad=grad, jac=jac)
 
 
-def _finish(u_new, ctx, t_new, op_vals=None):
+def _finish(u_new, ctx, t_new, op_vals=None, jac=None):
     if not np.all(np.isfinite(u_new)):
         raise NonFinite("state update produced non-finite values")
-    state = _make_state(GridFunction(ctx.grid, u_new), ctx, t_new, op_vals)
+    state = _make_state(GridFunction(ctx.grid, u_new), ctx, t_new, op_vals, jac)
     if not np.isfinite(state.report.energy):
         raise NonFinite("energy overflowed at the updated state")
     return state
@@ -175,12 +178,13 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     ``inner_max`` iterations solves (A'(v) + I/dt) delta = r(v) with the
     Jacobian of the operator, then halves the step from 1 (at most 60
     times) until the measure-weighted residual norm strictly decreases.
-    One ``ctx.apply`` per trial gives its residual, and the accepted
-    trial's values the new state's gradient; ``ctx.jacobian(v)`` reuses
-    that sweep's table, and at v = u the table of the state's gradient,
-    so a Jacobian costs no sweep after an accepted step.  Converged once
-    that norm is at most ``inner_tol`` times max(1, its initial value);
-    otherwise raises InnerSolveStalled.
+    One ``ctx.linearize`` per trial gives its residual and Jacobian, and
+    the accepted trial's values the new state's gradient; the new state
+    carries that trial's Jacobian.  The first solve uses ``state.jac``,
+    formed here (one sweep at u, kept in the state) when None, so a step
+    from a state that an IMEX step made sweeps nothing at u.  Converged
+    once that norm is at most ``inner_tol`` times max(1, its initial
+    value); otherwise raises InnerSolveStalled.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -195,27 +199,31 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     v, r = u0, state.grad.values
     rnorm = wnorm(r)
     target = inner_tol * max(1.0, rnorm)
-    op_vals = None
+    op_vals = jac = None
     for _ in range(inner_max):
         if rnorm <= target:
             break
-        jac = ctx.jacobian(v)
+        if jac is None:
+            if state.jac is None:
+                state.jac = ctx.linearize(u0)[1]
+            # the state's Jacobian stays as formed: shift a copy
+            jac = state.jac.copy()
         jac[np.diag_indices_from(jac)] += 1.0 / dt
         delta = np.linalg.solve(jac, r)
         a = 1.0
         for _ in range(60):
             trial = v - a * delta
-            at = ctx.apply(trial)
+            at, jt = ctx.linearize(trial)
             rt = (trial - u0) / dt + at - react
             rtn = wnorm(rt)
             if np.isfinite(rtn) and rtn < rnorm:
-                v, r, rnorm, op_vals = trial, rt, rtn, at
+                v, r, rnorm, op_vals, jac = trial, rt, rtn, at, jt
                 break
             a *= 0.5
         else:
             break
     if rnorm <= target:
-        return _finish(v, ctx, state.t + dt, op_vals)
+        return _finish(v, ctx, state.t + dt, op_vals, jac)
     raise InnerSolveStalled(
         "proximal residual %g above tolerance %g" % (rnorm, target)
     )
@@ -246,7 +254,8 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     """Integrate from u0 with energy-based step acceptance.
 
     Steps until the final time, the blow-up cap, a non-finite step (float
-    overflow before the cap), step underflow, or the step budget; rejected
+    overflow before the cap), step underflow, or the step budget; an
+    initial state whose energy overflows raises NonFinite.  Rejected
     steps halve dt and are not recorded.  The returned record holds one
     sample per accepted step plus the initial state; the probe exponent
     ``r_probe`` of its ``lux_r`` column is evaluated once per run.  The
@@ -256,6 +265,8 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     r_vals = exponent_values(r_probe, ctx.grid.interior_centers)
     state = make_state(u0, ctx, t=0.0)
     e0 = state.report.energy
+    if not np.isfinite(e0):
+        raise NonFinite("energy overflowed at the initial state")
     samples = [_sample_from(state, geometry, r_vals, dt=0.0, residual=0.0)]
     diss = 0.0
     dt = control.dt_init

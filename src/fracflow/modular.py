@@ -125,7 +125,7 @@ class _Terms:
     @classmethod
     def of(cls, c, e):
         """The side for coefficients c > 0 and exponents e, in new arrays."""
-        return cls(np.log(c), e, np.empty(e.shape), e.min(), e.max())
+        return cls(np.log(c), e, np.empty(e.shape), e.min(initial=np.inf), e.max(initial=-np.inf))
 
     def log_sum(self, t):
         """``_log_power_sum`` of the side at t = log(lam)."""
@@ -170,28 +170,32 @@ def _log_root(p, q, ftol, max_evals=MAX_EVALS):
                          % (max_evals, lo, hi))
 
 
-def _norm(c, e, tol):
+def _norm(side, tol):
     """ModularReport for the lam with sum(c * lam**-e) = 1 * lam**0, to
-    |modular - 1| <= tol; norm 0 when no coefficient is positive.
+    |modular - 1| <= tol, for the ``_Terms`` side sum(c * lam**e); norm 0
+    when no coefficient is positive.  The modular is the side's value at 1.
 
     One coefficient (a constant exponent) has the closed-form root
     t = log(c) / e, the value Newton's first step from t = 0 takes, so it
     is returned after that one evaluation; a non-finite root raises
     RootFindFailed, as the root-find does.  More coefficients go to
-    ``_log_root``."""
+    ``_log_root`` in -t = log(1/lam), where the side is sum(c * lam**e)
+    itself; negation is exact, so its iterates are those in t."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if c.size == 0:
+    if side.e_min > side.e_max:
         return ModularReport(0.0, 0.0, 0, (0.0, 0.0))
-    if c.size == 1:
-        t = lo = hi = float(np.log(c)[0] / e[0])
+    if side.logc.size == 1:
+        t = lo = hi = float(side.logc[0] / side.e[0])
         evals = 1
         if not math.isfinite(t):
             raise RootFindFailed("closed-form root is not finite: t = %g" % t)
     else:
-        t, evals, (lo, hi) = _log_root(_Terms.of(c, -e), _Terms.of(np.ones(1), np.zeros(1)),
+        s, evals, (lo, hi) = _log_root(_Terms.of(np.ones(1), np.zeros(1)), side,
                                        math.log1p(tol))
-    return ModularReport(float(np.sum(c)), math.exp(t), evals, (math.exp(lo), math.exp(hi)))
+        t, lo, hi = -s, -hi, -lo
+    modular = math.exp(side.log_sum(0.0)[0])
+    return ModularReport(modular, math.exp(t), evals, (math.exp(lo), math.exp(hi)))
 
 
 def luxemburg_norm(u, h, tol=DEFAULT_TOL):
@@ -200,8 +204,7 @@ def luxemburg_norm(u, h, tol=DEFAULT_TOL):
     Returns the norm together with the plain modular of u and the root-find
     diagnostics; the zero function short-circuits to norm 0.
     """
-    c, e = _lebesgue_coeffs(u, h)
-    return _norm(c, e, tol)
+    return _norm(_Terms.of(*_lebesgue_coeffs(u, h)), tol)
 
 
 def gagliardo_modular(u, ctx):
@@ -215,5 +218,4 @@ def gagliardo_seminorm(u, ctx, tol=DEFAULT_TOL):
     """Gagliardo-Slobodetskii seminorm: the unit-modular scaling of the
     two-point modular."""
     ctx._check_function(u)
-    c, e = ctx.pair_coeffs(u.values)
-    return _norm(c, e, tol)
+    return _norm(ctx.pair_coeffs(u.values), tol)

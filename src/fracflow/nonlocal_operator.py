@@ -171,11 +171,9 @@ class OperatorContext:
     columns, holding the group's summed weights and its shared exponent;
     groups of equal size sit together, in order of their first cell.
     Sweeps write into preallocated work buffers and return only reductions
-    or fresh arrays, never a view of a buffer.  Two calls hand a buffer on:
-    ``apply`` leaves its |du|^(p-2) table in one, which ``jacobian`` at the
-    same values reuses until another sweep overwrites it, and
-    ``pair_terms`` returns a root-find side that reads the first buffer and
-    writes the second, valid until the next sweep.
+    or fresh arrays, never a view of a buffer, except ``pair_coeffs``: its
+    root-find side reads the first buffer and writes the second, valid
+    until the next sweep.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -204,7 +202,6 @@ class OperatorContext:
             self._e = np.empty(max(b.stop - b.start for b in self._blocks) * shape[1])
         self._a = np.empty(shape)
         self._b = np.empty(shape)
-        self._table_of = None  # the values of apply's table in _b, if intact
 
     def _diff(self, vals):
         """u_i - u_j for interior rows i against all columns j, in the first
@@ -232,7 +229,6 @@ class OperatorContext:
 
     def _pow_sign(self, vals):
         """|du|^(p_ij - 2) du in the second work buffer; du stays in the first."""
-        self._table_of = None
         return np.multiply(self._pow_p_minus_2(vals), self._a, out=self._b)
 
     def _pair_sum(self, t):
@@ -268,25 +264,21 @@ class OperatorContext:
 
     def apply(self, vals):
         """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j;
-        the |du|^(p-2) table stays in a work buffer for ``jacobian``."""
+        the |du|^(p-2) table stays in the second work buffer."""
         c = self._pow_p_minus_2(vals)
-        values = 2.0 * np.einsum("ij,ij->i", np.multiply(c, self._a, out=self._a), self.row_w)
-        self._table_of = np.array(vals, dtype=float)
-        return values
+        return 2.0 * np.einsum("ij,ij->i", np.multiply(c, self._a, out=self._a), self.row_w)
 
-    def jacobian(self, vals):
-        """The n x n Jacobian, in the interior values, of the operator at
-        ``vals``, from the table of an ``apply`` at ``vals``: the last one's
-        if nothing overwrote it since, else a new one's.
+    def linearize(self, vals):
+        """(operator values, n x n Jacobian in the interior values) at
+        ``vals``, both from one ``apply`` sweep: the Jacobian is formed from
+        the |du|^(p-2) table that sweep leaves.
 
         Entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2) k_ik w_k;
         the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2) k_ij w_j
         over all columns j, so exterior columns fold into the diagonal.
         Finite since p >= 2.
         """
-        if not np.array_equal(self._table_of, vals):
-            self.apply(vals)
-        self._table_of = None
+        values = self.apply(vals)
         c = np.multiply(self._b, self.row_w, out=self._b)
         # (p - 1) c as p c - c, without a table-sized temporary
         pc = np.multiply(c, self.P, out=self._a)
@@ -294,7 +286,7 @@ class OperatorContext:
         jac = -2.0 * pc[:, self._cols]
         # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
         np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
-        return jac
+        return values, jac
 
     def weak(self, uvals, vvals):
         """Pair sum |du|^(p-2) du dv k_ij w_i w_j."""
@@ -315,39 +307,26 @@ class OperatorContext:
         return self._pair_sum(au)
 
     def pair_coeffs(self, vals):
-        """Flattened (coeff, exponent) arrays with coeff = |du|^p k w w > 0,
-        summed to one coefficient when p is constant.
+        """The pair side sum(c * lam**p) of a root-find along the ray of u,
+        c = |du|^p k w w, as a ``_Terms``; the scaled modular of u/lam is
+        its value at 1/lam.  Used by the seminorm and the ray scaling.
 
-        The scaled modular of u/lam is then sum(coeff * lam**-exponent);
-        used by the seminorm and ray scaling root-finds.
-        """
-        if isinstance(self.P, float):
-            c = np.array([self._pair_sum(self._abs_pow(vals))])
-        else:
-            c = self._pair_weighted(self._abs_pow(vals))
-        keep = c > 0.0
-        return c[keep], np.broadcast_to(self.P, c.shape)[keep]
-
-    def pair_terms(self, vals):
-        """The pair side sum(coeff * lam**exponent) of ``pair_coeffs``, as
-        the ``_Terms`` of a root-find along the ray of u.
-
-        For constant p it holds the one coefficient.  Otherwise the
+        For constant p it holds the one summed coefficient.  Otherwise the
         coefficient logs (-inf for a zero coefficient) stay in the first
         work buffer, the exponents are read from ``P`` and the power sums
         form in the second buffer, so the side is valid until the next
         sweep and no table-sized array is made.
         """
+        t = self._abs_pow(vals)
         if isinstance(self.P, float):
-            return _Terms.of(*self.pair_coeffs(vals))
-        self._table_of = None
-        c = self._pair_weighted(self._abs_pow(vals))
+            c, e, out = np.array([self._pair_sum(t)]), np.array([self.P]), np.empty(1)
+        else:
+            c, e, out = self._pair_weighted(t), self.P, self._b
         kept = c > 0.0
-        bounds = (self.P.min(where=kept, initial=np.inf),
-                  self.P.max(where=kept, initial=-np.inf))
+        bounds = e.min(where=kept, initial=np.inf), e.max(where=kept, initial=-np.inf)
         with np.errstate(divide="ignore"):
             np.log(c, out=c)
-        return _Terms(c.reshape(-1), self.P.reshape(-1), self._b.reshape(-1), *bounds)
+        return _Terms(c.reshape(-1), e.reshape(-1), out.reshape(-1), *bounds)
 
     def sp_grad_interior(self, vals, lam=1.0):
         """Measure-weighted gradient of sum |du/lam|^p k w w on interior cells:

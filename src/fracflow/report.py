@@ -55,7 +55,8 @@ def load_csv(grid, path):
     """Read cell values written by save_csv back onto ``grid``.
 
     The file must hold one row per cell of ``grid``, with centers and
-    widths that match the grid's to within 1e-12 (GridMismatch otherwise).
+    widths that match the grid's to within 1e-12 (GridMismatch otherwise),
+    and only finite numbers (ValueError otherwise).
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -64,7 +65,10 @@ def load_csv(grid, path):
     rows = [ln.split(",") for ln in lines[1:]]
     if len(rows) != grid.n:
         raise GridMismatch("file has %d cells, grid has %d" % (len(rows), grid.n))
-    centers, widths, values = np.array(rows, dtype=float).T
+    table = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("non-finite number in %s" % path)
+    centers, widths, values = table.T
     if np.max(np.abs(centers - grid.interior_centers)) > 1e-12 or np.max(
         np.abs(widths - grid.interior_widths)
     ) > 1e-12:

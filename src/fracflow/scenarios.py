@@ -6,6 +6,7 @@ per check ("<name>: PASS" or "<name>: FAIL (...)"); the exit status is 0
 iff every verdict passed.
 """
 
+import math
 import os
 import random
 from dataclasses import replace
@@ -31,7 +32,7 @@ from .energy import (
     standard_bump,
     well_depth,
 )
-from .errors import AssumptionViolated, AuditFailed, ConfigError
+from .errors import AssumptionViolated, AuditFailed, ConfigError, NonFinite, ProjectionFailed
 from .evolution import (
     BLOWUP_CAP_HIT,
     blowup_inequality_audit,
@@ -197,7 +198,8 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
     worst = 0.0
     worst_resid = 0.0
     for label, u in cases:
-        lam = nehari_lambda(u, ctx, tol=cfg.geometry.tol)
+        # the sweep checks each residual against geometry.tol itself, below
+        lam = nehari_lambda(u, ctx, tol=math.inf)
         rep = energy(u.scaled(lam), ctx)
         resid = abs(rep.nehari) / (rep.gagliardo_modular + rep.q_modular)
         worst_resid = max(worst_resid, resid)
@@ -277,7 +279,10 @@ def run_scenario(cfg):
     config the scenario cannot run, such as an initial-data file for the
     convergence study or a negative seed from ``--seed``, is a ConfigError
     before the directory is made.  An exponent field that violates
-    (a1)-(a4) is the failed verdict ``assumptions``, and ends the scenario.
+    (a1)-(a4) is the failed verdict ``assumptions``, and ends the scenario;
+    so is a manifold projection that misses ``geometry.tol``, or an initial
+    state whose energy overflows, as the failed verdict ``completed``
+    naming the error.
     """
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(
@@ -298,6 +303,8 @@ def run_scenario(cfg):
         SCENARIOS[cfg.scenario](cfg, out_dir, v)
     except AssumptionViolated as exc:
         v.check("assumptions", False, str(exc))
+    except (ProjectionFailed, NonFinite) as exc:
+        v.check("completed", False, "%s: %s" % (type(exc).__name__, exc))
     v.lines.append("scenario %s: %s" % (cfg.scenario, "PASS" if v.ok else "FAIL"))
     for line in v.lines:
         print(line)

@@ -125,7 +125,8 @@ def test_criterion_4_nehari_oracle(default_ctx):
         w = u.scaled(lam)
         assert abs(ff.nehari_lambda(w, default_ctx) - 1.0) <= 1e-8
         # exactly one sign change of I(t u) over a 200-point log grid
-        cp, ep = default_ctx.pair_coeffs(u.values)
+        side = default_ctx.pair_coeffs(u.values)
+        cp, ep = np.exp(side.logc), side.e
         cq, eq = _lebesgue_coeffs(u, default_ctx.q_interior)
         ts = np.logspace(np.log10(lam) - 3.0, np.log10(lam) + 3.0, 200)
         gvals = np.array([np.sum(cp * t**ep) - np.sum(cq * t**eq) for t in ts])

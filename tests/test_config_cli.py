@@ -15,6 +15,7 @@ from fracflow.config import (
     build_grid_from,
     build_probe,
     default_config,
+    load_config,
     parse_config,
     serialize_config,
 )
@@ -165,6 +166,61 @@ def test_nehari_sweep_projection_residuals_can_fail(tmp_path, capsys, monkeypatc
     assert "projection_residuals: FAIL (worst residual" in out
 
 
+def test_tolerance_below_the_projections_reach_is_a_failed_verdict(tmp_path, capsys):
+    # a relative residual of 1e-17 is below what the projection can reach
+    # (the shipped sweep's projections miss it by up to 8.9e-16): the sweep's
+    # own residual check fails, and a depth search ends its scenario with
+    # the verdict naming the error, each with a summary
+    cfgpath = tmp_path / "tol.cfg"
+    for scenario, verdict in (
+        ("nehari-sweep", "projection_residuals: FAIL (worst residual "),
+        ("geometry", "completed: FAIL (ProjectionFailed: manifold projection relative residual "),
+        ("well", "completed: FAIL (ProjectionFailed: manifold projection relative residual "),
+    ):
+        if scenario == "nehari-sweep":
+            with open(os.path.join(CONFIGS, "nehari-sweep.cfg")) as fh:
+                cfgpath.write_text(fh.read().replace("geometry.tol = 1e-09", "geometry.tol = 1e-17"))
+        else:
+            _write_fast_config(cfgpath, scenario, **{"geometry.tol": 1e-17})
+        out_dir = tmp_path / scenario
+        rc = main([scenario, "--config", str(cfgpath), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err == ""
+        assert verdict in captured.out and "scenario %s: FAIL" % scenario in captured.out
+        assert (out_dir / "summary.txt").read_text() == captured.out
+
+
+def test_overflowing_start_is_a_failed_verdict(tmp_path, capsys):
+    # |u|^q overflows at the initial state: run refuses it as NonFinite
+    # before its first sample's Luxemburg norm
+    cfgpath = tmp_path / "huge.cfg"
+    for scenario in ("well", "blowup"):
+        _write_fast_config(cfgpath, scenario,
+                           **{"initial.kind": "bump", "initial.amplitude": 1e200})
+        out_dir = tmp_path / scenario
+        rc = main([scenario, "--config", str(cfgpath), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err == ""
+        assert captured.out.endswith(
+            "completed: FAIL (NonFinite: energy overflowed at the initial state)\n"
+            "scenario %s: FAIL\n" % scenario)
+        assert (out_dir / "summary.txt").read_text() == captured.out
+
+
+@pytest.mark.parametrize("name", sorted(f[:-4] for f in os.listdir(CONFIGS) if f.endswith(".cfg")))
+def test_shipped_config_passes_every_verdict(name, tmp_path, capsys):
+    path = os.path.join(CONFIGS, name + ".cfg")
+    scenario = load_config(path).scenario
+    rc = main([scenario, "--config", path, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    verdicts = [ln for ln in lines if ln.endswith(": PASS") or ": FAIL" in ln]
+    assert rc == 0 and captured.err == ""
+    assert verdicts and all(v.endswith(": PASS") for v in verdicts), captured.out
+    assert lines[-1] == "scenario %s: PASS" % scenario
+    assert (tmp_path / "summary.txt").read_text() == captured.out
+
+
 def test_well_scenario_verdicts_and_row_count(tmp_path, capsys):
     cfgpath = tmp_path / "well.cfg"
     cfg = _write_fast_config(cfgpath, "well", **{"step.t_final": 2.0})
@@ -201,8 +257,9 @@ def test_well_scenario_from_file(tmp_path, capsys):
 
 
 def test_initial_file_off_the_grid_is_a_config_error(tmp_path, capsys):
-    # a file for another grid, and one in the older format with a region
-    # column and collar rows, are refused without a traceback
+    # a file for another grid, one in the older format with a region
+    # column and collar rows, and one with a nan value are refused without
+    # a traceback
     cfgpath = tmp_path / "well.cfg"
     cfg = _write_fast_config(cfgpath, "well")
     grid = build_grid_from(cfg)
@@ -212,8 +269,14 @@ def test_initial_file_off_the_grid_is_a_config_error(tmp_path, capsys):
     collar.write_text("center,width,value,region\n" + "".join(
         "%r,%r,0.5,interior\n" % (x, w)
         for x, w in zip(grid.interior_centers, grid.interior_widths)) + "9.0,1.0,0.0,exterior\n")
+    nan = tmp_path / "nan.csv"
+    ff.save_csv(ff.standard_bump(grid), nan)
+    lines = nan.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    nan.write_text("\n".join(lines) + "\n")
     for path, reason in ((other, "file has 32 cells, grid has 16"),
-                         (collar, "unrecognized grid-function CSV header")):
+                         (collar, "unrecognized grid-function CSV header"),
+                         (nan, "non-finite number in %s" % nan)):
         _write_fast_config(cfgpath, "well", **{"initial.kind": "file", "initial.path": str(path)})
         rc = main(["well", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err

@@ -115,7 +115,8 @@ def test_nehari_lambda_root_find_cost_and_precision(ctx16, ctx16_var, grid16, rn
         assert evals[-1] <= 2  # constant exponents: one exact Newton step
         lam = ff.nehari_lambda(u, ctx16_var)
         assert evals[-1] <= 8
-        cp, ep = ctx16_var.pair_coeffs(u.values)
+        side = ctx16_var.pair_coeffs(u.values)
+        cp, ep = np.exp(side.logc), side.e
         cq, eq = _lebesgue_coeffs(u, ctx16_var.q_interior)
         sp, sq = np.sum(cp * lam**ep), np.sum(cq * lam**eq)
         assert abs(sp - sq) <= 1e-14 * (sp + sq)
@@ -156,7 +157,8 @@ def test_nehari_unique_crossing_and_ray_max(ctx16, grid16, rng):
     for _ in range(25):
         u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
         lam = ff.nehari_lambda(u, ctx16)
-        cp, ep = ctx16.pair_coeffs(u.values)
+        side = ctx16.pair_coeffs(u.values)
+        cp, ep = np.exp(side.logc), side.e
         cq, eq = _lebesgue_coeffs(u, ctx16.q_interior)
         lams = np.logspace(np.log10(lam) - 3.0, np.log10(lam) + 3.0, 200)
         gvals = np.array([np.sum(cp * t**ep) - np.sum(cq * t**eq) for t in lams])

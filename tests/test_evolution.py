@@ -110,11 +110,11 @@ _SEPARATE_SWEEPS = {("ctx16", 1e-3): 5, ("ctx16_var", 1e-3): 7,
 @pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
 @pytest.mark.parametrize("dt", [1e-3, 5e-2])
 def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
-    # Newton on the proximal residual: one apply sweep per trial, whose
-    # values also give the new state's gradient, plus the new state's
-    # energy.  A Jacobian is formed from the last sweep's table only for a
-    # solve, the first from the table make_state left at u, so the start
-    # of the step sweeps nothing and the converged last trial forms none
+    # Newton on the proximal residual: one linearize sweep per trial, whose
+    # values also give the new state's gradient and whose Jacobian the next
+    # solve's, plus the new state's energy.  A state from make_state carries
+    # no Jacobian, so its step sweeps once at u; a state that a step made
+    # carries its trial's Jacobian, so its step sweeps nothing at u
     ctx = request.getfixturevalue(name)
     st = ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx)
     calls = Counter()
@@ -126,7 +126,7 @@ def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
 
         return counted
 
-    for meth in ("apply", "pair_stats", "jacobian"):
+    for meth in ("apply", "pair_stats", "linearize"):
         monkeypatch.setattr(ff.OperatorContext, meth,
                             counting(meth, getattr(ff.OperatorContext, meth)))
     monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
@@ -134,9 +134,43 @@ def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
     sweeps = calls["apply"] + calls["pair_stats"]
     assert calls["pair_stats"] == 1
     assert sweeps < _SEPARATE_SWEEPS[name, dt]
-    assert 1 <= calls["apply"] == calls["jacobian"] == calls["solve"]
-    # the gradient kept from the last trial is the one a fresh sweep gives
+    assert 1 <= calls["solve"] == calls["linearize"] - 1 == calls["apply"] - 1
+    calls.clear()
+    ff.step_imex(new, dt, ctx)
+    assert 1 <= calls["solve"] == calls["linearize"] == calls["apply"]
+    # the gradient and Jacobian kept from the last trial are those a fresh
+    # sweep gives
     assert np.array_equal(new.grad.values, ff.energy_gradient(new.u, ctx).values)
+    assert np.array_equal(new.jac, ctx.linearize(new.u.values)[1])
+
+
+@pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
+def test_imex_retry_after_a_rejected_step_reuses_the_states_jacobian(name, grid16, request,
+                                                                      monkeypatch):
+    # run discards a step whose energy rose and retries at dt / 2: the retry
+    # sweeps nothing at the state, leaves its Jacobian as formed, and gives
+    # the bits of the same step from a fresh state
+    ctx = request.getfixturevalue(name)
+    st = ff.step_imex(ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx), 5e-2, ctx)
+    kept = st.jac.copy()
+    ff.step_imex(st, 0.4, ctx)  # the rejected step
+    swept = []
+    linearize = ff.OperatorContext.linearize
+
+    def recorded(self, vals):
+        swept.append(vals.tobytes())
+        return linearize(self, vals)
+
+    monkeypatch.setattr(ff.OperatorContext, "linearize", recorded)
+    retry = ff.step_imex(st, 0.2, ctx)
+    assert swept and st.u.values.tobytes() not in swept
+    assert np.array_equal(st.jac, kept)
+    fresh = ff.make_state(ff.GridFunction(grid16, st.u.values.copy()), ctx, t=st.t)
+    again = ff.step_imex(fresh, 0.2, ctx)
+    assert retry.t == again.t and retry.report == again.report
+    for a, b in ((retry.u.values, again.u.values), (retry.grad.values, again.grad.values),
+                 (retry.jac, again.jac), (st.jac, fresh.jac)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_imex_stalls_without_inner_iterations(ctx16, grid16):

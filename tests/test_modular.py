@@ -11,9 +11,12 @@ from fracflow.modular import (_lebesgue_coeffs, _log_power_sum, _log_root, _norm
 from oracles import brute_sp_modular, naive_log_power_sum, zero_extended
 
 
-def _unit_root(c, e, ftol, **kwargs):
-    """``_log_root`` of sum(c * lam**-e) = 1, the root-find ``_norm`` poses."""
-    return _log_root(_Terms.of(c, -e), _Terms.of(np.ones(1), np.zeros(1)), ftol, **kwargs)
+def _unit_root(side, ftol, **kwargs):
+    """(t, evaluations, bracket) of the root t = log(lam) of
+    sum(c * lam**-e) = 1 for the side sum(c * lam**e), found in -t as
+    ``_norm`` finds it."""
+    s, evals, (lo, hi) = _log_root(_Terms.of(np.ones(1), np.zeros(1)), side, ftol, **kwargs)
+    return -s, evals, (-hi, -lo)
 
 
 def test_lebesgue_modular_basic(grid16):
@@ -176,8 +179,8 @@ def test_root_find_failure_is_typed(grid16, rng):
     c = np.abs(u.values) ** e * grid16.interior_widths
     # a variable exponent needs more than the one evaluation at lam = 1
     with pytest.raises(RootFindFailed, match="within 1 evaluations"):
-        _unit_root(c, e, 1e-10, max_evals=1)
-    assert _unit_root(c, e, 1e-10)[1] <= 8
+        _unit_root(_Terms.of(c, e), 1e-10, max_evals=1)
+    assert _unit_root(_Terms.of(c, e), 1e-10)[1] <= 8
     # |u|^3 overflows: the bracket from lam = 1 is not finite
     huge = ff.GridFunction(grid16, 1e200 * np.ones(grid16.n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -190,9 +193,9 @@ def test_log_power_sum_is_bitwise_the_plain_formula(ctx16_var, grid16, rng):
     for _ in range(20):
         scale = 10.0 ** rng.uniform(-3, 3)
         u = ff.GridFunction(grid16, scale * rng.standard_normal(grid16.n))
-        c, e = ctx16_var.pair_coeffs(u.values)
-        assert np.unique(e).size > 1
-        logc = np.log(c)
+        side = ctx16_var.pair_coeffs(u.values)
+        logc, e = side.logc, side.e
+        assert np.unique(e).size > 1 and np.any(logc == -np.inf)
         for exps in (e, -e):
             for t in (0.0, 1e-3, -0.7, 2.5, -40.0, 300.0, -300.0, 1e4):
                 assert _log_power_sum(logc, exps, t) == naive_log_power_sum(logc, exps, t)
@@ -204,10 +207,10 @@ def test_one_term_norm_is_the_newton_root(ctx16, grid16, rng):
     for _ in range(200):
         scale = 10.0 ** rng.uniform(-3, 3)
         u = ff.GridFunction(grid16, scale * rng.standard_normal(grid16.n))
-        for c, e in (_lebesgue_coeffs(u, 3.0), ctx16.pair_coeffs(u.values)):
-            assert c.size == 1
-            rep = _norm(c, e, 1e-10)
-            t, evals, _ = _unit_root(c, e, math.log1p(1e-10))
+        for side in (_Terms.of(*_lebesgue_coeffs(u, 3.0)), ctx16.pair_coeffs(u.values)):
+            assert side.logc.size == 1
+            rep = _norm(side, 1e-10)
+            t, evals, _ = _unit_root(side, math.log1p(1e-10))
             assert rep.luxemburg_norm == math.exp(t)
             assert rep.bisection_iterations == 1 < evals
             assert rep.bracket == (rep.luxemburg_norm, rep.luxemburg_norm)

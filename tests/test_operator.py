@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -248,9 +249,9 @@ def test_interior_row_table_matches_oracles(field):
         assert np.allclose(ctx.apply(u), brute_apply(grid, fld, u0), rtol=1e-13, atol=1e-14)
         assert ctx.weak(u, v) == pytest.approx(brute_weak(grid, fld, u0, v0), rel=1e-13)
         assert ctx.pair_stats(u) == (ctx.i1(u), rho)
-        coeffs, exps = ctx.pair_coeffs(u)
-        assert np.all(coeffs > 0.0) and coeffs.shape == exps.shape
-        assert float(np.sum(coeffs)) == pytest.approx(rho, rel=1e-13)
+        side = ctx.pair_coeffs(u)
+        assert side.logc.shape == side.e.shape == side.out.shape
+        assert math.exp(side.log_sum(0.0)[0]) == pytest.approx(rho, rel=1e-13)
         d = u - v
         assert ctx.gap(u, v) == pytest.approx(ctx.weak(u, d) - ctx.weak(v, d), rel=1e-12)
         lam, h = 0.8, 1e-6
@@ -268,11 +269,10 @@ def test_interior_row_table_matches_oracles(field):
 
 
 def _assert_jacobian_matches_differences(ctx, vals, h=1e-6):
-    """``jacobian`` after ``apply``: forming it leaves the values of a new
-    ``apply`` bitwise equal, and it matches central differences of
-    ``apply`` in each interior value."""
-    values = ctx.apply(vals)
-    jac = ctx.jacobian(vals)
+    """``linearize``: its values are bitwise those of ``apply``, and its
+    Jacobian matches central differences of ``apply`` in each interior
+    value."""
+    values, jac = ctx.linearize(vals)
     assert np.array_equal(values, ctx.apply(vals))
     assert jac.shape == (ctx.grid.n, ctx.grid.n)
     _assert_close_to(jac, _differences_of_apply(ctx, vals, h))
@@ -300,49 +300,44 @@ def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
     _assert_jacobian_matches_differences(ctx, rng.standard_normal(grid16.n))
 
 
-def test_jacobian_at_a_state_holds_after_any_sweep(ctx16_var, grid16, rng):
-    # jacobian(u) is the Jacobian at u whatever ran before it: apply's table
-    # at u is reused only while it is intact, else jacobian sweeps again
+def test_linearize_after_any_sweep_is_a_fresh_contexts(ctx16_var, grid16, rng):
+    # no sweep leaves state that linearize reads: after each public sweep,
+    # linearize(u) is bitwise that of a context that swept nothing
     ctx = ctx16_var
     u, other = rng.standard_normal((2, grid16.n))
-    # every public sweep besides apply and jacobian, with its arguments
+    # every public sweep besides linearize, with its arguments
     sweeps = {
-        "pair_stats": (other,), "pair_coeffs": (other,), "sp_modular": (other,),
-        "i1": (other,), "sp_dlambda": (other, 0.7), "sp_grad_interior": (other, 0.7),
-        "weak": (other, 2.0 * other), "gap": (other, 2.0 * other), "pair_terms": (other,),
+        "apply": (other,), "pair_stats": (other,), "pair_coeffs": (other,),
+        "sp_modular": (other,), "i1": (other,), "sp_dlambda": (other, 0.7),
+        "sp_grad_interior": (other, 0.7), "weak": (other, 2.0 * other),
+        "gap": (other, 2.0 * other),
     }
     public = {name for name in dir(OperatorContext)
               if not name.startswith("_") and callable(getattr(OperatorContext, name))}
-    assert public - {"apply", "jacobian"} == set(sweeps)
-    ref = _differences_of_apply(ctx, u)
+    assert public - {"linearize"} == set(sweeps)
+    values, jac = OperatorContext(grid16, ctx.field).linearize(u)
+    _assert_close_to(jac, _differences_of_apply(ctx, u))
     for name, args in sweeps.items():
-        ctx.apply(u)
         result = getattr(ctx, name)(*args)
-        if name == "pair_terms":
+        if name == "pair_coeffs":
             result.log_sum(0.3)  # the side's power sum writes the second buffer
-        _assert_close_to(ctx.jacobian(u), ref)
-    ctx.apply(u)
-    first = ctx.jacobian(u)
-    _assert_close_to(first, ref)
-    assert np.array_equal(ctx.jacobian(u), first)
-    ctx.apply(other)
-    _assert_close_to(ctx.jacobian(u), ref)
-    assert np.array_equal(OperatorContext(grid16, ctx.field).jacobian(u), first)
+        again = ctx.linearize(u)
+        assert _bits(again[0]) == _bits(values) and _bits(again[1]) == _bits(jac)
 
 
 def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     u = rng.standard_normal(grid16.n)
     first = ctx16.apply(u)
-    values = ctx16.apply(u)
-    lin = (values, ctx16.jacobian(u))
+    lin = ctx16.linearize(u)
     kept = [a.copy() for a in (first, *lin)]
-    coeffs = ctx16.pair_coeffs(u)[0]
+    # a constant-p pair side holds its one term in arrays of its own
+    coeffs = ctx16.pair_coeffs(u).logc
     kept_c = coeffs.copy()
     ctx16.apply(2.0 * u)
     ctx16.pair_stats(3.0 * u)
     ctx16.sp_grad_interior(u, 0.5)
     ctx16.apply(4.0 * u)
-    ctx16.jacobian(4.0 * u)
+    ctx16.linearize(4.0 * u)
     assert all(np.array_equal(a, k) for a, k in zip((first, *lin), kept))
     assert np.array_equal(coeffs, kept_c)
 
@@ -467,14 +462,19 @@ def test_blocked_power_is_bitwise_the_whole_table(block_entries, ctx16_var, monk
         jac = -2.0 * pc[:, :n]
         np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
         assert _bits(ctx.apply(u)) == _bits(values)
-        assert _bits(ctx.jacobian(u)) == _bits(jac)
+        lin = ctx.linearize(u)
+        assert _bits(lin[0]) == _bits(values) and _bits(lin[1]) == _bits(jac)
 
 
 def test_constant_p_pair_coeffs_is_one_coefficient(ctx16, ctx16_var, grid16, rng):
     u = rng.standard_normal(grid16.n)
-    coeffs, exps = ctx16.pair_coeffs(u)
-    assert coeffs.shape == exps.shape == (1,) and exps[0] == ctx16.P
-    assert coeffs[0] == pytest.approx(ctx16.sp_modular(u), rel=1e-13)
-    assert ctx16_var.pair_coeffs(u)[0].size > 1
-    c, e = ctx16.pair_coeffs(np.zeros(grid16.n))
-    assert c.size == e.size == 0
+    side = ctx16.pair_coeffs(u)
+    assert side.logc.shape == side.e.shape == (1,) and side.e[0] == ctx16.P
+    assert math.exp(side.logc[0]) == pytest.approx(ctx16.sp_modular(u), rel=1e-13)
+    assert ctx16_var.pair_coeffs(u).logc.size > 1
+    # the zero state's side has no positive coefficient, and seminorm 0
+    zero = ff.GridFunction.zeros(grid16)
+    for ctx in (ctx16, ctx16_var):
+        side = ctx.pair_coeffs(zero.values)
+        assert side.e_min > side.e_max and np.all(side.logc == -np.inf)
+        assert ff.gagliardo_seminorm(zero, ctx).luxemburg_norm == 0.0

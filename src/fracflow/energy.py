@@ -113,34 +113,27 @@ def energy_gradient(u, ctx):
     return GridFunction(ctx.grid, ctx.apply(u.values) - _reaction(ctx, u.values))
 
 
-def _ray_root(p, q):
-    """Root of g(lam) = sum cp lam^ep - sum cq lam^eq on (0, inf), for the
-    ``_Terms`` p and q; unique because the p-exponents all lie below the
-    q-exponents.  Located to a relative residual |g| / (sum of both parts)
-    of a few float eps."""
-    t, _, _ = _log_root(p, q, 4.0 * EPS)
-    return float(np.exp(t))
-
-
 def nehari_lambda(u, ctx, tol=1e-9):
     """Scaling factor placing u on the manifold: the unique lam > 0 with
-    I(lam*u) = 0.  Raises ZeroFunction for u == 0, RootFindFailed when the
-    root-find fails, and ProjectionFailed when the relative residual at the
-    root exceeds ``tol``."""
+    I(lam*u) = 0, that is sum cp lam^ep = sum cq lam^eq for the pair side
+    p and the reaction side q, unique because the p-exponents all lie below
+    the q-exponents.  ``_log_root`` finds t = log(lam) to a relative
+    residual of a few float eps.  Raises ZeroFunction for u == 0,
+    RootFindFailed when the root-find fails, and ProjectionFailed when the
+    relative residual at t exceeds ``tol``."""
     ctx._check_function(u)
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")
     p = ctx.pair_coeffs(u.values)
     q = _Terms.of(*_lebesgue_coeffs(u, ctx.q_interior))
-    lam = _ray_root(p, q)
-    t = math.log(lam)
+    t, _, _ = _log_root(p, q, 4.0 * EPS)
     # |rho_sp - rho_q| / (rho_sp + rho_q) from the logs of both parts
     resid = math.tanh(0.5 * abs(p.log_sum(t)[0] - q.log_sum(t)[0]))
     if resid > tol:
         raise ProjectionFailed(
             "manifold projection relative residual %g exceeds %g" % (resid, tol)
         )
-    return lam
+    return float(np.exp(t))
 
 
 # --- norm gradients (implicit differentiation of the unit-modular root) ----

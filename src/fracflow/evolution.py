@@ -30,7 +30,7 @@ import numpy as np
 from .energy import IN_EXTERIOR, _reaction, _well_class, energy, energy_gradient
 from .errors import AuditFailed, InnerSolveStalled, NonFinite
 from .grid import GridFunction, l2_norm
-from .modular import exponent_values, luxemburg_norm
+from .modular import EPS, exponent_values, luxemburg_norm
 
 __all__ = [
     "StepControl",
@@ -76,7 +76,8 @@ class StepControl:
     blowup_cap: float = 1e6
     max_steps: int = 200_000
     # IMEX proximal solve: stop once the residual norm is at most
-    # inner_tol * max(1, initial norm); inner_max caps the Newton iterations
+    # inner_tol * initial norm, or the roundoff floor of step_imex when that
+    # is larger; inner_max caps the Newton iterations
     inner_tol: float = 1e-8
     inner_max: int = 300
 
@@ -183,8 +184,11 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     carries that trial's Jacobian.  The first solve uses ``state.jac``,
     formed here (one sweep at u, kept in the state) when None, so a step
     from a state that an IMEX step made sweeps nothing at u.  Converged
-    once that norm is at most ``inner_tol`` times max(1, its initial
-    value); otherwise raises InnerSolveStalled.
+    once that norm is at most ``inner_tol`` times its initial value, or
+    16 eps (||u||/dt + ||A(u)||) when that is larger, the roundoff of the
+    residual's terms: a state with a small r(u) still takes a Newton step,
+    and one near a steady state is not asked for less than roundoff.
+    Otherwise raises InnerSolveStalled.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -198,7 +202,8 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
     # r(u) = A(u) - reaction(u), since (u - u)/dt = 0
     v, r = u0, state.grad.values
     rnorm = wnorm(r)
-    target = inner_tol * max(1.0, rnorm)
+    # A(u) = r(u) + reaction(u)
+    target = max(inner_tol * rnorm, 16.0 * EPS * (wnorm(u0) / dt + wnorm(r + react)))
     op_vals = jac = None
     for _ in range(inner_max):
         if rnorm <= target:
@@ -255,7 +260,8 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
 
     Steps until the final time, the blow-up cap, a non-finite step (float
     overflow before the cap), step underflow, or the step budget; an
-    initial state whose energy overflows raises NonFinite.  Rejected
+    initial state whose energy overflows raises NonFinite, and a sample
+    whose probe norm overflows raises RootFindFailed.  Rejected
     steps halve dt and are not recorded.  The returned record holds one
     sample per accepted step plus the initial state; the probe exponent
     ``r_probe`` of its ``lux_r`` column is evaluated once per run.  The
@@ -267,56 +273,58 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     e0 = state.report.energy
     if not np.isfinite(e0):
         raise NonFinite("energy overflowed at the initial state")
-    samples = [_sample_from(state, geometry, r_vals, dt=0.0, residual=0.0)]
-    diss = 0.0
-    dt = control.dt_init
-    termination = None
-    t_max_estimate = None
-    accepted = 0
+    # a probe norm that overflows raises RootFindFailed, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = [_sample_from(state, geometry, r_vals, dt=0.0, residual=0.0)]
+        diss = 0.0
+        dt = control.dt_init
+        termination = None
+        t_max_estimate = None
+        accepted = 0
 
-    while True:
-        remaining = control.t_final - state.t
-        if remaining <= 1e-6 * dt:  # absorbs accumulated roundoff in t
-            termination = REACHED_FINAL_TIME
-            break
-        if accepted >= control.max_steps:
-            termination = MAX_STEPS
-            break
-        dt_eff = min(dt, remaining)
-        try:
-            if control.scheme == SCHEME_IMEX:
-                new = step_imex(
-                    state, dt_eff, ctx, inner_tol=control.inner_tol,
-                    inner_max=control.inner_max,
-                )
-            else:
-                new = step_explicit(state, dt_eff, ctx)
-        except NonFinite:
-            termination = NON_FINITE
-            break
-        except InnerSolveStalled:
-            new = None
-        # a stalled inner solve is rejected like an energy increase
-        if new is None or not (
-            new.report.energy <= state.report.energy + control.energy_increase_tol
-        ):
-            dt = dt_eff / 2.0
-            if dt < control.dt_min:
-                termination = STEP_UNDERFLOW
+        while True:
+            remaining = control.t_final - state.t
+            if remaining <= 1e-6 * dt:  # absorbs accumulated roundoff in t
+                termination = REACHED_FINAL_TIME
                 break
-            continue
-        du = new.u.values - state.u.values
-        diss += float(np.dot(du**2, ctx.grid.interior_widths)) / dt_eff
-        state = new
-        accepted += 1
-        residual = abs(diss + state.report.energy - e0)
-        samples.append(
-            _sample_from(state, geometry, r_vals, dt=dt_eff, residual=residual)
-        )
-        if state.report.l2 >= control.blowup_cap:
-            termination = BLOWUP_CAP_HIT
-            t_max_estimate = state.t
-            break
+            if accepted >= control.max_steps:
+                termination = MAX_STEPS
+                break
+            dt_eff = min(dt, remaining)
+            try:
+                if control.scheme == SCHEME_IMEX:
+                    new = step_imex(
+                        state, dt_eff, ctx, inner_tol=control.inner_tol,
+                        inner_max=control.inner_max,
+                    )
+                else:
+                    new = step_explicit(state, dt_eff, ctx)
+            except NonFinite:
+                termination = NON_FINITE
+                break
+            except InnerSolveStalled:
+                new = None
+            # a stalled inner solve is rejected like an energy increase
+            if new is None or not (
+                new.report.energy <= state.report.energy + control.energy_increase_tol
+            ):
+                dt = dt_eff / 2.0
+                if dt < control.dt_min:
+                    termination = STEP_UNDERFLOW
+                    break
+                continue
+            du = new.u.values - state.u.values
+            diss += float(np.dot(du**2, ctx.grid.interior_widths)) / dt_eff
+            state = new
+            accepted += 1
+            residual = abs(diss + state.report.energy - e0)
+            samples.append(
+                _sample_from(state, geometry, r_vals, dt=dt_eff, residual=residual)
+            )
+            if state.report.l2 >= control.blowup_cap:
+                termination = BLOWUP_CAP_HIT
+                t_max_estimate = state.t
+                break
 
     return TrajectoryRecord(
         samples=samples,

@@ -14,8 +14,9 @@ min(t**e-, t**e+) <= modular <= max(t**e-, t**e+) at t = norm.
 
 In t = log(lam) those inequalities bound the slope of -log(modular(u/lam))
 by e- and e+; ``_log_root`` uses the bounds to bracket safeguarded Newton
-steps in t, for every norm of more than one term here and for the manifold
-scaling in ``energy``.  A one-term norm is solved in closed form.
+steps in t, for every norm here and for the manifold scaling in
+``energy``.  A one-term side, as of a constant exponent, is evaluated in
+floats, so its root-find takes two evaluations and no array operation.
 """
 
 import math
@@ -121,6 +122,7 @@ class _Terms:
     def __init__(self, logc, e, out, e_min, e_max):
         self.logc, self.e, self.out = logc, e, out
         self.e_min, self.e_max = float(e_min), float(e_max)
+        self._one = (float(logc[0]), float(e[0])) if logc.size == 1 else None
 
     @classmethod
     def of(cls, c, e):
@@ -128,8 +130,15 @@ class _Terms:
         return cls(np.log(c), e, np.empty(e.shape), e.min(initial=np.inf), e.max(initial=-np.inf))
 
     def log_sum(self, t):
-        """``_log_power_sum`` of the side at t = log(lam)."""
-        return _log_power_sum(self.logc, self.e, t, self.out)
+        """``_log_power_sum`` of the side at t = log(lam).  One term is
+        (e*t + logc, e) in floats: on one element the shift leaves 0, its
+        power 1 and the log of the sum 0, so a finite term gives the same
+        bits.  An infinite one gives an infinite sum where the array form
+        gives nan; either ends a root-find as a non-finite bracket."""
+        if self._one is None:
+            return _log_power_sum(self.logc, self.e, t, self.out)
+        logc, e = self._one
+        return e * t + logc, e
 
 
 def _log_root(p, q, ftol, max_evals=MAX_EVALS):
@@ -170,32 +179,26 @@ def _log_root(p, q, ftol, max_evals=MAX_EVALS):
                          % (max_evals, lo, hi))
 
 
+#: the side 1 * lam**0 that a norm's modular is set equal to
+_UNIT = _Terms.of(np.ones(1), np.zeros(1))
+
+
 def _norm(side, tol):
     """ModularReport for the lam with sum(c * lam**-e) = 1 * lam**0, to
     |modular - 1| <= tol, for the ``_Terms`` side sum(c * lam**e); norm 0
     when no coefficient is positive.  The modular is the side's value at 1.
 
-    One coefficient (a constant exponent) has the closed-form root
-    t = log(c) / e, the value Newton's first step from t = 0 takes, so it
-    is returned after that one evaluation; a non-finite root raises
-    RootFindFailed, as the root-find does.  More coefficients go to
-    ``_log_root`` in -t = log(1/lam), where the side is sum(c * lam**e)
-    itself; negation is exact, so its iterates are those in t."""
+    The root is ``_log_root``'s in -t = log(1/lam), where the side is
+    sum(c * lam**e) itself; negation is exact, so its iterates are those
+    in t.  One coefficient (a constant exponent) takes two evaluations: the
+    first Newton step from t = 0 lands on log(c) / e."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if side.e_min > side.e_max:
         return ModularReport(0.0, 0.0, 0, (0.0, 0.0))
-    if side.logc.size == 1:
-        t = lo = hi = float(side.logc[0] / side.e[0])
-        evals = 1
-        if not math.isfinite(t):
-            raise RootFindFailed("closed-form root is not finite: t = %g" % t)
-    else:
-        s, evals, (lo, hi) = _log_root(_Terms.of(np.ones(1), np.zeros(1)), side,
-                                       math.log1p(tol))
-        t, lo, hi = -s, -hi, -lo
+    s, evals, (lo, hi) = _log_root(_UNIT, side, math.log1p(tol))
     modular = math.exp(side.log_sum(0.0)[0])
-    return ModularReport(modular, math.exp(t), evals, (math.exp(lo), math.exp(hi)))
+    return ModularReport(modular, math.exp(-s), evals, (math.exp(-hi), math.exp(-lo)))
 
 
 def luxemburg_norm(u, h, tol=DEFAULT_TOL):

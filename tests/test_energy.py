@@ -1,4 +1,5 @@
 import importlib
+import math
 import tracemalloc
 from collections import Counter
 
@@ -145,8 +146,13 @@ def test_nehari_lambda_rejects_zero(ctx16, grid16):
 def test_nehari_lambda_residual_raises_typed_error(ctx16, grid16, rng, monkeypatch):
     u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     energy_mod = importlib.import_module("fracflow.energy")  # ff.energy is the function
-    true_root = energy_mod._ray_root
-    monkeypatch.setattr(energy_mod, "_ray_root", lambda *a: 1.01 * true_root(*a))
+    true_root = energy_mod._log_root
+
+    def off_root(*args):
+        t, evals, bracket = true_root(*args)
+        return t + math.log(1.01), evals, bracket
+
+    monkeypatch.setattr(energy_mod, "_log_root", off_root)
     with pytest.raises(ProjectionFailed, match="residual"):
         ff.nehari_lambda(u, ctx16)
 

@@ -1,10 +1,13 @@
 import importlib
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import fracflow as ff
+from fracflow import scenarios
+from fracflow.config import load_config
 from fracflow.errors import InnerSolveStalled, NonFinite
 from fracflow.evolution import SCHEME_IMEX
 
@@ -98,6 +101,36 @@ def test_imex_second_order_agreement_with_explicit(ctx16, grid16, geom16):
         )
     orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
+
+
+@pytest.fixture(scope="module")
+def well_cfg():
+    """Context and depth search of the shipped ``well.cfg``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = load_config(os.path.join(root, "configs", "well.cfg"))
+    ctx = scenarios._context(cfg)
+    return ctx, scenarios._geometry(cfg, ctx)
+
+
+def test_imex_moves_a_state_below_inner_tol(well_cfg):
+    # ||r(u)|| ~ 8e-9 is below inner_tol, and the step still contracts u
+    ctx, _ = well_cfg
+    dt = 0.01
+    st = ff.make_state(ff.standard_bump(ctx.grid).scaled(1e-9), ctx)
+    explicit, imex = (ff.l2_norm(step(st, dt, ctx).u) / st.report.l2
+                      for step in (ff.step_explicit, ff.step_imex))
+    assert explicit == pytest.approx(0.93213, abs=1e-5)
+    assert abs(imex - explicit) <= dt
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 1e-1])
+def test_imex_step_from_the_well_minimizer_converges(well_cfg, dt):
+    # ||r(u)|| ~ 1e-6 against ||A(u)|| ~ 55: inner_tol * ||r(u)|| is below
+    # the roundoff of the residual, which the target must not ask for
+    ctx, geom = well_cfg
+    st = ff.make_state(geom.minimizer, ctx)
+    new = ff.step_imex(st, dt, ctx)
+    assert new.report.energy <= st.report.energy + 1e-10
 
 
 #: power-table sweeps per step_imex when each Newton trial called ``apply``,

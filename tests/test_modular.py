@@ -188,8 +188,13 @@ def test_root_find_failure_is_typed(grid16, rng):
             ff.luxemburg_norm(huge, 3.0)
 
 
-def test_log_power_sum_is_bitwise_the_plain_formula(ctx16_var, grid16, rng):
-    # the one-buffer form runs the same IEEE operations on the same operands
+def _bits(pair):
+    return np.array(pair, dtype=float).tobytes()
+
+
+def test_log_power_sum_is_bitwise_the_plain_formula(ctx16, ctx16_var, grid16, rng):
+    # the one-buffer form runs the same IEEE operations on the same operands,
+    # and a one-term side's float form those on its one element
     for _ in range(20):
         scale = 10.0 ** rng.uniform(-3, 3)
         u = ff.GridFunction(grid16, scale * rng.standard_normal(grid16.n))
@@ -199,11 +204,16 @@ def test_log_power_sum_is_bitwise_the_plain_formula(ctx16_var, grid16, rng):
         for exps in (e, -e):
             for t in (0.0, 1e-3, -0.7, 2.5, -40.0, 300.0, -300.0, 1e4):
                 assert _log_power_sum(logc, exps, t) == naive_log_power_sum(logc, exps, t)
+        h = rng.uniform(1.01, 10.0)
+        for one in (_Terms.of(*_lebesgue_coeffs(u, h)), ctx16.pair_coeffs(u.values)):
+            assert one.logc.size == 1
+            for t in (0.0, 1e-3, -1e-3, -0.7, 2.5, 40.0, -40.0, 300.0, -300.0, 1e4):
+                assert _bits(one.log_sum(t)) == _bits(_log_power_sum(one.logc, one.e, t))
 
 
 def test_one_term_norm_is_the_newton_root(ctx16, grid16, rng):
-    # a constant exponent sums to one coefficient, whose norm is returned in
-    # closed form after one evaluation; Newton from t = 0 gives the same bits
+    # a constant exponent sums to one coefficient c, and Newton from t = 0
+    # lands on the closed-form root log(c) / e, bit for bit
     for _ in range(200):
         scale = 10.0 ** rng.uniform(-3, 3)
         u = ff.GridFunction(grid16, scale * rng.standard_normal(grid16.n))
@@ -211,8 +221,9 @@ def test_one_term_norm_is_the_newton_root(ctx16, grid16, rng):
             assert side.logc.size == 1
             rep = _norm(side, 1e-10)
             t, evals, _ = _unit_root(side, math.log1p(1e-10))
+            assert t == side.logc[0] / side.e[0]
             assert rep.luxemburg_norm == math.exp(t)
-            assert rep.bisection_iterations == 1 < evals
+            assert rep.bisection_iterations == evals
             assert rep.bracket == (rep.luxemburg_norm, rep.luxemburg_norm)
 
 

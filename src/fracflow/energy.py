@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .grid import GridFunction, l2_norm
-from .modular import (EPS, _lebesgue_coeffs, _log_root, _Terms, exponent_values,
-                      gagliardo_seminorm, luxemburg_norm)
+from .modular import (EPS, _lebesgue_side, _log_root, exponent_values, gagliardo_seminorm,
+                      luxemburg_norm)
 
 __all__ = [
     "EnergyReport",
@@ -118,14 +118,15 @@ def nehari_lambda(u, ctx, tol=1e-9):
     I(lam*u) = 0, that is sum cp lam^ep = sum cq lam^eq for the pair side
     p and the reaction side q, unique because the p-exponents all lie below
     the q-exponents.  ``_log_root`` finds t = log(lam) to a relative
-    residual of a few float eps.  Raises ZeroFunction for u == 0,
-    RootFindFailed when the root-find fails, and ProjectionFailed when the
-    relative residual at t exceeds ``tol``."""
+    residual of a few float eps.  Raises ZeroFunction for u == 0, NonFinite
+    for a nan term, RootFindFailed when the root-find fails (as when |u|^q
+    underflows on every cell), and ProjectionFailed when the relative
+    residual at t exceeds ``tol``."""
     ctx._check_function(u)
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")
     p = ctx.pair_coeffs(u.values)
-    q = _Terms.of(*_lebesgue_coeffs(u, ctx.q_interior))
+    q = _lebesgue_side(u, ctx.q_interior)
     t, _, _ = _log_root(p, q, 4.0 * EPS)
     # |rho_sp - rho_q| / (rho_sp + rho_q) from the logs of both parts
     resid = math.tanh(0.5 * abs(p.log_sum(t)[0] - q.log_sum(t)[0]))

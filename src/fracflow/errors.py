@@ -43,7 +43,9 @@ class ZeroFunction(FracflowError):
 
 
 class NonFinite(FracflowError):
-    """A state update produced non-finite values (overflow during blow-up)."""
+    """A state update produced non-finite values (overflow during blow-up),
+    or a norm or manifold scaling met a nan term (a nan or, for the pair
+    terms, infinite state value)."""
 
 
 class ProjectionFailed(FracflowError):

@@ -5,7 +5,8 @@ lam = 1: for the Lebesgue case c_i = |u_i|^h(x_i) w_i over interior cells,
 for the Gagliardo case c_ij = |u_i - u_j|^p_ij k_ij w_i w_j over the pair
 table.  When the exponent is constant the terms are summed into one
 coefficient.  The corresponding norm is the unique lam > 0 at which the scaled
-modular equals 1 (zero for the zero function).
+modular equals 1 (zero for the zero function).  A nan coefficient raises
+NonFinite; only a zero one is dropped.
 
 Norm and modular are linked by the standard envelope inequalities: with
 e- and e+ the extreme exponents, norm <= 1 implies norm**e+ <= modular <=
@@ -15,8 +16,9 @@ min(t**e-, t**e+) <= modular <= max(t**e-, t**e+) at t = norm.
 In t = log(lam) those inequalities bound the slope of -log(modular(u/lam))
 by e- and e+; ``_log_root`` uses the bounds to bracket safeguarded Newton
 steps in t, for every norm here and for the manifold scaling in
-``energy``.  A one-term side, as of a constant exponent, is evaluated in
-floats, so its root-find takes two evaluations and no array operation.
+``energy``.  A constant exponent's side is its one coefficient as a float
+term, so its root-find takes two evaluations and no array operation;
+arrays hold variable exponents only.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOutOfRange, RootFindFailed
+from .errors import ExponentOutOfRange, NonFinite, RootFindFailed
 
 __all__ = [
     "ModularReport",
@@ -74,35 +76,32 @@ def conjugate_exponent_values(h, x):
     return hv / (hv - 1.0)
 
 
-def _lebesgue_coeffs(u, h):
-    """(coeff, exponent) arrays with coeff = |u_i|^h_i w_i > 0, summed to
-    one coefficient when h is constant."""
-    g = u.grid
-    hv = exponent_values(h, g.interior_centers)
+def _lebesgue_powers(u, h):
+    """c_i = |u_i|^h_i w_i and h_i over the interior cells, for h > 1, and
+    the sum of c; raises NonFinite when a c_i is nan."""
+    hv = exponent_values(h, u.grid.interior_centers)
     if np.min(hv) <= 1.0:
         raise ExponentOutOfRange(
             "pointwise exponent must exceed 1; min is %g" % float(np.min(hv))
         )
-    c = np.abs(u.values) ** hv * g.interior_widths
-    if np.all(hv == hv[0]):
-        c, hv = np.array([c.sum()]), hv[:1]
-    keep = c > 0.0
-    return c[keep], hv[keep]
+    c = np.abs(u.values) ** hv * u.grid.interior_widths
+    total = float(c.sum())
+    if math.isnan(total):
+        raise NonFinite("|u|^h is nan on a cell")
+    return c, hv, total
 
 
 def lebesgue_modular(u, h):
     """Interval integral of |u(x)|^h(x), midpoint quadrature."""
-    c, _ = _lebesgue_coeffs(u, h)
-    return float(np.sum(c))
+    return _lebesgue_powers(u, h)[2]
 
 
-def _log_power_sum(logc, e, t, out=None):
+def _log_power_sum(logc, e, t, out):
     """log(sum(exp(logc + e*t))) and the mean of e under those weights,
     both from one shifted power array, so no finite t overflows.  The
-    array is formed and shifted in ``out``, a buffer of the shape of ``e``
-    (a new one when None): the same operations on the same operands as
-    ``exp(logc + e*t - max)``, with no temporaries.  A coefficient log of
-    -inf is a term of weight 0."""
+    array is formed and shifted in ``out``, a buffer of the shape of ``e``:
+    the same operations on the same operands as ``exp(logc + e*t - max)``,
+    with no temporaries.  A coefficient log of -inf is a term of weight 0."""
     w = np.multiply(e, t, out=out)
     w += logc
     m = w.max()
@@ -114,31 +113,43 @@ def _log_power_sum(logc, e, t, out=None):
 
 class _Terms:
     """One side sum(c * lam**e) of a root-find, held as the coefficient
-    logs ``logc`` and exponents ``e`` (1-D, of one shape) with ``out``, a
-    buffer of that shape for the power sums, and the least and largest
-    exponent of a nonzero coefficient, ``e_min`` and ``e_max``.  A zero
-    coefficient has log -inf."""
+    logs ``logc`` (-inf for a zero one) and exponents ``e``, and the least
+    and largest exponent of a nonzero coefficient, ``e_min`` and ``e_max``:
+    two floats for one term, as of a constant exponent, else 1-D arrays of
+    one shape with ``out``, a buffer of that shape for the power sums."""
 
-    def __init__(self, logc, e, out, e_min, e_max):
+    def __init__(self, logc, e, e_min, e_max, out=None):
         self.logc, self.e, self.out = logc, e, out
         self.e_min, self.e_max = float(e_min), float(e_max)
-        self._one = (float(logc[0]), float(e[0])) if logc.size == 1 else None
 
     @classmethod
-    def of(cls, c, e):
-        """The side for coefficients c > 0 and exponents e, in new arrays."""
-        return cls(np.log(c), e, np.empty(e.shape), e.min(initial=np.inf), e.max(initial=-np.inf))
+    def one(cls, c, e):
+        """The side c * lam**e of the floats c >= 0 and e; no term for c = 0.
+        Raises NonFinite for a nan c, so only a true zero is dropped."""
+        if c > 0.0:
+            return cls(float(np.log(c)), e, e, e)
+        if c == 0.0:
+            return cls(-math.inf, e, math.inf, -math.inf)
+        raise NonFinite("root-find coefficient is nan")
 
     def log_sum(self, t):
-        """``_log_power_sum`` of the side at t = log(lam).  One term is
-        (e*t + logc, e) in floats: on one element the shift leaves 0, its
-        power 1 and the log of the sum 0, so a finite term gives the same
-        bits.  An infinite one gives an infinite sum where the array form
-        gives nan; either ends a root-find as a non-finite bracket."""
-        if self._one is None:
-            return _log_power_sum(self.logc, self.e, t, self.out)
-        logc, e = self._one
-        return e * t + logc, e
+        """``_log_power_sum`` of the side at t = log(lam); one term is
+        (e*t + logc, e), the bits it gives on a finite one-element array."""
+        if self.out is None:
+            return self.e * t + self.logc, self.e
+        return _log_power_sum(self.logc, self.e, t, self.out)
+
+
+def _lebesgue_side(u, h):
+    """The side sum(c * lam**h), c_i = |u_i|^h_i w_i: for a constant h one
+    term of the summed c, else the c > 0 and their exponents in new arrays."""
+    c, hv, total = _lebesgue_powers(u, h)
+    if np.all(hv == hv[0]):
+        return _Terms.one(total, float(hv[0]))
+    keep = c > 0.0
+    c, hv = c[keep], hv[keep]
+    bounds = hv.min(initial=np.inf), hv.max(initial=-np.inf)
+    return _Terms(np.log(c), hv, *bounds, np.empty(hv.shape))
 
 
 def _log_root(p, q, ftol, max_evals=MAX_EVALS):
@@ -150,9 +161,12 @@ def _log_root(p, q, ftol, max_evals=MAX_EVALS):
     and t - phi/b.  From t = 0, Newton steps; a bisection of that bracket
     when a step leaves it.  Stops at |phi| <= ftol or a step below the
     float resolution of t.  Returns (t, evaluations, bracket containing t);
-    raises RootFindFailed for a <= 0, a non-finite bracket end, or no
-    convergence within ``max_evals`` evaluations.
+    raises RootFindFailed for a side with no positive term, a <= 0, a
+    non-finite bracket end, or no convergence within ``max_evals``
+    evaluations.
     """
+    if p.e_min > p.e_max or q.e_min > q.e_max:
+        raise RootFindFailed("a side has no positive term")
     slope_lo = q.e_min - p.e_max
     slope_hi = q.e_max - p.e_min
     if not slope_lo > 0.0:
@@ -180,7 +194,7 @@ def _log_root(p, q, ftol, max_evals=MAX_EVALS):
 
 
 #: the side 1 * lam**0 that a norm's modular is set equal to
-_UNIT = _Terms.of(np.ones(1), np.zeros(1))
+_UNIT = _Terms.one(1.0, 0.0)
 
 
 def _norm(side, tol):
@@ -207,7 +221,7 @@ def luxemburg_norm(u, h, tol=DEFAULT_TOL):
     Returns the norm together with the plain modular of u and the root-find
     diagnostics; the zero function short-circuits to norm 0.
     """
-    return _norm(_Terms.of(*_lebesgue_coeffs(u, h)), tol)
+    return _norm(_lebesgue_side(u, h), tol)
 
 
 def gagliardo_modular(u, ctx):

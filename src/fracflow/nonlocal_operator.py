@@ -45,7 +45,7 @@ cutoff parameter appears.
 
 import numpy as np
 
-from .errors import ContextMismatch, GridMismatch, InvalidResolution
+from .errors import ContextMismatch, GridMismatch, InvalidResolution, NonFinite
 from .exponents import validate_assumptions
 from .grid import GridFunction
 from .modular import _Terms
@@ -171,9 +171,9 @@ class OperatorContext:
     columns, holding the group's summed weights and its shared exponent;
     groups of equal size sit together, in order of their first cell.
     Sweeps write into preallocated work buffers and return only reductions
-    or fresh arrays, never a view of a buffer, except ``pair_coeffs``: its
-    root-find side reads the first buffer and writes the second, valid
-    until the next sweep.
+    or fresh arrays, never a view of a buffer, except ``pair_coeffs`` for
+    variable p: its root-find side reads the first buffer and writes the
+    second, valid until the next sweep.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -311,22 +311,24 @@ class OperatorContext:
         c = |du|^p k w w, as a ``_Terms``; the scaled modular of u/lam is
         its value at 1/lam.  Used by the seminorm and the ray scaling.
 
-        For constant p it holds the one summed coefficient.  Otherwise the
-        coefficient logs (-inf for a zero coefficient) stay in the first
-        work buffer, the exponents are read from ``P`` and the power sums
-        form in the second buffer, so the side is valid until the next
-        sweep and no table-sized array is made.
+        For constant p it is one float term, the summed coefficient, and
+        holds no array.  Otherwise the coefficient logs (-inf for a zero
+        coefficient) stay in the first work buffer, the exponents are read
+        from ``P`` and the power sums form in the second buffer, so the
+        side is valid until the next sweep and no table-sized array is
+        made.  A nan coefficient raises NonFinite: for constant p a nan
+        sum, otherwise a non-finite value of u, checked before the sweep.
         """
-        t = self._abs_pow(vals)
         if isinstance(self.P, float):
-            c, e, out = np.array([self._pair_sum(t)]), np.array([self.P]), np.empty(1)
-        else:
-            c, e, out = self._pair_weighted(t), self.P, self._b
+            return _Terms.one(self._pair_sum(self._abs_pow(vals)), self.P)
+        if not np.all(np.isfinite(vals)):
+            raise NonFinite("a non-finite state value makes nan pair terms")
+        c, e = self._pair_weighted(self._abs_pow(vals)), self.P
         kept = c > 0.0
         bounds = e.min(where=kept, initial=np.inf), e.max(where=kept, initial=-np.inf)
         with np.errstate(divide="ignore"):
             np.log(c, out=c)
-        return _Terms(c.reshape(-1), e.reshape(-1), out.reshape(-1), *bounds)
+        return _Terms(c.reshape(-1), e.reshape(-1), *bounds, self._b.reshape(-1))
 
     def sp_grad_interior(self, vals, lam=1.0):
         """Measure-weighted gradient of sum |du/lam|^p k w w on interior cells:

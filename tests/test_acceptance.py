@@ -14,7 +14,7 @@ import pytest
 import fracflow as ff
 from fracflow.cli import main
 from fracflow.config import default_config, serialize_config
-from fracflow.modular import _lebesgue_coeffs
+from fracflow.modular import _lebesgue_side
 
 # frozen oracle references (first oracle run, committed)
 DEPTH_REF_N32 = 71.981809
@@ -127,7 +127,8 @@ def test_criterion_4_nehari_oracle(default_ctx):
         # exactly one sign change of I(t u) over a 200-point log grid
         side = default_ctx.pair_coeffs(u.values)
         cp, ep = np.exp(side.logc), side.e
-        cq, eq = _lebesgue_coeffs(u, default_ctx.q_interior)
+        q = _lebesgue_side(u, default_ctx.q_interior)
+        cq, eq = np.exp(q.logc), q.e
         ts = np.logspace(np.log10(lam) - 3.0, np.log10(lam) + 3.0, 200)
         gvals = np.array([np.sum(cp * t**ep) - np.sum(cq * t**eq) for t in ts])
         signs = np.sign(gvals)

@@ -92,6 +92,18 @@ def test_trace_sees_the_imex_inner_solve(tracer, ctx16_var, grid16):
     assert trace.layer_metrics(0.0)["evolution.imex_inner_per_step"] >= 2
 
 
+def test_trace_counts_root_find_evaluations(tracer, ctx16, grid16):
+    # modular.*.iters_per_call reads ModularReport.bisection_iterations
+    u = ff.standard_bump(grid16)
+    trace = tracer.Tracer()
+    with trace.installed():
+        ff.luxemburg_norm(u, 3.0)
+        ff.gagliardo_seminorm(u, ctx16)
+    metrics = trace.layer_metrics(0.0)
+    for name in ("modular.luxemburg_norm", "modular.gagliardo_seminorm"):
+        assert metrics[name + ".iters_per_call"] >= 1, name
+
+
 def _setup_snippet():
     """perfbench/run.py's SETUP_SNIPPET, read without importing run.py."""
     path = os.path.join(ROOT, "perfbench", "run.py")

@@ -242,6 +242,20 @@ def test_shipped_config_passes_every_verdict(name, tmp_path, capsys):
     assert verdicts and all(v.endswith(": PASS") for v in verdicts), captured.out
     assert lines[-1] == "scenario %s: PASS" % scenario
     assert (tmp_path / "summary.txt").read_text() == captured.out
+    if scenario == "geometry":
+        _assert_depth_is_the_embedding_formula(load_config(path), tmp_path)
+
+
+def _assert_depth_is_the_embedding_formula(cfg, out_dir):
+    """For constant p < q the two depth searches agree: depth_hat is
+    (1/p - 1/q) lambda_hat^(pq/(q - p)) to a relative 1e-9."""
+    p, q = cfg.exponents.p.value, cfg.exponents.q.value
+    assert cfg.exponents.p.kind == cfg.exponents.q.kind == "constant"
+    text = (out_dir / "geometry_summary.txt").read_text()
+    lam, depth = (float(re.search(r"\b%s\s*=\s*(\S+)" % key, text).group(1))
+                  for key in ("lambda_hat", "depth_hat"))
+    formula = (1.0 / p - 1.0 / q) * lam ** (p * q / (q - p))
+    assert abs(depth - formula) <= 1e-9 * depth, (depth, formula)
 
 
 def test_well_scenario_verdicts_and_row_count(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import fracflow as ff
 from fracflow.energy import _q_norm_grad, _seminorm_grad
-from fracflow.errors import ProjectionFailed, ZeroFunction
+from fracflow.errors import ProjectionFailed, RootFindFailed, ZeroFunction
 from fracflow.modular import _log_root
 
 
@@ -99,7 +99,7 @@ def test_nehari_lambda_fixed_point_and_ray_scaling(ctx16, grid16, rng):
 
 
 def test_nehari_lambda_root_find_cost_and_precision(ctx16, ctx16_var, grid16, rng, monkeypatch):
-    from fracflow.modular import _lebesgue_coeffs
+    from fracflow.modular import _lebesgue_side
 
     energy_mod = importlib.import_module("fracflow.energy")
     evals = []
@@ -118,7 +118,8 @@ def test_nehari_lambda_root_find_cost_and_precision(ctx16, ctx16_var, grid16, rn
         assert evals[-1] <= 8
         side = ctx16_var.pair_coeffs(u.values)
         cp, ep = np.exp(side.logc), side.e
-        cq, eq = _lebesgue_coeffs(u, ctx16_var.q_interior)
+        q = _lebesgue_side(u, ctx16_var.q_interior)
+        cq, eq = np.exp(q.logc), q.e
         sp, sq = np.sum(cp * lam**ep), np.sum(cq * lam**eq)
         assert abs(sp - sq) <= 1e-14 * (sp + sq)
 
@@ -143,6 +144,14 @@ def test_nehari_lambda_rejects_zero(ctx16, grid16):
         ff.nehari_lambda(ff.GridFunction.zeros(grid16), ctx16)
 
 
+@pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
+def test_nehari_lambda_with_an_empty_side_is_a_failed_root_find(name, grid16, request):
+    # |u|^q underflows to 0 on every cell: the reaction side has no term
+    ctx = request.getfixturevalue(name)
+    with pytest.raises(RootFindFailed, match="no positive term"):
+        ff.nehari_lambda(ff.standard_bump(grid16).scaled(1e-120), ctx)
+
+
 def test_nehari_lambda_residual_raises_typed_error(ctx16, grid16, rng, monkeypatch):
     u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     energy_mod = importlib.import_module("fracflow.energy")  # ff.energy is the function
@@ -158,14 +167,15 @@ def test_nehari_lambda_residual_raises_typed_error(ctx16, grid16, rng, monkeypat
 
 
 def test_nehari_unique_crossing_and_ray_max(ctx16, grid16, rng):
-    from fracflow.modular import _lebesgue_coeffs
+    from fracflow.modular import _lebesgue_side
 
     for _ in range(25):
         u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
         lam = ff.nehari_lambda(u, ctx16)
         side = ctx16.pair_coeffs(u.values)
         cp, ep = np.exp(side.logc), side.e
-        cq, eq = _lebesgue_coeffs(u, ctx16.q_interior)
+        q = _lebesgue_side(u, ctx16.q_interior)
+        cq, eq = np.exp(q.logc), q.e
         lams = np.logspace(np.log10(lam) - 3.0, np.log10(lam) + 3.0, 200)
         gvals = np.array([np.sum(cp * t**ep) - np.sum(cq * t**eq) for t in lams])
         signs = np.sign(gvals)

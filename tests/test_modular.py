@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import ContextMismatch, ExponentOutOfRange, RootFindFailed
-from fracflow.modular import (_lebesgue_coeffs, _log_power_sum, _log_root, _norm, _Terms,
+from fracflow.errors import ContextMismatch, ExponentOutOfRange, NonFinite, RootFindFailed
+from fracflow.modular import (_UNIT, _lebesgue_side, _log_power_sum, _log_root, _norm,
                               conjugate_exponent_values)
 
 from oracles import brute_sp_modular, naive_log_power_sum, zero_extended
@@ -15,7 +15,7 @@ def _unit_root(side, ftol, **kwargs):
     """(t, evaluations, bracket) of the root t = log(lam) of
     sum(c * lam**-e) = 1 for the side sum(c * lam**e), found in -t as
     ``_norm`` finds it."""
-    s, evals, (lo, hi) = _log_root(_Terms.of(np.ones(1), np.zeros(1)), side, ftol, **kwargs)
+    s, evals, (lo, hi) = _log_root(_UNIT, side, ftol, **kwargs)
     return -s, evals, (-hi, -lo)
 
 
@@ -57,6 +57,34 @@ def test_luxemburg_zero(grid16):
     rep = ff.luxemburg_norm(ff.GridFunction.zeros(grid16), 2.0)
     assert rep.luxemburg_norm == 0.0 and rep.modular_value == 0.0
     assert rep.bisection_iterations == 0
+
+
+def _nan_cell_cases():
+    """An 8-cell grid function with a nan first cell, and a constant- and a
+    variable-exponent context on its grid."""
+    grid = ff.Grid(ff.Domain(-1.0, 1.0, 1.0), 8, 4)
+    u = ff.GridFunction(grid, np.r_[np.nan, np.ones(7)])
+    fields = (ff.make_exponent_field(0.4, domain=grid.domain),
+              ff.make_exponent_field(0.3, p=(2.0, 0.02), q=(3.0, 0.2), domain=grid.domain))
+    return u, [ff.OperatorContext(grid, f) for f in fields]
+
+
+def test_nan_cell_is_not_the_zero_function():
+    # a nan coefficient is no zero one: every norm and modular refuses it
+    u, contexts = _nan_cell_cases()
+    for h in (3.0, lambda x: 2.0 + x**2):
+        with pytest.raises(NonFinite):
+            ff.luxemburg_norm(u, h)
+        with pytest.raises(NonFinite):
+            ff.lebesgue_modular(u, h)
+    for ctx in contexts:
+        with pytest.raises(NonFinite):
+            ff.gagliardo_seminorm(u, ctx)
+        with pytest.raises(NonFinite):
+            ff.nehari_lambda(u, ctx)
+    # a true zero is dropped
+    zero_cell = ff.GridFunction(u.grid, np.r_[0.0, np.ones(7)])
+    assert ff.luxemburg_norm(zero_cell, 3.0).luxemburg_norm > 0.0
 
 
 def test_gagliardo_modular_spike_vs_bruteforce(field):
@@ -175,12 +203,11 @@ def test_norms_scale_exactly_far_from_unit(ctx16, ctx16_var, grid16, rng):
 
 def test_root_find_failure_is_typed(grid16, rng):
     u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
-    e = 2.0 + grid16.interior_centers**2
-    c = np.abs(u.values) ** e * grid16.interior_widths
+    side = _lebesgue_side(u, 2.0 + grid16.interior_centers**2)
     # a variable exponent needs more than the one evaluation at lam = 1
     with pytest.raises(RootFindFailed, match="within 1 evaluations"):
-        _unit_root(_Terms.of(c, e), 1e-10, max_evals=1)
-    assert _unit_root(_Terms.of(c, e), 1e-10)[1] <= 8
+        _unit_root(side, 1e-10, max_evals=1)
+    assert _unit_root(side, 1e-10)[1] <= 8
     # |u|^3 overflows: the bracket from lam = 1 is not finite
     huge = ff.GridFunction(grid16, 1e200 * np.ones(grid16.n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,7 +221,7 @@ def _bits(pair):
 
 def test_log_power_sum_is_bitwise_the_plain_formula(ctx16, ctx16_var, grid16, rng):
     # the one-buffer form runs the same IEEE operations on the same operands,
-    # and a one-term side's float form those on its one element
+    # and a one-term side's floats those on a one-element array
     for _ in range(20):
         scale = 10.0 ** rng.uniform(-3, 3)
         u = ff.GridFunction(grid16, scale * rng.standard_normal(grid16.n))
@@ -203,12 +230,14 @@ def test_log_power_sum_is_bitwise_the_plain_formula(ctx16, ctx16_var, grid16, rn
         assert np.unique(e).size > 1 and np.any(logc == -np.inf)
         for exps in (e, -e):
             for t in (0.0, 1e-3, -0.7, 2.5, -40.0, 300.0, -300.0, 1e4):
-                assert _log_power_sum(logc, exps, t) == naive_log_power_sum(logc, exps, t)
+                got = _log_power_sum(logc, exps, t, np.empty(exps.shape))
+                assert got == naive_log_power_sum(logc, exps, t)
         h = rng.uniform(1.01, 10.0)
-        for one in (_Terms.of(*_lebesgue_coeffs(u, h)), ctx16.pair_coeffs(u.values)):
-            assert one.logc.size == 1
+        for one in (_lebesgue_side(u, h), ctx16.pair_coeffs(u.values)):
+            assert one.out is None and type(one.logc) is type(one.e) is float
+            logc, e = np.array([one.logc]), np.array([one.e])
             for t in (0.0, 1e-3, -1e-3, -0.7, 2.5, 40.0, -40.0, 300.0, -300.0, 1e4):
-                assert _bits(one.log_sum(t)) == _bits(_log_power_sum(one.logc, one.e, t))
+                assert _bits(one.log_sum(t)) == _bits(_log_power_sum(logc, e, t, np.empty(1)))
 
 
 def test_one_term_norm_is_the_newton_root(ctx16, grid16, rng):
@@ -217,11 +246,11 @@ def test_one_term_norm_is_the_newton_root(ctx16, grid16, rng):
     for _ in range(200):
         scale = 10.0 ** rng.uniform(-3, 3)
         u = ff.GridFunction(grid16, scale * rng.standard_normal(grid16.n))
-        for side in (_Terms.of(*_lebesgue_coeffs(u, 3.0)), ctx16.pair_coeffs(u.values)):
-            assert side.logc.size == 1
+        for side in (_lebesgue_side(u, 3.0), ctx16.pair_coeffs(u.values)):
+            assert side.out is None
             rep = _norm(side, 1e-10)
             t, evals, _ = _unit_root(side, math.log1p(1e-10))
-            assert t == side.logc[0] / side.e[0]
+            assert t == side.logc / side.e
             assert rep.luxemburg_norm == math.exp(t)
             assert rep.bisection_iterations == evals
             assert rep.bracket == (rep.luxemburg_norm, rep.luxemburg_norm)
@@ -261,10 +290,11 @@ def test_holder_inequality(grid16, rng):
 
 def test_constant_exponent_lebesgue_coeffs_is_one_coefficient(grid16, rng):
     u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
-    c, e = _lebesgue_coeffs(u, 3.0)
-    assert c.shape == e.shape == (1,) and e[0] == 3.0
+    side = _lebesgue_side(u, 3.0)
+    # one term in floats, no array
+    assert side.out is None and type(side.logc) is type(side.e) is float and side.e == 3.0
     direct = float(np.sum(np.abs(u.values) ** 3 * grid16.interior_widths))
-    assert c[0] == pytest.approx(direct, rel=1e-13)
-    assert _lebesgue_coeffs(u, lambda x: 2.0 + x**2)[0].size == grid16.n
-    zero = _lebesgue_coeffs(ff.GridFunction.zeros(grid16), 3.0)
-    assert zero[0].size == zero[1].size == 0
+    assert math.exp(side.logc) == pytest.approx(direct, rel=1e-13)
+    assert _lebesgue_side(u, lambda x: 2.0 + x**2).logc.size == grid16.n
+    zero = _lebesgue_side(ff.GridFunction.zeros(grid16), 3.0)
+    assert zero.e_min > zero.e_max and zero.logc == -math.inf

@@ -250,7 +250,10 @@ def test_interior_row_table_matches_oracles(field):
         assert ctx.weak(u, v) == pytest.approx(brute_weak(grid, fld, u0, v0), rel=1e-13)
         assert ctx.pair_stats(u) == (ctx.i1(u), rho)
         side = ctx.pair_coeffs(u)
-        assert side.logc.shape == side.e.shape == side.out.shape
+        if isinstance(ctx.P, float):
+            assert side.out is None
+        else:
+            assert side.logc.shape == side.e.shape == side.out.shape
         assert math.exp(side.log_sum(0.0)[0]) == pytest.approx(rho, rel=1e-13)
         d = u - v
         assert ctx.gap(u, v) == pytest.approx(ctx.weak(u, d) - ctx.weak(v, d), rel=1e-12)
@@ -330,16 +333,16 @@ def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     first = ctx16.apply(u)
     lin = ctx16.linearize(u)
     kept = [a.copy() for a in (first, *lin)]
-    # a constant-p pair side holds its one term in arrays of its own
-    coeffs = ctx16.pair_coeffs(u).logc
-    kept_c = coeffs.copy()
+    # a constant-p pair side holds its one term in floats of its own
+    side = ctx16.pair_coeffs(u)
+    kept_c = (side.logc, side.e)
     ctx16.apply(2.0 * u)
     ctx16.pair_stats(3.0 * u)
     ctx16.sp_grad_interior(u, 0.5)
     ctx16.apply(4.0 * u)
     ctx16.linearize(4.0 * u)
     assert all(np.array_equal(a, k) for a, k in zip((first, *lin), kept))
-    assert np.array_equal(coeffs, kept_c)
+    assert side.out is None and (side.logc, side.e) == kept_c
 
 
 def test_table_over_entry_cap_raises_before_allocating(field):
@@ -469,8 +472,9 @@ def test_blocked_power_is_bitwise_the_whole_table(block_entries, ctx16_var, monk
 def test_constant_p_pair_coeffs_is_one_coefficient(ctx16, ctx16_var, grid16, rng):
     u = rng.standard_normal(grid16.n)
     side = ctx16.pair_coeffs(u)
-    assert side.logc.shape == side.e.shape == (1,) and side.e[0] == ctx16.P
-    assert math.exp(side.logc[0]) == pytest.approx(ctx16.sp_modular(u), rel=1e-13)
+    # one term in floats, no array
+    assert side.out is None and type(side.logc) is type(side.e) is float and side.e == ctx16.P
+    assert math.exp(side.logc) == pytest.approx(ctx16.sp_modular(u), rel=1e-13)
     assert ctx16_var.pair_coeffs(u).logc.size > 1
     # the zero state's side has no positive coefficient, and seminorm 0
     zero = ff.GridFunction.zeros(grid16)

@@ -3,8 +3,9 @@
 One file fully determines a run: domain and grid resolution, exponent
 selection, stepping control, scenario, initial-data recipe, probe exponent,
 output directory, and random seed.  Blank lines and '#' comments are
-ignored; unknown keys are rejected so typos fail loudly.  serialize() emits
-a canonical form whose parse is the identity.
+ignored; unknown keys are rejected so typos fail loudly, and a float key
+takes only a finite value.  serialize() emits a canonical form whose
+parse is the identity.
 
 Each setting and each default is declared once: the library has no
 search sizes, collar radius or output directory of its own.  The ``step``
@@ -17,6 +18,7 @@ one-point shapes (constant | bump).  Parsing runs the library's own
 constructors and checks, so a bad value is a ConfigError up front.
 """
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .energy import _check_n_starts, first_sine_mode, standard_bump
@@ -130,18 +132,18 @@ def _format_value(v):
 
 
 def _coerce(key, raw, ftype):
-    """Coerce a raw string to the field's declared type."""
+    """Coerce a raw string to the field's declared type; a float must be
+    finite."""
     raw = raw.strip()
     if raw.lower() == "none":
         return None
     try:
-        if ftype is float:
-            return float(raw)
-        if ftype is int:
-            return int(raw)
+        value = ftype(raw)
+        if ftype is float and not math.isfinite(value):
+            raise ValueError("not finite")
     except ValueError as exc:
         raise ConfigError("cannot parse %s value for %s: %r" % (ftype.__name__, key, raw)) from exc
-    return raw
+    return value
 
 
 def serialize_config(cfg):
@@ -165,7 +167,8 @@ def parse_config(text):
     reject, including a probe exponent not above 1 somewhere on the
     interval, a depth-search tolerance that is not positive, an
     initial-data file that does not hold one finite value per grid cell,
-    and a negative seed.  An initial-data file that cannot be read raises
+    and a negative seed.  A nan or an inf for a float key is an
+    unparsable value.  An initial-data file that cannot be read raises
     OSError.
     """
     cfg = ExperimentConfig()

@@ -118,10 +118,10 @@ def nehari_lambda(u, ctx, tol=1e-9):
     I(lam*u) = 0, that is sum cp lam^ep = sum cq lam^eq for the pair side
     p and the reaction side q, unique because the p-exponents all lie below
     the q-exponents.  ``_log_root`` finds t = log(lam) to a relative
-    residual of a few float eps.  Raises ZeroFunction for u == 0, NonFinite
-    for a nan term, RootFindFailed when the root-find fails (as when |u|^q
-    underflows on every cell), and ProjectionFailed when the relative
-    residual at t exceeds ``tol``."""
+    residual of a few float eps.  Raises ZeroFunction for u == 0,
+    RootFindFailed when the root-find fails (as when |u|^q underflows on
+    every cell), and ProjectionFailed when the relative residual at t
+    exceeds ``tol``; u is a grid function, finite, so no term is nan."""
     ctx._check_function(u)
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")

@@ -43,9 +43,12 @@ class ZeroFunction(FracflowError):
 
 
 class NonFinite(FracflowError):
-    """A state update produced non-finite values (overflow during blow-up),
-    or a norm or manifold scaling met a nan term (a nan or, for the pair
-    terms, infinite state value)."""
+    """A value is not finite where the mathematics needs a finite one.
+    Raised in two places: ``GridFunction`` refuses a nan or an infinite
+    value (so a state update that overflows is refused as it becomes a
+    state), and the evolution's state builder refuses an energy that
+    overflows.  The norms, modulars and energy take grid functions, so
+    none of them meets a non-finite value."""
 
 
 class ProjectionFailed(FracflowError):

@@ -19,7 +19,8 @@ residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
 probe-space norm, and the state's position relative to the potential well;
 crossing the blow-up cap on the L^2 norm terminates the run with a
 finite-time estimate, while a float overflow before the cap terminates it
-as NonFinite, without one.
+as NonFinite, without one: the updated values are refused by
+``GridFunction``, or the state's energy by ``_make_state``.
 """
 
 import warnings
@@ -134,29 +135,23 @@ class TrajectoryRecord:
 
 
 def make_state(u, ctx, t=0.0):
-    return _make_state(u, ctx, t, None)
+    return _make_state(u, ctx, t)
 
 
-def _make_state(u, ctx, t, op_vals, jac=None):
+def _make_state(u, ctx, t, op_vals=None, jac=None):
     """The state at u; ``op_vals``, the operator values at u when already
     computed, give its gradient without another sweep, and ``jac`` is the
-    operator's Jacobian at u, if formed."""
+    operator's Jacobian at u, if formed.  Raises NonFinite when the energy
+    overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         rep = energy(u, ctx)
+        if not np.isfinite(rep.energy):
+            raise NonFinite("energy overflowed at t = %r" % t)
         if op_vals is None:
             grad = energy_gradient(u, ctx)
         else:
             grad = GridFunction(ctx.grid, op_vals - _reaction(ctx, u.values))
     return SimState(t=float(t), u=u, report=rep, grad=grad, jac=jac)
-
-
-def _finish(u_new, ctx, t_new, op_vals=None, jac=None):
-    if not np.all(np.isfinite(u_new)):
-        raise NonFinite("state update produced non-finite values")
-    state = _make_state(GridFunction(ctx.grid, u_new), ctx, t_new, op_vals, jac)
-    if not np.isfinite(state.report.energy):
-        raise NonFinite("energy overflowed at the updated state")
-    return state
 
 
 def step_explicit(state, dt, ctx):
@@ -165,7 +160,7 @@ def step_explicit(state, dt, ctx):
         raise ValueError("dt must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         u_new = state.u.values - dt * state.grad.values
-    return _finish(u_new, ctx, state.t + dt)
+    return _make_state(GridFunction(ctx.grid, u_new), ctx, state.t + dt)
 
 
 def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
@@ -221,14 +216,14 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
             at, jt = ctx.linearize(trial)
             rt = (trial - u0) / dt + at - react
             rtn = wnorm(rt)
-            if np.isfinite(rtn) and rtn < rnorm:
+            if rtn < rnorm:
                 v, r, rnorm, op_vals, jac = trial, rt, rtn, at, jt
                 break
             a *= 0.5
         else:
             break
     if rnorm <= target:
-        return _finish(v, ctx, state.t + dt, op_vals, jac)
+        return _make_state(GridFunction(ctx.grid, v), ctx, state.t + dt, op_vals, jac)
     raise InnerSolveStalled(
         "proximal residual %g above tolerance %g" % (rnorm, target)
     )
@@ -260,8 +255,9 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
 
     Steps until the final time, the blow-up cap, a non-finite step (float
     overflow before the cap), step underflow, or the step budget; an
-    initial state whose energy overflows raises NonFinite, and a sample
-    whose probe norm overflows raises RootFindFailed.  Rejected
+    initial state whose energy overflows raises NonFinite from
+    ``make_state``, and a sample whose probe norm overflows raises
+    RootFindFailed.  Rejected
     steps halve dt and are not recorded.  The returned record holds one
     sample per accepted step plus the initial state; the probe exponent
     ``r_probe`` of its ``lux_r`` column is evaluated once per run.  The
@@ -271,8 +267,6 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     r_vals = exponent_values(r_probe, ctx.grid.interior_centers)
     state = make_state(u0, ctx, t=0.0)
     e0 = state.report.energy
-    if not np.isfinite(e0):
-        raise NonFinite("energy overflowed at the initial state")
     # a probe norm that overflows raises RootFindFailed, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         samples = [_sample_from(state, geometry, r_vals, dt=0.0, residual=0.0)]

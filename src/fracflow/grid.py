@@ -6,7 +6,9 @@ grid function holds its n cell values: it vanishes outside the interval by
 definition, so every grid function is in W0.  The complement of the
 interval enters only through the nonlocal operator, which truncates it to
 a collar of m cells per side (``nonlocal_operator``); the grid carries the
-counts m and n_total that size that collar.
+counts m and n_total that size that collar.  A grid function's values are
+finite and read-only: a NaN or an infinity is refused where it would enter,
+so no norm, modular or energy downstream meets one.
 
 Interval integrals (L^2 norms, inner products, modulars) use midpoint
 quadrature over the cells.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidResolution
+from .errors import GridMismatch, InvalidResolution, NonFinite
 
 __all__ = [
     "Domain",
@@ -84,7 +86,8 @@ class Grid:
 
 class GridFunction:
     """Cellwise-constant function on a Grid that vanishes outside (a, b):
-    ``values`` holds the ``grid.n`` cell values."""
+    ``values`` holds the ``grid.n`` cell values, a read-only copy of the
+    values given.  Raises NonFinite unless every value is finite."""
 
     __slots__ = ("grid", "values")
 
@@ -94,6 +97,9 @@ class GridFunction:
             raise GridMismatch(
                 "expected %d interior values, got shape %r" % (grid.n, values.shape)
             )
+        if not np.isfinite(values).all():
+            raise NonFinite("grid function values must be finite")
+        values.flags.writeable = False
         self.grid = grid
         self.values = values
 

@@ -5,8 +5,8 @@ lam = 1: for the Lebesgue case c_i = |u_i|^h(x_i) w_i over interior cells,
 for the Gagliardo case c_ij = |u_i - u_j|^p_ij k_ij w_i w_j over the pair
 table.  When the exponent is constant the terms are summed into one
 coefficient.  The corresponding norm is the unique lam > 0 at which the scaled
-modular equals 1 (zero for the zero function).  A nan coefficient raises
-NonFinite; only a zero one is dropped.
+modular equals 1 (zero for the zero function).  Grid functions hold finite
+values only, so every coefficient is a number; a zero one is dropped.
 
 Norm and modular are linked by the standard envelope inequalities: with
 e- and e+ the extreme exponents, norm <= 1 implies norm**e+ <= modular <=
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOutOfRange, NonFinite, RootFindFailed
+from .errors import ExponentOutOfRange, RootFindFailed
 
 __all__ = [
     "ModularReport",
@@ -78,17 +78,14 @@ def conjugate_exponent_values(h, x):
 
 def _lebesgue_powers(u, h):
     """c_i = |u_i|^h_i w_i and h_i over the interior cells, for h > 1, and
-    the sum of c; raises NonFinite when a c_i is nan."""
+    the sum of c."""
     hv = exponent_values(h, u.grid.interior_centers)
     if np.min(hv) <= 1.0:
         raise ExponentOutOfRange(
             "pointwise exponent must exceed 1; min is %g" % float(np.min(hv))
         )
     c = np.abs(u.values) ** hv * u.grid.interior_widths
-    total = float(c.sum())
-    if math.isnan(total):
-        raise NonFinite("|u|^h is nan on a cell")
-    return c, hv, total
+    return c, hv, float(c.sum())
 
 
 def lebesgue_modular(u, h):
@@ -124,13 +121,10 @@ class _Terms:
 
     @classmethod
     def one(cls, c, e):
-        """The side c * lam**e of the floats c >= 0 and e; no term for c = 0.
-        Raises NonFinite for a nan c, so only a true zero is dropped."""
+        """The side c * lam**e of the floats c >= 0 and e; no term for c = 0."""
         if c > 0.0:
             return cls(float(np.log(c)), e, e, e)
-        if c == 0.0:
-            return cls(-math.inf, e, math.inf, -math.inf)
-        raise NonFinite("root-find coefficient is nan")
+        return cls(-math.inf, e, math.inf, -math.inf)
 
     def log_sum(self, t):
         """``_log_power_sum`` of the side at t = log(lam); one term is

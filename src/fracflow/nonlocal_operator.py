@@ -45,7 +45,7 @@ cutoff parameter appears.
 
 import numpy as np
 
-from .errors import ContextMismatch, GridMismatch, InvalidResolution, NonFinite
+from .errors import ContextMismatch, GridMismatch, InvalidResolution
 from .exponents import validate_assumptions
 from .grid import GridFunction
 from .modular import _Terms
@@ -316,13 +316,11 @@ class OperatorContext:
         coefficient) stay in the first work buffer, the exponents are read
         from ``P`` and the power sums form in the second buffer, so the
         side is valid until the next sweep and no table-sized array is
-        made.  A nan coefficient raises NonFinite: for constant p a nan
-        sum, otherwise a non-finite value of u, checked before the sweep.
+        made.  ``vals`` are a grid function's values, finite, so no
+        coefficient is nan.
         """
         if isinstance(self.P, float):
             return _Terms.one(self._pair_sum(self._abs_pow(vals)), self.P)
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("a non-finite state value makes nan pair terms")
         c, e = self._pair_weighted(self._abs_pow(vals)), self.P
         kept = c > 0.0
         bounds = e.min(where=kept, initial=np.inf), e.max(where=kept, initial=-np.inf)

@@ -61,6 +61,27 @@ def test_parse_bad_value():
         parse_config("exponents.s = fast\n")
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("step.t_final", "nan"),
+    ("step.blowup_cap", "nan"),
+    ("step.energy_increase_tol", "nan"),
+    ("step.inner_tol", "nan"),
+    ("initial.amplitude", "nan"),
+    ("initial.factor", "nan"),
+    ("step.t_final", "inf"),
+])
+def test_non_finite_float_is_a_config_error(key, raw, tmp_path, capsys):
+    # a nan t_final would run to max_steps, and a nan
+    # energy_increase_tol would reject every step
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("exponents.s = 0.4\n%s = %s\n" % (key, raw))
+    rc = main(["well", "--config", str(bad), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "config error: cannot parse float value for %s: %r\n" % (key, raw)
+    assert not (tmp_path / "out").exists()
+
+
 def _write_fast_config(path, scenario, **overrides):
     cfg = default_config(scenario)
     cfg.grid.n = 16
@@ -192,8 +213,8 @@ def test_tolerance_below_the_projections_reach_is_a_failed_verdict(tmp_path, cap
 
 
 def test_overflowing_start_is_a_failed_verdict(tmp_path, capsys):
-    # |u|^q overflows at the initial state: run refuses it as NonFinite
-    # before its first sample's Luxemburg norm
+    # |u|^q overflows at the initial state: make_state refuses it as
+    # NonFinite before the first sample's Luxemburg norm
     cfgpath = tmp_path / "huge.cfg"
     for scenario in ("well", "blowup"):
         _write_fast_config(cfgpath, scenario,
@@ -203,7 +224,7 @@ def test_overflowing_start_is_a_failed_verdict(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 1 and captured.err == ""
         assert captured.out.endswith(
-            "completed: FAIL (NonFinite: energy overflowed at the initial state)\n"
+            "completed: FAIL (NonFinite: energy overflowed at t = 0.0)\n"
             "scenario %s: FAIL\n" % scenario)
         assert (out_dir / "summary.txt").read_text() == captured.out
 
@@ -462,6 +483,28 @@ def test_blowup_scenario_inside_well_skips_audit(tmp_path, capsys):
     assert not (tmp_path / "out" / "audit.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, factor, failed", [
+    ("blowup", 0.5, ["negative_initial_energy", "cap_hit", "phi_increasing",
+                     "exterior_invariance"]),
+    ("well", 2.0, ["invariance"]),
+])
+def test_verdicts_fail_from_the_wrong_side_of_the_well(scenario, factor, failed, tmp_path,
+                                                       capsys):
+    # blowup from inside the well, and well from outside it
+    cfgpath = tmp_path / "wrong.cfg"
+    _write_fast_config(cfgpath, scenario, **{"initial.factor": factor})
+    argv = [scenario, "--config", str(cfgpath), "--out", str(tmp_path / "out")]
+    if scenario == "blowup":
+        with pytest.warns(UserWarning, match="initial state is InWell"):
+            rc = main(argv)
+    else:
+        rc = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    for name in failed:
+        assert any(ln.startswith(name + ": FAIL") for ln in lines), (name, lines)
+
+
 def test_out_dir_precedence(tmp_path, capsys):
     cfg_dir = tmp_path / "from-config"
     flag_dir = tmp_path / "from-flag"
@@ -500,11 +543,14 @@ def test_scenario_determinism_byte_identical(tmp_path, capsys):
 
 
 def test_console_entry_point_runs(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
     proc = subprocess.run(
         [sys.executable, "-m", "fracflow", "validate", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
     )
     assert proc.returncode == 0
     assert "scenario validate: PASS" in proc.stdout

@@ -65,6 +65,25 @@ def test_explicit_step_raises_on_overflow(ctx16, grid16):
         ff.step_explicit(ff.make_state(huge, ctx16), 1.0, ctx16)
 
 
+def test_make_state_refuses_an_overflowing_energy(ctx16, grid16):
+    # |u|^3 overflows while u itself is finite
+    huge = ff.GridFunction(grid16, np.full(grid16.n, 1e200))
+    with pytest.raises(NonFinite, match=r"^energy overflowed at t = 0\.0$"):
+        ff.make_state(huge, ctx16)
+
+
+def test_run_whose_update_overflows_ends_non_finite(ctx16, grid16, geom16):
+    # the start's energy is finite, but u - dt grad E(u) overflows
+    u0 = ff.GridFunction(grid16, np.full(grid16.n, 1e90))
+    with pytest.raises(NonFinite, match="grid function values must be finite"):
+        ff.step_explicit(ff.make_state(u0, ctx16), 1e250, ctx16)
+    ctl = _control(dt_init=1e250, dt_max=1e250, t_final=1e251, blowup_cap=1e300)
+    rec = ff.run(u0, ctl, ctx16, geom16)
+    assert rec.termination == ff.NON_FINITE
+    assert rec.t_max_estimate is None
+    assert len(rec.samples) == 1
+
+
 def test_imex_zero_fixed_point(ctx16, grid16):
     st = ff.make_state(ff.GridFunction.zeros(grid16), ctx16)
     new = ff.step_imex(st, 1e-3, ctx16)

@@ -80,6 +80,18 @@ def test_w0_construction_enforces_exterior_zeros(grid16):
         ff.GridFunction(grid16, np.ones(grid16.n_total))
 
 
+def test_grid_function_values_are_a_read_only_copy(grid16):
+    vals = np.ones(grid16.n)
+    u = ff.GridFunction(grid16, vals)
+    vals[0] = 5.0
+    assert u.values[0] == 1.0
+    with pytest.raises(ValueError):
+        u.values[0] = np.nan
+    with pytest.raises(ValueError):
+        u.values *= np.inf
+    assert np.all(u.values == 1.0)
+
+
 def test_csv_round_trip(tmp_path, grid16, rng):
     u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     path = tmp_path / "u.csv"

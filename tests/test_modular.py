@@ -59,32 +59,35 @@ def test_luxemburg_zero(grid16):
     assert rep.bisection_iterations == 0
 
 
-def _nan_cell_cases():
-    """An 8-cell grid function with a nan first cell, and a constant- and a
-    variable-exponent context on its grid."""
-    grid = ff.Grid(ff.Domain(-1.0, 1.0, 1.0), 8, 4)
-    u = ff.GridFunction(grid, np.r_[np.nan, np.ones(7)])
-    fields = (ff.make_exponent_field(0.4, domain=grid.domain),
-              ff.make_exponent_field(0.3, p=(2.0, 0.02), q=(3.0, 0.2), domain=grid.domain))
-    return u, [ff.OperatorContext(grid, f) for f in fields]
+_GRID8 = ff.Grid(ff.Domain(-1.0, 1.0, 1.0), 8, 4)
 
 
 def test_nan_cell_is_not_the_zero_function():
-    # a nan coefficient is no zero one: every norm and modular refuses it
-    u, contexts = _nan_cell_cases()
-    for h in (3.0, lambda x: 2.0 + x**2):
+    # a nan or infinite cell is no grid function: it is refused where it
+    # would enter, so no norm or modular meets a nan coefficient
+    for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonFinite):
-            ff.luxemburg_norm(u, h)
-        with pytest.raises(NonFinite):
-            ff.lebesgue_modular(u, h)
-    for ctx in contexts:
-        with pytest.raises(NonFinite):
-            ff.gagliardo_seminorm(u, ctx)
-        with pytest.raises(NonFinite):
-            ff.nehari_lambda(u, ctx)
+            ff.GridFunction(_GRID8, np.r_[bad, np.ones(7)])
+    with np.errstate(over="ignore"), pytest.raises(NonFinite):
+        ff.GridFunction(_GRID8, np.r_[1e300, np.ones(7)]).scaled(1e10)
     # a true zero is dropped
-    zero_cell = ff.GridFunction(u.grid, np.r_[0.0, np.ones(7)])
+    zero_cell = ff.GridFunction(_GRID8, np.r_[0.0, np.ones(7)])
     assert ff.luxemburg_norm(zero_cell, 3.0).luxemburg_norm > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_no_non_finite_state_reaches_a_modular_or_the_energy(bad):
+    # a nan cell would give a nan energy and Gagliardo modular, and an
+    # infinite one a RuntimeWarning in the constant-p sweep; the suite
+    # turns RuntimeWarnings into errors, so this checks that the state is
+    # refused before any sweep
+    fields = (ff.make_exponent_field(0.4, domain=_GRID8.domain),
+              ff.make_exponent_field(0.3, p=(2.0, 0.02), q=(3.0, 0.2), domain=_GRID8.domain))
+    for f in fields:
+        ctx = ff.OperatorContext(_GRID8, f)
+        for measure in (ff.energy, ff.gagliardo_modular, ff.gagliardo_seminorm):
+            with pytest.raises(NonFinite):
+                measure(ff.GridFunction(_GRID8, np.r_[bad, np.ones(7)]), ctx)
 
 
 def test_gagliardo_modular_spike_vs_bruteforce(field):

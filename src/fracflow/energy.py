@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .grid import GridFunction, l2_norm
-from .modular import (EPS, _lebesgue_side, _log_root, exponent_values, gagliardo_seminorm,
-                      luxemburg_norm)
+from .modular import EPS, _lebesgue_side, _log_root, gagliardo_seminorm, luxemburg_norm
 
 __all__ = [
     "EnergyReport",
@@ -137,24 +136,15 @@ def nehari_lambda(u, ctx, tol=1e-9):
     return float(np.exp(t))
 
 
-# --- norm gradients (implicit differentiation of the unit-modular root) ----
+# --- norm gradients (Euler's identity on the unit-modular root) -----------
 
 
-def _q_norm_grad(u, h, lam):
-    """Measure-weighted gradient, with respect to interior cell values, of
-    the Luxemburg norm of u for exponent h, given that norm ``lam``."""
-    g = u.grid
-    hv = exponent_values(h, g.interior_centers)
-    scaled = np.abs(u.values) / lam
-    denom = float(np.dot(hv * scaled**hv, g.interior_widths))
-    return hv * scaled ** (hv - 1.0) * np.sign(u.values) / denom
-
-
-def _seminorm_grad(u, ctx, lam):
-    """Measure-weighted interior gradient of the Gagliardo seminorm of u,
-    given that seminorm ``lam``."""
-    dg = ctx.sp_grad_interior(u.values, lam=lam)
-    return dg / -ctx.sp_dlambda(u.values, lam)
+def _norm_grad(g, v, widths):
+    """Measure-weighted gradient of a Luxemburg norm lam at u, given the
+    gradient g of its modular at v = u/lam.  Each term of the modular is
+    homogeneous in u, so implicit differentiation of rho(u/lam) = 1 and
+    Euler's identity <g, v> = -lam d/dlam rho(u/lam) give g / <g, v>."""
+    return g / float(np.dot(g * v, widths))
 
 
 # --- descent ---------------------------------------------------------------
@@ -231,10 +221,11 @@ def estimate_embedding_constant(ctx, n_starts, iters, rng=None):
     Minimized by normalized gradient descent on the quotient from the bump,
     the sine mode, and random starts drawn from ``rng``, a seed or a
     ``random.Random``; the result is an infimum over a subset and therefore
-    an overestimate of the discrete constant.
+    an overestimate of the discrete constant.  Both norm gradients come
+    from ``_norm_grad``, one pair-table sweep for the seminorm's.
     """
     g = ctx.grid
-    q = ctx.q_interior
+    q, w = ctx.q_interior, g.interior_widths
 
     def value(u):
         sn = gagliardo_seminorm(u, ctx).luxemburg_norm
@@ -243,7 +234,10 @@ def estimate_embedding_constant(ctx, n_starts, iters, rng=None):
 
     def grad(u, norms):
         sn, ln = norms
-        return _seminorm_grad(u, ctx, sn) / ln - sn * _q_norm_grad(u, q, ln) / ln**2
+        vs, vq = u.values / sn, u.values / ln
+        gs = _norm_grad(ctx.sp_grad_interior(vs), vs, w)
+        gq = _norm_grad(q * _reaction(ctx, vq), vq, w)
+        return gs / ln - sn * gq / ln**2
 
     def project(trial):
         return GridFunction(g, trial / np.linalg.norm(trial))

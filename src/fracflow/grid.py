@@ -108,7 +108,9 @@ class GridFunction:
         return cls(grid, np.zeros(grid.n))
 
     def scaled(self, c):
-        return GridFunction(self.grid, c * self.values)
+        """c times u; a product that overflows is refused as NonFinite."""
+        with np.errstate(over="ignore"):
+            return GridFunction(self.grid, c * self.values)
 
     def __repr__(self):
         return "GridFunction(n=%d, linf=%g)" % (

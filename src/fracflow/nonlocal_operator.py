@@ -109,23 +109,14 @@ def _exterior_groups(field, x, n):
     p(x_i, x_j) over the interior rows i, as one (k, groups) index array
     per group size k; groups keep the order of their first column.
 
-    The columns are compared a row block at a time.  Each column keeps the
-    first column of its group so far; a column whose exponents in a block
-    are not all equal to that one's moves to a new group, keyed by its old
-    group and its exponents' bytes, so columns share a group only when
-    they agree in every row.  Exponents are compared as floats."""
-    first = np.zeros(x.size - n, dtype=np.intp)
-    for rows in _row_blocks(n, x.size - n):
-        P = np.asarray(field.p(x[rows, None], x[None, n:]), dtype=float)
-        moved = np.flatnonzero(~np.all(P == P[:, first], axis=0))
-        keys = np.ascontiguousarray(P[:, moved].T)
-        keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0].tolist()
-        seen = {}
-        first[moved] = [seen.setdefault(key, j) for key, j
-                        in zip(zip(first[moved].tolist(), keys), moved.tolist())]
+    The exponents form a block of exterior columns at a time, interior
+    rows first as in the table, and each column is keyed by its bytes.
+    Adding 0.0 makes -0.0 and 0.0 one key, so exponents compare as floats."""
     groups = {}
-    for j, f in enumerate(first.tolist(), start=n):
-        groups.setdefault(f, []).append(j)
+    for cols in _row_blocks(x.size - n, n):
+        P = np.asarray(field.p(x[:n, None], x[None, n:][:, cols]), dtype=float) + 0.0
+        for j, col in enumerate(P.T, start=n + cols.start):
+            groups.setdefault(col.tobytes(), []).append(j)
     by_size = {}
     for idx in groups.values():
         by_size.setdefault(len(idx), []).append(idx)
@@ -328,12 +319,12 @@ class OperatorContext:
             np.log(c, out=c)
         return _Terms(c.reshape(-1), e.reshape(-1), *bounds, self._b.reshape(-1))
 
-    def sp_grad_interior(self, vals, lam=1.0):
-        """Measure-weighted gradient of sum |du/lam|^p k w w on interior cells:
-        (2/lam) sum_j p_ij |du/lam|^(p-1) sgn(du) k_ij w_j."""
-        a = self._pow_sign(vals / lam)
+    def sp_grad_interior(self, vals):
+        """Measure-weighted gradient of sum |du|^p k w w on interior cells:
+        2 sum_j p_ij |du|^(p-1) sgn(du) k_ij w_j."""
+        a = self._pow_sign(vals)
         a *= self.P
-        return (2.0 / lam) * np.einsum("ij,ij->i", a, self.row_w)
+        return 2.0 * np.einsum("ij,ij->i", a, self.row_w)
 
     def sp_dlambda(self, vals, lam):
         """d/d lam of sum |du/lam|^p k w w (negative for nonzero u)."""

@@ -151,7 +151,7 @@ def _scenario_blowup(cfg, out_dir, v):
     phis = record.column("phi")
     v.check(
         "phi_increasing",
-        bool(np.all(np.diff(phis) > 0.0)),
+        len(phis) > 1 and bool(np.all(np.diff(phis) > 0.0)),
         "min increment %r" % float(np.min(np.diff(phis))) if len(phis) > 1 else "no steps",
     )
     if record.t_max_estimate is not None:

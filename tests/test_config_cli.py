@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import random
 import re
@@ -82,14 +84,7 @@ def test_non_finite_float_is_a_config_error(key, raw, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _write_fast_config(path, scenario, **overrides):
-    cfg = default_config(scenario)
-    cfg.grid.n = 16
-    cfg.grid.m = 16
-    cfg.geometry.n_starts = 2
-    cfg.geometry.iters = 60
-    cfg.step.t_final = 0.05
-    cfg.validation.resolution = 33
+def _write_config(path, cfg, overrides):
     for key, val in overrides.items():
         parts = key.split(".")
         obj = cfg
@@ -98,6 +93,17 @@ def _write_fast_config(path, scenario, **overrides):
         setattr(obj, parts[-1], val)
     path.write_text(serialize_config(cfg))
     return cfg
+
+
+def _write_fast_config(path, scenario, **overrides):
+    cfg = default_config(scenario)
+    cfg.grid.n = 16
+    cfg.grid.m = 16
+    cfg.geometry.n_starts = 2
+    cfg.geometry.iters = 60
+    cfg.step.t_final = 0.05
+    cfg.validation.resolution = 33
+    return _write_config(path, cfg, overrides)
 
 
 def test_validate_scenario_exit_zero(tmp_path, capsys):
@@ -227,6 +233,23 @@ def test_overflowing_start_is_a_failed_verdict(tmp_path, capsys):
             "completed: FAIL (NonFinite: energy overflowed at t = 0.0)\n"
             "scenario %s: FAIL\n" % scenario)
         assert (out_dir / "summary.txt").read_text() == captured.out
+
+
+def test_overflowing_initial_factor_is_a_failed_verdict(tmp_path, capsys):
+    # the scaled minimizer overflows: the grid function refuses it as
+    # NonFinite, with no overflow warning on stderr first
+    with open(os.path.join(CONFIGS, "well.cfg")) as fh:
+        text, n = re.subn(r"^initial\.factor = .*$", "initial.factor = 1e308", fh.read(),
+                          flags=re.M)
+    assert n == 1
+    cfgpath = tmp_path / "huge.cfg"
+    cfgpath.write_text(text)
+    rc = main(["well", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    assert captured.out.endswith(
+        "completed: FAIL (NonFinite: grid function values must be finite)\n"
+        "scenario well: FAIL\n")
 
 
 def test_unformable_probe_norm_is_a_failed_verdict(tmp_path, capsys):
@@ -416,6 +439,17 @@ def test_well_scenario_with_no_steps_fails_decay(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.txt").read_text().splitlines() == out.splitlines()
 
 
+def test_blowup_scenario_with_no_steps_fails_phi_increasing(tmp_path, capsys):
+    # a record of the initial sample alone has no increment to check
+    cfgpath = tmp_path / "still.cfg"
+    _write_fast_config(cfgpath, "blowup", **{"initial.factor": 2.0, "step.max_steps": 0})
+    rc = main(["blowup", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "termination: MaxSteps" in out
+    assert "phi_increasing: FAIL (no steps)" in out.splitlines()
+
+
 @pytest.mark.parametrize("key", ["initial.factor", "initial.amplitude"])
 def test_well_scenario_from_zero_state_decays_without_warning(key, tmp_path, capsys):
     # the suite turns RuntimeWarnings into errors, so a 0/0 l2 ratio fails here
@@ -483,26 +517,71 @@ def test_blowup_scenario_inside_well_skips_audit(tmp_path, capsys):
     assert not (tmp_path / "out" / "audit.csv").exists()
 
 
-@pytest.mark.parametrize("scenario, factor, failed", [
-    ("blowup", 0.5, ["negative_initial_energy", "cap_hit", "phi_increasing",
-                     "exterior_invariance"]),
-    ("well", 2.0, ["invariance"]),
-])
-def test_verdicts_fail_from_the_wrong_side_of_the_well(scenario, factor, failed, tmp_path,
-                                                       capsys):
-    # blowup from inside the well, and well from outside it
-    cfgpath = tmp_path / "wrong.cfg"
-    _write_fast_config(cfgpath, scenario, **{"initial.factor": factor})
-    argv = [scenario, "--config", str(cfgpath), "--out", str(tmp_path / "out")]
-    if scenario == "blowup":
-        with pytest.warns(UserWarning, match="initial state is InWell"):
-            rc = main(argv)
+def _negated_depth(*args, **kwargs):
+    geom = ff.well_depth(*args, **kwargs)
+    return ff.WellGeometry(depth_hat=-geom.depth_hat, minimizer=geom.minimizer)
+
+
+def _thousandfold_embedding_constant(*args, **kwargs):
+    return 1e3 * ff.estimate_embedding_constant(*args, **kwargs)
+
+
+def _nehari_lambda_one_percent_long(u, ctx, tol):
+    return 1.01 * ff.nehari_lambda(u, ctx, tol)
+
+
+#: verdict name -> (config, overrides, monkeypatch of ``scenarios``) under
+#: which the verdict prints FAIL.  A config ending in .cfg is the shipped
+#: one, any other is the scenario's fast config.  No config fails
+#: depth_positive, depth_lower_bound or closed_form_match: those fail
+#: under a monkeypatch only
+VERDICT_CENSUS = {
+    "assumptions": ("validate", {"exponents.s": 0.6}, None),
+    "completed": ("geometry", {"geometry.tol": 1e-17}, None),
+    "depth_positive": ("geometry", {}, ("well_depth", _negated_depth)),
+    "depth_lower_bound": ("geometry", {},
+                          ("estimate_embedding_constant", _thousandfold_embedding_constant)),
+    "invariance": ("well", {"initial.factor": 2.0}, None),
+    "decay": ("well", {"step.t_final": 0.01}, None),
+    "negative_initial_energy": ("blowup", {"initial.factor": 0.5}, None),
+    "cap_hit": ("blowup", {"initial.factor": 0.5}, None),
+    "phi_increasing": ("blowup", {"initial.factor": 0.5}, None),
+    "inequality_audit": ("blowup", {"initial.factor": 0.5}, None),
+    "exterior_invariance": ("blowup", {"initial.factor": 0.5}, None),
+    "closed_form_match": ("nehari-sweep", {},
+                          ("nehari_lambda", _nehari_lambda_one_percent_long)),
+    "projection_residuals": ("nehari-sweep.cfg", {"geometry.tol": 1e-17}, None),
+    # past the explicit step's bound, the residuals do not fall with dt
+    "residual_order": ("convergence.cfg", {"step.dt_init": 0.1, "step.dt_max": 0.1,
+                                           "geometry.iters": 20}, None),
+}
+
+
+def test_verdict_census_covers_every_verdict():
+    # every literal name passed to v.check in the scenarios has a failing case
+    tree = ast.parse(inspect.getsource(scenarios))
+    names = {node.args[0].value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "check" and isinstance(node.args[0], ast.Constant)}
+    assert names == set(VERDICT_CENSUS)
+
+
+@pytest.mark.filterwarnings("ignore:initial state is InWell")
+@pytest.mark.parametrize("name", sorted(VERDICT_CENSUS))
+def test_every_verdict_can_fail(name, tmp_path, capsys, monkeypatch):
+    config, overrides, patch = VERDICT_CENSUS[name]
+    cfgpath = tmp_path / "census.cfg"
+    if config.endswith(".cfg"):
+        _write_config(cfgpath, load_config(os.path.join(CONFIGS, config)), overrides)
     else:
-        rc = main(argv)
+        _write_fast_config(cfgpath, config, **overrides)
+    if patch is not None:
+        monkeypatch.setattr(scenarios, *patch)
+    scenario = load_config(str(cfgpath)).scenario
+    rc = main([scenario, "--config", str(cfgpath), "--out", str(tmp_path / "out")])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1
-    for name in failed:
-        assert any(ln.startswith(name + ": FAIL") for ln in lines), (name, lines)
+    assert any(ln.startswith(name + ": FAIL") for ln in lines), lines
 
 
 def test_out_dir_precedence(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.errors import GridMismatch, InvalidResolution
+from fracflow.errors import GridMismatch, InvalidResolution, NonFinite
 
 
 def test_build_grid_cell_layout():
@@ -90,6 +90,15 @@ def test_grid_function_values_are_a_read_only_copy(grid16):
     with pytest.raises(ValueError):
         u.values *= np.inf
     assert np.all(u.values == 1.0)
+
+
+def test_overflowing_scale_is_refused_without_a_warning(grid16):
+    # the suite turns RuntimeWarnings into errors, so an overflow warning
+    # from the product would fail here before the NonFinite
+    vals = np.zeros(grid16.n)
+    vals[3] = 1e300
+    with pytest.raises(NonFinite, match="grid function values must be finite"):
+        ff.GridFunction(grid16, vals).scaled(1e10)
 
 
 def test_csv_round_trip(tmp_path, grid16, rng):

@@ -260,7 +260,7 @@ def test_interior_row_table_matches_oracles(field):
         lam, h = 0.8, 1e-6
         fd = (ctx.sp_modular(u / (lam + h)) - ctx.sp_modular(u / (lam - h))) / (2.0 * h)
         assert ctx.sp_dlambda(u, lam) == pytest.approx(fd, rel=1e-7)
-        grad = ctx.sp_grad_interior(u, lam)
+        grad = ctx.sp_grad_interior(u / lam) / lam
         widths = grid.interior_widths
         for k in range(grid.n):
             up, um = u.copy(), u.copy()
@@ -303,6 +303,18 @@ def test_jacobian_matches_differences_of_apply(name, grid16, rng, request):
     _assert_jacobian_matches_differences(ctx, rng.standard_normal(grid16.n))
 
 
+@pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
+def test_modular_gradient_pairs_to_the_lambda_derivative(name, grid16, rng, request):
+    # Euler's identity for the p_ij-homogeneous pair terms: the modular's
+    # gradient at v = u/lam paired with v is -lam d/dlam rho_sp(u/lam)
+    ctx = request.getfixturevalue(name)
+    u = rng.standard_normal(grid16.n)
+    for lam in (0.3, 1.0, 2.5):
+        v = u / lam
+        pairing = float(np.dot(ctx.sp_grad_interior(v) * v, grid16.interior_widths))
+        assert pairing == pytest.approx(-lam * ctx.sp_dlambda(u, lam), rel=1e-13)
+
+
 def test_linearize_after_any_sweep_is_a_fresh_contexts(ctx16_var, grid16, rng):
     # no sweep leaves state that linearize reads: after each public sweep,
     # linearize(u) is bitwise that of a context that swept nothing
@@ -312,7 +324,7 @@ def test_linearize_after_any_sweep_is_a_fresh_contexts(ctx16_var, grid16, rng):
     sweeps = {
         "apply": (other,), "pair_stats": (other,), "pair_coeffs": (other,),
         "sp_modular": (other,), "i1": (other,), "sp_dlambda": (other, 0.7),
-        "sp_grad_interior": (other, 0.7), "weak": (other, 2.0 * other),
+        "sp_grad_interior": (other / 0.7,), "weak": (other, 2.0 * other),
         "gap": (other, 2.0 * other),
     }
     public = {name for name in dir(OperatorContext)
@@ -338,7 +350,7 @@ def test_sweeps_return_fresh_arrays(ctx16, grid16, rng):
     kept_c = (side.logc, side.e)
     ctx16.apply(2.0 * u)
     ctx16.pair_stats(3.0 * u)
-    ctx16.sp_grad_interior(u, 0.5)
+    ctx16.sp_grad_interior(u / 0.5)
     ctx16.apply(4.0 * u)
     ctx16.linearize(4.0 * u)
     assert all(np.array_equal(a, k) for a, k in zip((first, *lin), kept))

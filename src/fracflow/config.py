@@ -288,9 +288,11 @@ def build_probe(cfg):
 
 
 def _check_geometry(geo):
-    """Refuse a depth search without starts or with a projection tolerance
-    that is not positive."""
+    """Refuse a depth search without starts, with a negative iteration
+    count or with a projection tolerance that is not positive."""
     _check_n_starts(geo.n_starts)
+    if geo.iters < 0:
+        raise ValueError("iters must be nonnegative, got %r" % geo.iters)
     if not geo.tol > 0.0:
         raise ValueError("tol must be positive, got %r" % geo.tol)
 

@@ -293,7 +293,7 @@ def well_depth(ctx, n_starts, iters, tol=1e-9, rng=None):
         w, e, accepted = _descend(project(u0.values), value, grad, project, iters)
         if e < best_e:
             best_e, best_w = e, w
-        if not accepted:
+        if iters > 0 and not accepted:
             warnings.warn(
                 "descent made no progress from one start; keeping best-so-far",
                 NoDescentProgress,

@@ -20,7 +20,7 @@ probe-space norm, and the state's position relative to the potential well;
 crossing the blow-up cap on the L^2 norm terminates the run with a
 finite-time estimate, while a float overflow before the cap terminates it
 as NonFinite, without one: the updated values are refused by
-``GridFunction``, or the state's energy by ``_make_state``.
+``GridFunction``, or the state's energy by ``make_state``.
 """
 
 import warnings
@@ -91,6 +91,8 @@ class StepControl:
             raise ValueError("scheme must be %r or %r" % (SCHEME_EXPLICIT, SCHEME_IMEX))
         if self.inner_max < 1:
             raise ValueError("inner_max must be at least 1, got %r" % self.inner_max)
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be nonnegative, got %r" % self.max_steps)
 
 
 @dataclass
@@ -134,11 +136,7 @@ class TrajectoryRecord:
         return np.array([getattr(s, name) for s in self.samples])
 
 
-def make_state(u, ctx, t=0.0):
-    return _make_state(u, ctx, t)
-
-
-def _make_state(u, ctx, t, op_vals=None, jac=None):
+def make_state(u, ctx, t=0.0, op_vals=None, jac=None):
     """The state at u; ``op_vals``, the operator values at u when already
     computed, give its gradient without another sweep, and ``jac`` is the
     operator's Jacobian at u, if formed.  Raises NonFinite when the energy
@@ -160,7 +158,7 @@ def step_explicit(state, dt, ctx):
         raise ValueError("dt must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         u_new = state.u.values - dt * state.grad.values
-    return _make_state(GridFunction(ctx.grid, u_new), ctx, state.t + dt)
+    return make_state(GridFunction(ctx.grid, u_new), ctx, state.t + dt)
 
 
 def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
@@ -223,7 +221,7 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
         else:
             break
     if rnorm <= target:
-        return _make_state(GridFunction(ctx.grid, v), ctx, state.t + dt, op_vals, jac)
+        return make_state(GridFunction(ctx.grid, v), ctx, state.t + dt, op_vals, jac)
     raise InnerSolveStalled(
         "proximal residual %g above tolerance %g" % (rnorm, target)
     )
@@ -231,7 +229,7 @@ def step_imex(state, dt, ctx, inner_tol=StepControl.inner_tol,
 
 def _sample_from(state, geometry, r_vals, dt, residual):
     """The sample of ``state``; ``r_vals`` is the probe exponent on the
-    interior cells."""
+    interior cells as ``exponent_values`` gives it, a float when constant."""
     lux = luxemburg_norm(state.u, r_vals).luxemburg_norm
     rep = state.report
     return Sample(
@@ -257,11 +255,11 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     overflow before the cap), step underflow, or the step budget; an
     initial state whose energy overflows raises NonFinite from
     ``make_state``, and a sample whose probe norm overflows raises
-    RootFindFailed.  Rejected
-    steps halve dt and are not recorded.  The returned record holds one
-    sample per accepted step plus the initial state; the probe exponent
-    ``r_probe`` of its ``lux_r`` column is evaluated once per run.  The
-    blow-up analysis of the record is ``blowup_inequality_audit``.
+    RootFindFailed.  Rejected steps halve dt and are not recorded.  The
+    returned record holds one sample per accepted step plus the initial
+    state; the probe exponent ``r_probe`` of its ``lux_r`` column is
+    evaluated once per run, to a float when constant.  The blow-up
+    analysis of the record is ``blowup_inequality_audit``.
     """
     ctx._check_function(u0)
     r_vals = exponent_values(r_probe, ctx.grid.interior_centers)

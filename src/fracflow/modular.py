@@ -16,9 +16,10 @@ min(t**e-, t**e+) <= modular <= max(t**e-, t**e+) at t = norm.
 In t = log(lam) those inequalities bound the slope of -log(modular(u/lam))
 by e- and e+; ``_log_root`` uses the bounds to bracket safeguarded Newton
 steps in t, for every norm here and for the manifold scaling in
-``energy``.  A constant exponent's side is its one coefficient as a float
-term, so its root-find takes two evaluations and no array operation;
-arrays hold variable exponents only.
+``energy``.  ``exponent_values`` decides an exponent's form once: a float
+when constant, else an array.  A float exponent's side is its one
+coefficient as a float term, so its root-find takes two evaluations and no
+array operation; arrays hold variable exponents only.
 """
 
 import math
@@ -56,18 +57,13 @@ class ModularReport:
 
 
 def exponent_values(h, x):
-    """Evaluate a pointwise exponent (callable, array, or scalar) at x."""
-    if callable(h):
-        vals = np.asarray(h(x), dtype=float)
-        if vals.shape != np.shape(x):
-            vals = np.broadcast_to(vals, np.shape(x)).astype(float)
-        return vals
-    vals = np.asarray(h, dtype=float)
-    if vals.ndim == 0:
-        return np.full(np.shape(x), float(vals))
-    if vals.shape != np.shape(x):
+    """A pointwise exponent (callable, array, or scalar) at x, in the one
+    form the norms take: a float when h takes one value at x, else the
+    float array of its values.  An array not of x's shape raises ValueError."""
+    vals = np.asarray(h(x) if callable(h) else h, dtype=float)
+    if vals.ndim and vals.shape != np.shape(x):
         raise ValueError("exponent array shape %r does not match points" % (vals.shape,))
-    return vals
+    return float(vals.flat[0]) if np.all(vals == vals.flat[0]) else vals
 
 
 def conjugate_exponent_values(h, x):
@@ -78,12 +74,11 @@ def conjugate_exponent_values(h, x):
 
 def _lebesgue_powers(u, h):
     """c_i = |u_i|^h_i w_i and h_i over the interior cells, for h > 1, and
-    the sum of c."""
-    hv = exponent_values(h, u.grid.interior_centers)
-    if np.min(hv) <= 1.0:
-        raise ExponentOutOfRange(
-            "pointwise exponent must exceed 1; min is %g" % float(np.min(hv))
-        )
+    the sum of c; a float h is taken as it is."""
+    hv = h if isinstance(h, float) else exponent_values(h, u.grid.interior_centers)
+    h_min = hv if isinstance(hv, float) else float(hv.min())
+    if h_min <= 1.0:
+        raise ExponentOutOfRange("pointwise exponent must exceed 1; min is %g" % h_min)
     c = np.abs(u.values) ** hv * u.grid.interior_widths
     return c, hv, float(c.sum())
 
@@ -138,8 +133,8 @@ def _lebesgue_side(u, h):
     """The side sum(c * lam**h), c_i = |u_i|^h_i w_i: for a constant h one
     term of the summed c, else the c > 0 and their exponents in new arrays."""
     c, hv, total = _lebesgue_powers(u, h)
-    if np.all(hv == hv[0]):
-        return _Terms.one(total, float(hv[0]))
+    if isinstance(hv, float):
+        return _Terms.one(total, hv)
     keep = c > 0.0
     c, hv = c[keep], hv[keep]
     bounds = hv.min(initial=np.inf), hv.max(initial=-np.inf)

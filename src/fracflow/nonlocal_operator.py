@@ -48,7 +48,7 @@ import numpy as np
 from .errors import ContextMismatch, GridMismatch, InvalidResolution
 from .exponents import validate_assumptions
 from .grid import GridFunction
-from .modular import _Terms
+from .modular import _Terms, exponent_values
 
 __all__ = [
     "OperatorContext",
@@ -152,11 +152,12 @@ class OperatorContext:
     """Grid + exponent field + the interior-row pair table over the cells
     that ``_cells`` lays out.
 
-    ``P`` is the exponent table, a float when all its entries are equal;
-    ``row_w`` is k_ij w_j, the row weight of ``apply``.  The ordered-pair
-    weight k_ij w_i w_j, doubled on exterior columns, is not kept: a pair
-    sum weighs row i by w_i and an exterior column by 2 inside its
-    reduction.  Nor is P - 2: ``apply`` forms it a row block at a time.
+    ``P`` is the exponent table and ``q_interior`` the reaction exponent
+    on the interior cells, each a float when constant; ``row_w`` is k_ij
+    w_j, the row weight of ``apply``.  The ordered-pair weight k_ij w_i w_j,
+    doubled on exterior columns, is not kept: a pair sum weighs row i by
+    w_i and an exterior column by 2 inside its reduction.  Nor is P - 2:
+    ``apply`` forms it a row block at a time.
     Columns are the n interior cells, at ``_cols``, then one exterior
     column of value 0 per group of collar cells with equal exponent
     columns, holding the group's summed weights and its shared exponent;
@@ -172,7 +173,7 @@ class OperatorContext:
         self.grid = grid
         self.field = field
         self.summary = summary
-        self.q_interior = np.asarray(field.q(grid.interior_centers), dtype=float)
+        self.q_interior = exponent_values(field.q, grid.interior_centers)
         n = grid.n
         x, w = _cells(grid)
         groups = _exterior_groups(field, x, n)

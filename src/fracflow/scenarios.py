@@ -178,8 +178,7 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
     ctx = _context(cfg)
     labels = ["bump", "sine"] + ["random-%d" % k for k in range(8)]
     cases = zip(labels, _starts(ctx.grid, len(labels), cfg.seed))
-    summary = ctx.summary
-    constant_exps = summary.p_minus == summary.p_plus and summary.q_minus == summary.q_plus
+    constant_exps = isinstance(ctx.P, float) and isinstance(ctx.q_interior, float)
     rows = []
     worst = 0.0
     worst_resid = 0.0
@@ -192,8 +191,7 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
         if constant_exps:
             rep0 = energy(u, ctx)
             closed = (rep0.gagliardo_modular / rep0.q_modular) ** (
-                1.0 / (summary.q_plus - summary.p_plus)
-            )
+                1.0 / (ctx.q_interior - ctx.P))
             err = abs(lam - closed)
             worst = max(worst, err)
             rows.append((label, lam, closed, err, resid))

@@ -913,15 +913,18 @@ def test_constant_shape_rejects_a_and_b(shape, coef):
     ("exponents.s = 1.5", "exponents"),
     ("validation.resolution = 1", "validation"),
     ("geometry.n_starts = 0", "geometry"),
+    ("geometry.iters = -3", "geometry"),
     ("grid.n = 4096\ngrid.m = 1024", "grid"),  # a pair table over MAX_TABLE_ENTRIES
     ("initial.kind = bogus", "initial"),
     ("initial.kind = file", "initial"),
     ("step.scheme = imex\nstep.inner_max = 0", "step"),
+    ("step.max_steps = -5", "step"),
     ("seed = -1\ngeometry.n_starts = 3", "seed"),
     ("geometry.n_starts = 3\n--seed -1", "seed"),
 ], ids=["b-not-above-a", "negative-radius", "n-below-4", "no-collar-cells", "s-above-1",
-        "one-sample", "no-starts", "table-over-cap", "unknown-initial-kind",
-        "file-without-path", "no-inner-iterations", "negative-seed", "negative-seed-flag"])
+        "one-sample", "no-starts", "negative-iters", "table-over-cap", "unknown-initial-kind",
+        "file-without-path", "no-inner-iterations", "negative-max-steps", "negative-seed",
+        "negative-seed-flag"])
 def test_bad_config_value_is_a_config_error(lines, section, tmp_path, capsys, monkeypatch):
     # a line that starts with "--" goes on the command line
     monkeypatch.setattr(scenarios, "well_depth", _no_search)

@@ -1,6 +1,7 @@
 import importlib
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -257,6 +258,14 @@ def test_well_depth_skips_embedding_constant(ctx16, monkeypatch):
 
     monkeypatch.setattr(energy_mod, "estimate_embedding_constant", forbidden)
     geom = ff.well_depth(ctx16, n_starts=3, iters=20, rng=0)
+    assert geom.depth_hat > 0.0
+
+
+def test_well_depth_without_descent_is_no_failed_descent(ctx16):
+    # iters = 0 asks for the projected starts only: nothing to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geom = ff.well_depth(ctx16, n_starts=2, iters=0, rng=0)
     assert geom.depth_hat > 0.0
 
 

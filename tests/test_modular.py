@@ -6,7 +6,7 @@ import pytest
 import fracflow as ff
 from fracflow.errors import ContextMismatch, ExponentOutOfRange, NonFinite, RootFindFailed
 from fracflow.modular import (_UNIT, _lebesgue_side, _log_power_sum, _log_root, _norm,
-                              conjugate_exponent_values)
+                              conjugate_exponent_values, exponent_values)
 
 from oracles import brute_sp_modular, naive_log_power_sum, zero_extended
 
@@ -301,3 +301,26 @@ def test_constant_exponent_lebesgue_coeffs_is_one_coefficient(grid16, rng):
     assert _lebesgue_side(u, lambda x: 2.0 + x**2).logc.size == grid16.n
     zero = _lebesgue_side(ff.GridFunction.zeros(grid16), 3.0)
     assert zero.e_min > zero.e_max and zero.logc == -math.inf
+    # an all-equal array is the same one term, to the bit
+    same = _lebesgue_side(u, np.full(grid16.n, 3.0))
+    assert same.out is None
+    assert (same.logc, same.e, same.e_min, same.e_max) == (side.logc, side.e, side.e_min,
+                                                           side.e_max)
+
+
+@pytest.mark.parametrize("h, form", [
+    (3.0, float),
+    (lambda x: 2.5 + 0 * x, float),
+    (np.full(16, 2.5), float),
+    (lambda x: 2.0 + x**2, np.ndarray),
+], ids=["scalar", "constant-callable", "all-equal-array", "bump"])
+def test_exponent_values_is_a_float_exactly_when_constant(h, form, grid16):
+    x = grid16.interior_centers
+    hv = exponent_values(h, x)
+    assert type(hv) is form
+    np.testing.assert_array_equal(np.broadcast_to(hv, x.shape), h(x) if callable(h) else h)
+
+
+def test_exponent_values_refuses_an_array_of_another_shape(grid16):
+    with pytest.raises(ValueError, match="does not match"):
+        exponent_values(np.full(grid16.n + 1, 2.5), grid16.interior_centers)

@@ -488,6 +488,9 @@ def test_constant_p_pair_coeffs_is_one_coefficient(ctx16, ctx16_var, grid16, rng
     assert side.out is None and type(side.logc) is type(side.e) is float and side.e == ctx16.P
     assert math.exp(side.logc) == pytest.approx(ctx16.sp_modular(u), rel=1e-13)
     assert ctx16_var.pair_coeffs(u).logc.size > 1
+    # the reaction exponent takes the same form: a float when constant
+    assert type(ctx16.q_interior) is float and ctx16.q_interior == 3.0
+    assert isinstance(ctx16_var.q_interior, np.ndarray)
     # the zero state's side has no positive coefficient, and seminorm 0
     zero = ff.GridFunction.zeros(grid16)
     for ctx in (ctx16, ctx16_var):

@@ -17,7 +17,7 @@ dom = ff.Domain(-1.0, 1.0, 8.0)
 grid = ff.Grid(dom, 32, 128)
 field = ff.make_exponent_field(0.4, domain=dom)
 ctx = ff.build_context(grid, field)
-geom = ff.well_depth(ctx, n_starts=4, iters=400, rng=0)
+geom = ff.well_depth(ctx, iters=400)
 
 u0 = geom.minimizer.scaled(2.0)
 e0 = ff.energy(u0, ctx).energy

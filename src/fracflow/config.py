@@ -21,7 +21,7 @@ constructors and checks, so a bad value is a ConfigError up front.
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .energy import _check_n_starts, first_sine_mode, standard_bump
+from .energy import _check_iters, _check_n_starts, first_sine_mode, standard_bump
 from .errors import ConfigError, GridMismatch, InvalidResolution
 from .evolution import StepControl
 from .exponents import (_bump_bounds, _check_resolution, make_exponent_field,
@@ -89,7 +89,7 @@ class InitialConfig:
 
 @dataclass
 class GeometryConfig:
-    n_starts: int = 4
+    n_starts: int = 4  # starts of the embedding-constant estimate
     iters: int = 400
     tol: float = 1e-9
 
@@ -288,18 +288,17 @@ def build_probe(cfg):
 
 
 def _check_geometry(geo):
-    """Refuse a depth search without starts, with a negative iteration
-    count or with a projection tolerance that is not positive."""
+    """Refuse an embedding estimate without starts, a negative iteration
+    count or a projection tolerance that is not positive."""
     _check_n_starts(geo.n_starts)
-    if geo.iters < 0:
-        raise ValueError("iters must be nonnegative, got %r" % geo.iters)
+    _check_iters(geo.iters)
     if not geo.tol > 0.0:
         raise ValueError("tol must be positive, got %r" % geo.tol)
 
 
 def _check_seed(seed):
-    """Refuse a negative seed: ``random.Random`` would draw from its
-    absolute value."""
+    """Refuse a negative seed: the generator of ``energy._starts`` would
+    draw from its absolute value."""
     if seed is not None and seed < 0:
         raise ValueError("must be nonnegative, got %r" % seed)
 

@@ -8,11 +8,12 @@ exterior; the well depth is the least energy on that manifold.
 
 Every ray t -> t*u with u != 0 crosses the manifold exactly once, which
 makes the crossing a cheap 1-D root-find and turns depth estimation into
-multi-start projected gradient descent: step along -grad E, re-project to
-the manifold, keep the best energy seen.  The embedding constant (least
-seminorm over Luxemburg norm) is estimated by the same descent routine with
-a unit-length projection; ``depth_lower_bound`` turns it into a lower bound
-for the depth, a separate call from ``well_depth``.
+projected gradient descent from the bump: step along -grad E, re-project
+to the manifold, keep each step that lowers the energy.  The embedding
+constant (least seminorm over Luxemburg norm) is estimated by the same
+descent routine with a unit-length projection, from several starts;
+``depth_lower_bound`` turns it into a lower bound for the depth, a
+separate call from ``well_depth``.
 """
 
 import math
@@ -156,13 +157,17 @@ def _check_n_starts(n_starts):
         raise ValueError("n_starts must be >= 1, got %r" % n_starts)
 
 
-def _starts(grid, n_starts, rng):
+def _check_iters(iters):
+    """Raise ValueError unless a descent's iteration count is nonnegative."""
+    if iters < 0:
+        raise ValueError("iters must be nonnegative, got %r" % iters)
+
+
+def _starts(grid, n_starts, seed):
     """The first ``n_starts`` of: the bump, the sine mode, then standard
-    normal interior values drawn from ``rng``, a seed or a
-    ``random.Random``; a ``random.Random`` advances by the draws."""
+    normal interior values drawn from ``random.Random(seed)``."""
     _check_n_starts(n_starts)
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng)
+    rng = random.Random(seed)
     starts = [standard_bump(grid), first_sine_mode(grid)][:n_starts]
     while len(starts) < n_starts:
         starts.append(GridFunction(grid, np.array([rng.gauss(0.0, 1.0) for _ in range(grid.n)])))
@@ -219,11 +224,12 @@ def estimate_embedding_constant(ctx, n_starts, iters, rng=None):
     seminorm(u) / luxemburg_q_norm(u) over nonzero states.
 
     Minimized by normalized gradient descent on the quotient from the bump,
-    the sine mode, and random starts drawn from ``rng``, a seed or a
-    ``random.Random``; the result is an infimum over a subset and therefore
-    an overestimate of the discrete constant.  Both norm gradients come
-    from ``_norm_grad``, one pair-table sweep for the seminorm's.
+    the sine mode, and random starts drawn from ``rng``, a seed; the result
+    is an infimum over a subset and therefore an overestimate of the
+    discrete constant.  Both norm gradients come from ``_norm_grad``, one
+    pair-table sweep for the seminorm's.
     """
+    _check_iters(iters)
     g = ctx.grid
     q, w = ctx.q_interior, g.interior_widths
 
@@ -265,17 +271,18 @@ def depth_lower_bound(lambda_hat, summary):
     return r_hat, float((1.0 / pp - 1.0 / qm) * r_hat)
 
 
-def well_depth(ctx, n_starts, iters, tol=1e-9, rng=None):
-    """Estimate the well depth by multi-start projected gradient descent.
+def well_depth(ctx, iters, tol=1e-9):
+    """Estimate the well depth by projected gradient descent from the bump.
 
-    The starts are the bump, the sine mode and random starts drawn from
-    ``rng``, a seed or a ``random.Random``.  Each start is projected onto
-    the manifold, then alternates descent steps along -grad E with
-    re-projection; the least energy over all runs is the depth estimate and
-    its state the minimizer.  The embedding constant and the depth lower
-    bound are separate calls: ``estimate_embedding_constant`` and
+    The bump is projected onto the manifold, then alternates descent steps
+    along -grad E with re-projection; the last energy is the depth
+    estimate and its state the minimizer.  A ground state may be taken
+    nonnegative, since |u| lowers no part of E, and the bump starts in
+    that cone.  The embedding constant and the depth lower bound are
+    separate calls: ``estimate_embedding_constant`` and
     ``depth_lower_bound``.
     """
+    _check_iters(iters)
     g = ctx.grid
 
     def value(w):
@@ -288,17 +295,10 @@ def well_depth(ctx, n_starts, iters, tol=1e-9, rng=None):
         cand = GridFunction(g, trial)
         return cand.scaled(nehari_lambda(cand, ctx, tol=tol))
 
-    best_e, best_w = np.inf, None
-    for u0 in _starts(g, n_starts, rng):
-        w, e, accepted = _descend(project(u0.values), value, grad, project, iters)
-        if e < best_e:
-            best_e, best_w = e, w
-        if iters > 0 and not accepted:
-            warnings.warn(
-                "descent made no progress from one start; keeping best-so-far",
-                NoDescentProgress,
-            )
-    return WellGeometry(depth_hat=float(best_e), minimizer=best_w)
+    w, e, accepted = _descend(project(standard_bump(g).values), value, grad, project, iters)
+    if iters > 0 and not accepted:
+        warnings.warn("descent made no progress from the bump", NoDescentProgress)
+    return WellGeometry(depth_hat=float(e), minimizer=w)
 
 
 def _well_class(u, rep, depth_hat, tol=1e-9):

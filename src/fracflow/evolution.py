@@ -359,14 +359,15 @@ def blowup_inequality_audit(record, summary):
     rho_q up to the same tolerance; (iii) phi eventually exceeds 1 and the
     measured infimum of phi'/phi^(q+/2) beyond that point is strictly
     positive (the constant is reported, never assumed).  Raises
-    AuditFailed at the first violation.  When the run hit the blow-up cap,
+    AuditFailed at the first violation, and before any step when
+    E(u0) >= 0.  When the run hit the blow-up cap,
     the result also holds the blow-up time extrapolated from the last
     sample by integrating phi' = rate * phi^(q+/2).
     """
     samples = record.samples
     e0 = samples[0].energy
     if e0 >= 0.0:
-        raise ValueError("audit requires a trajectory started at negative energy")
+        raise AuditFailed("not run: E(u0) >= 0")
     p_plus, q_minus, q_plus = summary.p_plus, summary.q_minus, summary.q_plus
     c1 = 1.0 - p_plus / q_minus
     rows = []

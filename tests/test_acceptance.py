@@ -33,7 +33,7 @@ def default_ctx(domain, field):
 
 @pytest.fixture(scope="module")
 def default_geometry(default_ctx):
-    return ff.well_depth(default_ctx, n_starts=4, iters=400, rng=0)
+    return ff.well_depth(default_ctx, iters=400)
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +176,7 @@ def test_criterion_7_depth_consistency(default_ctx, default_geometry, ctx64):
     assert geom32.depth_hat > 0.0
     assert geom32.depth_hat >= lower_bound - 1e-9
     assert abs(geom32.depth_hat - DEPTH_REF_N32) <= 0.02 * DEPTH_REF_N32
-    geom64 = ff.well_depth(ctx64, n_starts=4, iters=400, rng=0)
+    geom64 = ff.well_depth(ctx64, iters=400)
     assert abs(geom64.depth_hat - DEPTH_REF_N64) <= 0.02 * DEPTH_REF_N64
     gap = abs(geom64.depth_hat - geom32.depth_hat) / geom32.depth_hat
     assert gap <= 0.02

@@ -1,7 +1,6 @@
 import ast
 import inspect
 import os
-import random
 import re
 import subprocess
 import sys
@@ -517,11 +516,6 @@ def test_blowup_scenario_inside_well_skips_audit(tmp_path, capsys):
     assert not (tmp_path / "out" / "audit.csv").exists()
 
 
-def _negated_depth(*args, **kwargs):
-    geom = ff.well_depth(*args, **kwargs)
-    return ff.WellGeometry(depth_hat=-geom.depth_hat, minimizer=geom.minimizer)
-
-
 def _thousandfold_embedding_constant(*args, **kwargs):
     return 1e3 * ff.estimate_embedding_constant(*args, **kwargs)
 
@@ -533,12 +527,11 @@ def _nehari_lambda_one_percent_long(u, ctx, tol):
 #: verdict name -> (config, overrides, monkeypatch of ``scenarios``) under
 #: which the verdict prints FAIL.  A config ending in .cfg is the shipped
 #: one, any other is the scenario's fast config.  No config fails
-#: depth_positive, depth_lower_bound or closed_form_match: those fail
-#: under a monkeypatch only
+#: depth_lower_bound or closed_form_match: those fail under a monkeypatch
+#: only
 VERDICT_CENSUS = {
     "assumptions": ("validate", {"exponents.s": 0.6}, None),
     "completed": ("geometry", {"geometry.tol": 1e-17}, None),
-    "depth_positive": ("geometry", {}, ("well_depth", _negated_depth)),
     "depth_lower_bound": ("geometry", {},
                           ("estimate_embedding_constant", _thousandfold_embedding_constant)),
     "invariance": ("well", {"initial.factor": 2.0}, None),
@@ -688,34 +681,6 @@ def test_no_run_imports_numpy_random(scenario, n_starts, tmp_path):
     assert "numpy.random" not in modules
 
 
-@pytest.mark.parametrize("n_starts", [1, 2, 3, 4, 5])
-def test_estimate_and_search_draw_their_starts_in_turn(n_starts, ctx16, monkeypatch):
-    # the estimate draws first from the seed, the depth search next, whether
-    # or not the estimate runs
-    seed = 11
-    gen = random.Random(seed)
-    k = max(n_starts - 2, 0)
-    draws = [np.array([gen.gauss(0.0, 1.0) for _ in range(ctx16.grid.n)])
-             for _ in range(2 * k)]
-    fixed = [ff.standard_bump(ctx16.grid).values, ff.first_sine_mode(ctx16.grid).values]
-    expected_estimate = (fixed + draws[:k])[:n_starts]
-    expected_search = (fixed + draws[k:])[:n_starts]
-
-    estimate = [u.values for u in scenarios._starts(ctx16.grid, n_starts, seed)]
-    searched = []
-
-    def search(ctx, n_starts, iters, tol, rng):
-        searched.extend(u.values for u in scenarios._starts(ctx.grid, n_starts, rng))
-
-    monkeypatch.setattr(scenarios, "well_depth", search)
-    cfg = default_config("well")
-    cfg.seed, cfg.geometry.n_starts = seed, n_starts
-    scenarios._geometry(cfg, ctx16)
-    for got, want in ((estimate, expected_estimate), (searched, expected_search)):
-        assert len(got) == n_starts
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
 #: prints OpenBLAS's thread count after ``import fracflow`` (None when no
 #: OpenBLAS symbol is found next to numpy), and whether the import left
 #: os.environ as it was
@@ -811,7 +776,7 @@ def test_table_writers_golden_text(tmp_path):
 
 
 def test_geometry_report_writes_files(tmp_path, ctx16):
-    geom = ff.well_depth(ctx16, n_starts=2, iters=50, rng=0)
+    geom = ff.well_depth(ctx16, iters=50)
     lam_hat = ff.estimate_embedding_constant(ctx16, n_starts=2, iters=50, rng=0)
     r_hat, lower_bound = ff.depth_lower_bound(lam_hat, ctx16.summary)
     text = ff.report.geometry_report(geom, lam_hat, r_hat, lower_bound, str(tmp_path))

@@ -1,5 +1,6 @@
 import importlib
 import math
+import os
 import tracemalloc
 import warnings
 from collections import Counter
@@ -8,14 +9,18 @@ import numpy as np
 import pytest
 
 import fracflow as ff
-from fracflow.energy import _norm_grad
+from fracflow import scenarios
+from fracflow.config import load_config
+from fracflow.energy import _norm_grad, _starts
 from fracflow.errors import ProjectionFailed, RootFindFailed, ZeroFunction
 from fracflow.modular import _log_root
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 @pytest.fixture(scope="module")
 def geom16(ctx16):
-    return ff.well_depth(ctx16, n_starts=4, iters=300, rng=0)
+    return ff.well_depth(ctx16, iters=300)
 
 
 def test_energy_zero(ctx16, grid16):
@@ -257,21 +262,52 @@ def test_well_depth_skips_embedding_constant(ctx16, monkeypatch):
         raise AssertionError("well_depth called estimate_embedding_constant")
 
     monkeypatch.setattr(energy_mod, "estimate_embedding_constant", forbidden)
-    geom = ff.well_depth(ctx16, n_starts=3, iters=20, rng=0)
+    geom = ff.well_depth(ctx16, iters=20)
     assert geom.depth_hat > 0.0
 
 
 def test_well_depth_without_descent_is_no_failed_descent(ctx16):
-    # iters = 0 asks for the projected starts only: nothing to warn about
+    # iters = 0 asks for the projected bump only: nothing to warn about
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        geom = ff.well_depth(ctx16, n_starts=2, iters=0, rng=0)
+        geom = ff.well_depth(ctx16, iters=0)
     assert geom.depth_hat > 0.0
+
+
+def test_searches_refuse_negative_iters(ctx16):
+    with pytest.raises(ValueError, match="iters must be nonnegative, got -3"):
+        ff.well_depth(ctx16, iters=-3)
+    with pytest.raises(ValueError, match="iters must be nonnegative, got -3"):
+        ff.estimate_embedding_constant(ctx16, 2, -3)
+
+
+@pytest.mark.parametrize("config, seeds", [
+    ("geometry.cfg", (0, 1, 2, 3)),
+    # a variable-exponent descent costs ~0.2 s, so one seed
+    ("well-variable.cfg", (0,)),
+], ids=["geometry", "well-variable"])
+def test_no_start_descends_below_the_bump(config, seeds, monkeypatch):
+    # the depth search starts from the bump alone; the sine mode and normal
+    # starts, each descended as the bump is, end no lower than roundoff
+    cfg = load_config(os.path.join(CONFIGS, config))
+    ctx = scenarios._context(cfg)
+    search = dict(iters=cfg.geometry.iters, tol=cfg.geometry.tol)
+    depth = ff.well_depth(ctx, **search).depth_hat
+    others = [ff.first_sine_mode(ctx.grid)]
+    for seed in seeds:
+        others += _starts(ctx.grid, 6, seed)[2:]
+    energy_mod = importlib.import_module("fracflow.energy")
+    used = []
+    for u0 in others:
+        monkeypatch.setattr(energy_mod, "standard_bump",
+                            lambda grid, u0=u0: used.append(u0) or u0)
+        assert ff.well_depth(ctx, **search).depth_hat >= depth * (1.0 - 1e-13)
+    assert used == others
 
 
 def test_well_depth_projects_no_trial_below_resolution(ctx16, monkeypatch):
     # every projection but the start's is a trial that is then evaluated,
-    # except the one per start that lands back on the current state
+    # except the one that lands back on the current state
     energy_mod = importlib.import_module("fracflow.energy")
     calls = Counter()
     for name in ("nehari_lambda", "energy"):
@@ -280,10 +316,9 @@ def test_well_depth_projects_no_trial_below_resolution(ctx16, monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(energy_mod, name, counted)
-    n_starts = 4
-    ff.well_depth(ctx16, n_starts=n_starts, iters=300, rng=0)
-    assert calls["energy"] > 10 * n_starts
-    assert calls["nehari_lambda"] <= calls["energy"] + n_starts
+    ff.well_depth(ctx16, iters=300)
+    assert calls["energy"] > 10
+    assert calls["nehari_lambda"] <= calls["energy"] + 1
 
 
 def test_norm_gradients_match_finite_differences(ctx16, grid16, rng):

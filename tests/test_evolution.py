@@ -16,7 +16,7 @@ from oracles import brute_apply, zero_extended
 
 @pytest.fixture(scope="module")
 def geom16(ctx16):
-    return ff.well_depth(ctx16, n_starts=4, iters=300, rng=0)
+    return ff.well_depth(ctx16, iters=300)
 
 
 def _control(**kw):
@@ -338,7 +338,7 @@ def test_audit_requires_negative_initial_energy(ctx16, geom16):
     u0 = geom16.minimizer.scaled(0.5)
     rec = ff.run(u0, _control(t_final=0.01), ctx16, geom16)
     assert rec.samples[0].energy >= 0.0
-    with pytest.raises(ValueError, match="negative energy"):
+    with pytest.raises(ff.AuditFailed, match=r"not run: E\(u0\) >= 0"):
         ff.blowup_inequality_audit(rec, ctx16.summary)
 
 

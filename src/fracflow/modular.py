@@ -6,7 +6,7 @@ for the Gagliardo case c_ij = |u_i - u_j|^p_ij k_ij w_i w_j over the pair
 table.  When the exponent is constant the terms are summed into one
 coefficient.  The corresponding norm is the unique lam > 0 at which the scaled
 modular equals 1 (zero for the zero function).  Grid functions hold finite
-values only, so every coefficient is a number; a zero one is dropped.
+values only, so every coefficient is a number; a zero one weighs 0.
 
 Norm and modular are linked by the standard envelope inequalities: with
 e- and e+ the extreme exponents, norm <= 1 implies norm**e+ <= modular <=
@@ -72,20 +72,19 @@ def conjugate_exponent_values(h, x):
     return hv / (hv - 1.0)
 
 
-def _lebesgue_powers(u, h):
-    """c_i = |u_i|^h_i w_i and h_i over the interior cells, for h > 1, and
-    the sum of c; a float h is taken as it is."""
+def _powers(u, h):
+    """c_i = |u_i|^h_i w_i over the interior cells and h, for h > 1: the
+    form ``exponent_values`` gives, a float h taken as it is."""
     hv = h if isinstance(h, float) else exponent_values(h, u.grid.interior_centers)
     h_min = hv if isinstance(hv, float) else float(hv.min())
     if h_min <= 1.0:
         raise ExponentOutOfRange("pointwise exponent must exceed 1; min is %g" % h_min)
-    c = np.abs(u.values) ** hv * u.grid.interior_widths
-    return c, hv, float(c.sum())
+    return np.abs(u.values) ** hv * u.grid.interior_widths, hv
 
 
 def lebesgue_modular(u, h):
     """Interval integral of |u(x)|^h(x), midpoint quadrature."""
-    return _lebesgue_powers(u, h)[2]
+    return float(_powers(u, h)[0].sum())
 
 
 def _log_power_sum(logc, e, t, out):
@@ -104,22 +103,34 @@ def _log_power_sum(logc, e, t, out):
 
 
 class _Terms:
-    """One side sum(c * lam**e) of a root-find, held as the coefficient
-    logs ``logc`` (-inf for a zero one) and exponents ``e``, and the least
-    and largest exponent of a nonzero coefficient, ``e_min`` and ``e_max``:
-    two floats for one term, as of a constant exponent, else 1-D arrays of
-    one shape with ``out``, a buffer of that shape for the power sums."""
+    """One side sum(c * lam**e) of a root-find, as ``of`` builds it: the
+    coefficient logs ``logc`` (-inf for a zero one) and exponents ``e``,
+    and the least and largest exponent of a nonzero coefficient, ``e_min``
+    and ``e_max``: two floats for one term, as of a constant exponent, else
+    1-D arrays of one shape with ``out``, a buffer of that shape for the
+    power sums."""
 
     def __init__(self, logc, e, e_min, e_max, out=None):
         self.logc, self.e, self.out = logc, e, out
         self.e_min, self.e_max = float(e_min), float(e_max)
 
     @classmethod
-    def one(cls, c, e):
-        """The side c * lam**e of the floats c >= 0 and e; no term for c = 0."""
-        if c > 0.0:
-            return cls(float(np.log(c)), e, e, e)
-        return cls(-math.inf, e, math.inf, -math.inf)
+    def of(cls, c, e, out=None):
+        """The side of the coefficients c >= 0 and exponents e.  A float e
+        makes the summed c one float term, none when it is 0.  An array e,
+        of c's shape, takes the logs of c in c's own buffer and keeps
+        ``out`` (a new buffer when None) for the power sums."""
+        if isinstance(e, float):
+            total = float(np.sum(c))
+            if total > 0.0:
+                return cls(float(np.log(total)), e, e, e)
+            return cls(-math.inf, e, math.inf, -math.inf)
+        kept = c > 0.0
+        bounds = e.min(where=kept, initial=np.inf), e.max(where=kept, initial=-np.inf)
+        with np.errstate(divide="ignore"):
+            np.log(c, out=c)
+        out = np.empty(e.shape) if out is None else out
+        return cls(c.reshape(-1), e.reshape(-1), *bounds, out.reshape(-1))
 
     def log_sum(self, t):
         """``_log_power_sum`` of the side at t = log(lam); one term is
@@ -130,15 +141,8 @@ class _Terms:
 
 
 def _lebesgue_side(u, h):
-    """The side sum(c * lam**h), c_i = |u_i|^h_i w_i: for a constant h one
-    term of the summed c, else the c > 0 and their exponents in new arrays."""
-    c, hv, total = _lebesgue_powers(u, h)
-    if isinstance(hv, float):
-        return _Terms.one(total, hv)
-    keep = c > 0.0
-    c, hv = c[keep], hv[keep]
-    bounds = hv.min(initial=np.inf), hv.max(initial=-np.inf)
-    return _Terms(np.log(c), hv, *bounds, np.empty(hv.shape))
+    """The side sum(c * lam**h), c_i = |u_i|^h_i w_i."""
+    return _Terms.of(*_powers(u, h))
 
 
 def _log_root(p, q, ftol, max_evals=MAX_EVALS):
@@ -183,7 +187,7 @@ def _log_root(p, q, ftol, max_evals=MAX_EVALS):
 
 
 #: the side 1 * lam**0 that a norm's modular is set equal to
-_UNIT = _Terms.one(1.0, 0.0)
+_UNIT = _Terms.of(1.0, 0.0)
 
 
 def _norm(side, tol):

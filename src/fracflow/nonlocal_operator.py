@@ -232,7 +232,7 @@ class OperatorContext:
         """t_ij k_ij w_i w_j in place, doubled on exterior columns."""
         t *= self.row_w
         t *= self._row_f[:, None]
-        t[:, self.grid.n:] *= 2.0
+        t *= self._col_f
         return t
 
     # -- pair reductions ----------------------------------------------------
@@ -311,14 +311,9 @@ class OperatorContext:
         made.  ``vals`` are a grid function's values, finite, so no
         coefficient is nan.
         """
-        if isinstance(self.P, float):
-            return _Terms.one(self._pair_sum(self._abs_pow(vals)), self.P)
-        c, e = self._pair_weighted(self._abs_pow(vals)), self.P
-        kept = c > 0.0
-        bounds = e.min(where=kept, initial=np.inf), e.max(where=kept, initial=-np.inf)
-        with np.errstate(divide="ignore"):
-            np.log(c, out=c)
-        return _Terms(c.reshape(-1), e.reshape(-1), *bounds, self._b.reshape(-1))
+        t = self._abs_pow(vals)
+        c = self._pair_sum(t) if isinstance(self.P, float) else self._pair_weighted(t)
+        return _Terms.of(c, self.P, self._b)
 
     def sp_grad_interior(self, vals):
         """Measure-weighted gradient of sum |du|^p k w w on interior cells:

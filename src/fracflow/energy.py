@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .grid import GridFunction, l2_norm
-from .modular import EPS, _lebesgue_side, _log_root, gagliardo_seminorm, luxemburg_norm
+from .modular import (EPS, _in_range, _lebesgue_side, _log_root, gagliardo_seminorm,
+                      luxemburg_norm)
 
 __all__ = [
     "EnergyReport",
@@ -118,15 +119,17 @@ def nehari_lambda(u, ctx, tol=1e-9):
     I(lam*u) = 0, that is sum cp lam^ep = sum cq lam^eq for the pair side
     p and the reaction side q, unique because the p-exponents all lie below
     the q-exponents.  ``_log_root`` finds t = log(lam) to a relative
-    residual of a few float eps.  Raises ZeroFunction for u == 0,
-    RootFindFailed when the root-find fails (as when |u|^q underflows on
-    every cell), and ProjectionFailed when the relative residual at t
-    exceeds ``tol``; u is a grid function, finite, so no term is nan."""
+    residual of a few float eps, from the sides of ``_in_range``'s
+    u * 2**-k, so no finite u overflows or underflows them; lam scales
+    back by 2**-k.  Raises ZeroFunction for u == 0, RootFindFailed when
+    the root-find fails, and ProjectionFailed when the relative residual
+    at t exceeds ``tol``; u is a grid function, finite, so no term is nan."""
     ctx._check_function(u)
     if not np.any(u.values != 0.0):
         raise ZeroFunction("the zero function admits no manifold scaling")
-    p = ctx.pair_coeffs(u.values)
-    q = _lebesgue_side(u, ctx.q_interior)
+    v, k = _in_range(u, ctx.P, ctx.q_interior)
+    p = ctx.pair_coeffs(v.values)
+    q = _lebesgue_side(v, ctx.q_interior)
     t, _, _ = _log_root(p, q, 4.0 * EPS)
     # |rho_sp - rho_q| / (rho_sp + rho_q) from the logs of both parts
     resid = math.tanh(0.5 * abs(p.log_sum(t)[0] - q.log_sum(t)[0]))
@@ -134,7 +137,7 @@ def nehari_lambda(u, ctx, tol=1e-9):
         raise ProjectionFailed(
             "manifold projection relative residual %g exceeds %g" % (resid, tol)
         )
-    return float(np.exp(t))
+    return math.ldexp(float(np.exp(t)), -k)
 
 
 # --- norm gradients (Euler's identity on the unit-modular root) -----------
@@ -301,12 +304,14 @@ def well_depth(ctx, iters, tol=1e-9):
     return WellGeometry(depth_hat=float(e), minimizer=w)
 
 
-def _well_class(u, rep, depth_hat, tol=1e-9):
-    """Position of u, whose energy report is ``rep``, relative to the well;
-    the zero state belongs to the well by definition."""
-    if not np.any(u.values != 0.0):
-        return IN_WELL
+def _well_class(rep, depth_hat, tol=1e-9):
+    """Position of the state whose energy report is ``rep`` relative to the
+    well.  The zero state belongs to the well by definition, and so does a
+    state whose two modulars underflow: by (a3) q- > p+, so rho_q << rho_sp
+    once either is that small."""
     scale = rep.gagliardo_modular + rep.q_modular
+    if scale == 0.0:
+        return IN_WELL
     if abs(rep.nehari) <= tol * scale:
         return ON_NEHARI
     if rep.energy >= depth_hat:
@@ -316,5 +321,6 @@ def _well_class(u, rep, depth_hat, tol=1e-9):
 
 def classify(u, geometry, ctx, tol=1e-9):
     """Place a state relative to the well: InWell, InExterior, OnNehari, or
-    AboveWell.  The zero state belongs to the well by definition."""
-    return _well_class(u, energy(u, ctx), geometry.depth_hat, tol)
+    AboveWell.  The zero state, and a state whose modulars both underflow,
+    belong to the well."""
+    return _well_class(energy(u, ctx), geometry.depth_hat, tol)

@@ -242,7 +242,7 @@ def _sample_from(state, geometry, r_vals, dt, residual):
         lux_r=lux,
         modular_sp=rep.gagliardo_modular,
         modular_q=rep.q_modular,
-        well_class=_well_class(state.u, rep, geometry.depth_hat),
+        well_class=_well_class(rep, geometry.depth_hat),
         residual=residual,
         grad_l2=l2_norm(state.grad),
     )

@@ -20,6 +20,12 @@ steps in t, for every norm here and for the manifold scaling in
 when constant, else an array.  A float exponent's side is its one
 coefficient as a float term, so its root-find takes two evaluations and no
 array operation; arrays hold variable exponents only.
+
+Each root-find builds its sides from u * 2**-k, k the binary exponent of
+max|u|, when the largest exponent e_max of the sides has e_max * |k| >
+512, so |u|**e stays in the float range for any finite u; the results
+scale back exactly by powers of two (``_in_range``).  Within that window
+k = 0 and a state's sides are built from u itself.
 """
 
 import math
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExponentOutOfRange, RootFindFailed
+from .grid import GridFunction
 
 __all__ = [
     "ModularReport",
@@ -42,6 +49,8 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 MAX_EVALS = 100
 EPS = float(np.finfo(float).eps)
+#: log of the largest float: exp of anything above it overflows
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -190,10 +199,22 @@ def _log_root(p, q, ftol, max_evals=MAX_EVALS):
 _UNIT = _Terms.of(1.0, 0.0)
 
 
-def _norm(side, tol):
+def _in_range(u, *exponents):
+    """(u * 2**-k, k), k the binary exponent of max|u|, when the largest
+    of the ``exponents`` times |k| exceeds 512, else (u, 0): the state whose
+    sides a root-find builds.  The scaling by a power of two is exact."""
+    k = math.frexp(float(np.max(np.abs(u.values))))[1]
+    if max(float(np.max(e)) for e in exponents) * abs(k) <= 512:
+        return u, 0
+    return GridFunction(u.grid, np.ldexp(u.values, -k)), k
+
+
+def _norm(side, tol, k=0):
     """ModularReport for the lam with sum(c * lam**-e) = 1 * lam**0, to
-    |modular - 1| <= tol, for the ``_Terms`` side sum(c * lam**e); norm 0
-    when no coefficient is positive.  The modular is the side's value at 1.
+    |modular - 1| <= tol, for the ``_Terms`` side sum(c * lam**e) of
+    u * 2**-k; norm 0 when no coefficient is positive.  The norm of u and
+    its bracket are those of the side times 2**k, and the modular of u is
+    the side's value at 2**k, inf past the float range.
 
     The root is ``_log_root``'s in -t = log(1/lam), where the side is
     sum(c * lam**e) itself; negation is exact, so its iterates are those
@@ -204,8 +225,10 @@ def _norm(side, tol):
     if side.e_min > side.e_max:
         return ModularReport(0.0, 0.0, 0, (0.0, 0.0))
     s, evals, (lo, hi) = _log_root(_UNIT, side, math.log1p(tol))
-    modular = math.exp(side.log_sum(0.0)[0])
-    return ModularReport(modular, math.exp(-s), evals, (math.exp(-hi), math.exp(-lo)))
+    log_modular = side.log_sum(k * math.log(2.0))[0]
+    modular = math.exp(log_modular) if log_modular <= LOG_MAX else math.inf
+    norm, lo, hi = (math.ldexp(math.exp(-x), k) for x in (s, hi, lo))
+    return ModularReport(modular, norm, evals, (lo, hi))
 
 
 def luxemburg_norm(u, h, tol=DEFAULT_TOL):
@@ -214,7 +237,9 @@ def luxemburg_norm(u, h, tol=DEFAULT_TOL):
     Returns the norm together with the plain modular of u and the root-find
     diagnostics; the zero function short-circuits to norm 0.
     """
-    return _norm(_lebesgue_side(u, h), tol)
+    hv = exponent_values(h, u.grid.interior_centers)
+    v, k = _in_range(u, hv)
+    return _norm(_lebesgue_side(v, hv), tol, k)
 
 
 def gagliardo_modular(u, ctx):
@@ -228,4 +253,5 @@ def gagliardo_seminorm(u, ctx, tol=DEFAULT_TOL):
     """Gagliardo-Slobodetskii seminorm: the unit-modular scaling of the
     two-point modular."""
     ctx._check_function(u)
-    return _norm(ctx.pair_coeffs(u.values), tol)
+    v, k = _in_range(u, ctx.P)
+    return _norm(ctx.pair_coeffs(v.values), tol, k)

@@ -252,8 +252,10 @@ def test_overflowing_initial_factor_is_a_failed_verdict(tmp_path, capsys):
 
 
 def test_unformable_probe_norm_is_a_failed_verdict(tmp_path, capsys):
-    # the start's energy is finite, but |u|^8 overflows in the first
-    # sample's probe-space norm, whose root-find then fails
+    # |u|^8 of the start overflows, but the probe-space norm builds its side
+    # from the state scaled by a power of two, so every sample's norm forms:
+    # the run completes, and fails only the verdicts of a start that lies
+    # outside the well
     with open(os.path.join(CONFIGS, "well.cfg")) as fh:
         text = fh.read()
     for key, val in (("probe.value", "8.0"), ("initial.kind", "bump"),
@@ -268,9 +270,14 @@ def test_unformable_probe_norm_is_a_failed_verdict(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1 and captured.err == ""
     lines = captured.out.splitlines()
-    assert lines[-2].startswith("completed: FAIL (RootFindFailed: ")
+    assert lines[0] == "termination: BlowUpCapHit"
+    assert lines[1].startswith("invariance: FAIL") and lines[2].startswith("decay: FAIL")
     assert lines[-1] == "scenario well: FAIL"
     assert (out_dir / "summary.txt").read_text() == captured.out
+    bump = ff.standard_bump(build_grid_from(load_config(str(cfgpath))))
+    first = (out_dir / "trajectory.csv").read_text().splitlines()[1].split(",")
+    assert float(first[6]) == pytest.approx(1e50 * ff.luxemburg_norm(bump, 8.0).luxemburg_norm,
+                                            rel=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(f[:-4] for f in os.listdir(CONFIGS) if f.endswith(".cfg")))
@@ -664,16 +671,18 @@ def _imported(argv, cwd):
 
 
 @pytest.mark.parametrize("scenario, n_starts", [
-    (None, None), ("well", 1), ("well", 2), ("well", 3), ("geometry", 3), ("nehari-sweep", 2),
-], ids=["import", "one-start", "two-starts", "three-starts", "geometry", "nehari-sweep"])
+    (None, None), ("well", None), ("geometry", 3), ("nehari-sweep", 2),
+], ids=["import", "well", "geometry", "nehari-sweep"])
 def test_no_run_imports_numpy_random(scenario, n_starts, tmp_path):
     # random starts come from the stdlib generator, which numpy's own import
-    # loads; importing numpy.random costs a fresh process about 5 MB
+    # loads; importing numpy.random costs a fresh process about 5 MB.  The
+    # well run draws no start, so its n_starts is left as it is
     if scenario is None:
         modules, _ = _imported(["-c", "import fracflow"], tmp_path)
     else:
         cfgpath = tmp_path / "run.cfg"
-        _write_fast_config(cfgpath, scenario, **{"geometry.n_starts": n_starts})
+        overrides = {} if n_starts is None else {"geometry.n_starts": n_starts}
+        _write_fast_config(cfgpath, scenario, **overrides)
         modules, out = _imported(["-m", "fracflow", scenario, "--config", str(cfgpath),
                                   "--out", "out"], tmp_path)
         assert "scenario %s: " % scenario in out

@@ -13,7 +13,7 @@ from fracflow import scenarios
 from fracflow.config import load_config
 from fracflow.energy import _norm_grad, _starts
 from fracflow.errors import ProjectionFailed, RootFindFailed, ZeroFunction
-from fracflow.modular import _log_root
+from fracflow.modular import EPS, _log_root
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -152,10 +152,18 @@ def test_nehari_lambda_rejects_zero(ctx16, grid16):
 
 @pytest.mark.parametrize("name", ["ctx16", "ctx16_var"])
 def test_nehari_lambda_with_an_empty_side_is_a_failed_root_find(name, grid16, request):
-    # |u|^q underflows to 0 on every cell: the reaction side has no term
+    from fracflow.modular import _lebesgue_side
+
+    # |u|^q of the 1e-120 bump underflows to 0 on every cell, but its sides
+    # are built from the bump scaled by a power of two, so neither is empty
+    # and lam scales exactly; a side with no term still fails the root-find
     ctx = request.getfixturevalue(name)
+    bump = ff.standard_bump(grid16)
+    lam = ff.nehari_lambda(bump, ctx)
+    assert ff.nehari_lambda(bump.scaled(1e-120), ctx) == pytest.approx(1e120 * lam, rel=1e-9)
+    empty = _lebesgue_side(ff.GridFunction.zeros(grid16), ctx.q_interior)
     with pytest.raises(RootFindFailed, match="no positive term"):
-        ff.nehari_lambda(ff.standard_bump(grid16).scaled(1e-120), ctx)
+        _log_root(ctx.pair_coeffs(bump.values), empty, 4.0 * EPS)
 
 
 def test_nehari_lambda_residual_raises_typed_error(ctx16, grid16, rng, monkeypatch):
@@ -397,3 +405,14 @@ def test_classify_well_positions(geom16, ctx16, grid16):
     rep = ff.energy(above, ctx16)
     assert rep.energy >= geom16.depth_hat
     assert ff.classify(above, geom16, ctx16) == ff.ABOVE_WELL
+
+
+def test_classify_puts_underflowing_states_in_the_well(geom16, ctx16, grid16):
+    # rho_q of each state underflows to 0; rho_sp is a subnormal at 1e-160
+    # and 0 from 1e-165 on, where both modulars vanish and I = 0 exactly
+    bump = ff.standard_bump(grid16)
+    for c in (1e-160, 1e-165, 1e-200):
+        u = bump.scaled(c)
+        rep = ff.energy(u, ctx16)
+        assert rep.q_modular == 0.0 and (rep.gagliardo_modular > 0.0) == (c == 1e-160)
+        assert ff.classify(u, geom16, ctx16) == ff.IN_WELL

@@ -189,19 +189,22 @@ def test_seminorm_envelopes_variable_exponent(ctx16_var, grid16, rng):
 
 
 def test_norms_scale_exactly_far_from_unit(ctx16, ctx16_var, grid16, rng):
-    # norms are 1-homogeneous; the log-scale root-find has no overflow
-    # cliff between 1e-40 and 1e40
+    # norms are 1-homogeneous and the manifold scaling is (-1)-homogeneous
+    # for every finite state: far from 1 the sides are built from the
+    # state scaled by a power of two, so no |u|^e overflows or underflows
     u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
     norms = [
-        lambda v: ff.luxemburg_norm(v, 3.0),
-        lambda v: ff.luxemburg_norm(v, lambda x: 2.0 + x**2),
-        lambda v: ff.gagliardo_seminorm(v, ctx16),
-        lambda v: ff.gagliardo_seminorm(v, ctx16_var),
+        lambda v: ff.luxemburg_norm(v, 3.0).luxemburg_norm,
+        lambda v: ff.luxemburg_norm(v, lambda x: 2.0 + x**2).luxemburg_norm,
+        lambda v: ff.gagliardo_seminorm(v, ctx16).luxemburg_norm,
+        lambda v: ff.gagliardo_seminorm(v, ctx16_var).luxemburg_norm,
+        lambda v: 1.0 / ff.nehari_lambda(v, ctx16),
+        lambda v: 1.0 / ff.nehari_lambda(v, ctx16_var),
     ]
     for norm in norms:
-        base = norm(u).luxemburg_norm
-        for c in (1e-40, 1e40):
-            assert norm(u.scaled(c)).luxemburg_norm == pytest.approx(c * base, rel=1e-9)
+        base = norm(u)
+        for c in (1e-300, 1e-200, 1e-160, 1e-120, 1e-40, 1e40, 1e100, 1e200, 1e300):
+            assert norm(u.scaled(c)) == pytest.approx(c * base, rel=1e-9)
 
 
 def test_root_find_failure_is_typed(grid16, rng):
@@ -211,11 +214,13 @@ def test_root_find_failure_is_typed(grid16, rng):
     with pytest.raises(RootFindFailed, match="within 1 evaluations"):
         _unit_root(side, 1e-10, max_evals=1)
     assert _unit_root(side, 1e-10)[1] <= 8
-    # |u|^3 overflows: the bracket from lam = 1 is not finite
-    huge = ff.GridFunction(grid16, 1e200 * np.ones(grid16.n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RootFindFailed, match="not finite"):
-            ff.luxemburg_norm(huge, 3.0)
+    # |u|^3 would overflow, but the side is built from u * 2**-k: the norm
+    # of 1e200 on (-1, 1) is 1e200 * 2**(1/3), and only the modular 2e600
+    # is past the float range
+    huge = ff.luxemburg_norm(ff.GridFunction(grid16, 1e200 * np.ones(grid16.n)), 3.0)
+    assert huge.luxemburg_norm == pytest.approx(1e200 * 2.0 ** (1.0 / 3.0), rel=1e-12)
+    assert huge.bracket[0] <= huge.luxemburg_norm <= huge.bracket[1]
+    assert huge.modular_value == math.inf
 
 
 def _bits(pair):

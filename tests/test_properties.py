@@ -60,4 +60,11 @@ def test_modular_zero_iff_norm_zero(data):
     grid = ff.Grid(ff.Domain(-1.0, 1.0, 1.0), 16, 2)
     u = ff.GridFunction(grid, np.asarray(data))
     rep = ff.luxemburg_norm(u, 2.5)
-    assert (rep.modular_value == 0.0) == (rep.luxemburg_norm == 0.0)
+    # norm 0 iff u = 0: the modular of a tiny u may underflow to 0, but its
+    # norm, at least max|u| * w**(1/2.5), does not while max|u| is a normal
+    # float; below that the norm itself may round to 0
+    top = float(np.max(np.abs(u.values)))
+    if top == 0.0:
+        assert rep.luxemburg_norm == 0.0 == rep.modular_value
+    elif top >= np.finfo(float).tiny:
+        assert rep.luxemburg_norm > 0.0

@@ -69,6 +69,8 @@ def exponent_values(h, x):
     """A pointwise exponent (callable, array, or scalar) at x, in the one
     form the norms take: a float when h takes one value at x, else the
     float array of its values.  An array not of x's shape raises ValueError."""
+    if isinstance(h, float):
+        return float(h)
     vals = np.asarray(h(x) if callable(h) else h, dtype=float)
     if vals.ndim and vals.shape != np.shape(x):
         raise ValueError("exponent array shape %r does not match points" % (vals.shape,))
@@ -81,19 +83,18 @@ def conjugate_exponent_values(h, x):
     return hv / (hv - 1.0)
 
 
-def _powers(u, h):
-    """c_i = |u_i|^h_i w_i over the interior cells and h, for h > 1: the
-    form ``exponent_values`` gives, a float h taken as it is."""
-    hv = h if isinstance(h, float) else exponent_values(h, u.grid.interior_centers)
+def _powers(u, hv):
+    """c_i = |u_i|^h_i w_i over the interior cells, for an exponent hv > 1
+    in the form ``exponent_values`` gives."""
     h_min = hv if isinstance(hv, float) else float(hv.min())
     if h_min <= 1.0:
         raise ExponentOutOfRange("pointwise exponent must exceed 1; min is %g" % h_min)
-    return np.abs(u.values) ** hv * u.grid.interior_widths, hv
+    return np.abs(u.values) ** hv * u.grid.interior_widths
 
 
 def lebesgue_modular(u, h):
     """Interval integral of |u(x)|^h(x), midpoint quadrature."""
-    return float(_powers(u, h)[0].sum())
+    return float(_powers(u, exponent_values(h, u.grid.interior_centers)).sum())
 
 
 def _log_power_sum(logc, e, t, out):
@@ -130,7 +131,7 @@ class _Terms:
         of c's shape, takes the logs of c in c's own buffer and keeps
         ``out`` (a new buffer when None) for the power sums."""
         if isinstance(e, float):
-            total = float(np.sum(c))
+            total = float(c.sum()) if isinstance(c, np.ndarray) else c
             if total > 0.0:
                 return cls(float(np.log(total)), e, e, e)
             return cls(-math.inf, e, math.inf, -math.inf)
@@ -151,7 +152,8 @@ class _Terms:
 
 def _lebesgue_side(u, h):
     """The side sum(c * lam**h), c_i = |u_i|^h_i w_i."""
-    return _Terms.of(*_powers(u, h))
+    hv = exponent_values(h, u.grid.interior_centers)
+    return _Terms.of(_powers(u, hv), hv)
 
 
 def _log_root(p, q, ftol, max_evals=MAX_EVALS):
@@ -203,8 +205,8 @@ def _in_range(u, *exponents):
     """(u * 2**-k, k), k the binary exponent of max|u|, when the largest
     of the ``exponents`` times |k| exceeds 512, else (u, 0): the state whose
     sides a root-find builds.  The scaling by a power of two is exact."""
-    k = math.frexp(float(np.max(np.abs(u.values))))[1]
-    if max(float(np.max(e)) for e in exponents) * abs(k) <= 512:
+    k = math.frexp(float(np.abs(u.values).max()))[1]
+    if max(e if isinstance(e, float) else float(e.max()) for e in exponents) * abs(k) <= 512:
         return u, 0
     return GridFunction(u.grid, np.ldexp(u.values, -k)), k
 
@@ -239,7 +241,7 @@ def luxemburg_norm(u, h, tol=DEFAULT_TOL):
     """
     hv = exponent_values(h, u.grid.interior_centers)
     v, k = _in_range(u, hv)
-    return _norm(_lebesgue_side(v, hv), tol, k)
+    return _norm(_Terms.of(_powers(v, hv), hv), tol, k)
 
 
 def gagliardo_modular(u, ctx):

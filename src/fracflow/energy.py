@@ -121,7 +121,7 @@ def nehari_lambda(u, ctx, tol=1e-9):
     the q-exponents.  ``_log_root`` finds t = log(lam) to a relative
     residual of a few float eps, from the sides of ``_in_range``'s
     u * 2**-k, so no finite u overflows or underflows them; lam scales
-    back by 2**-k.  Raises ZeroFunction for u == 0, RootFindFailed when
+    back by 2**-k, inf past the float range.  Raises ZeroFunction for u == 0, RootFindFailed when
     the root-find fails, and ProjectionFailed when the relative residual
     at t exceeds ``tol``; u is a grid function, finite, so no term is nan."""
     ctx._check_function(u)
@@ -137,7 +137,8 @@ def nehari_lambda(u, ctx, tol=1e-9):
         raise ProjectionFailed(
             "manifold projection relative residual %g exceeds %g" % (resid, tol)
         )
-    return math.ldexp(float(np.exp(t)), -k)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.exp(t), -k))
 
 
 # --- norm gradients (Euler's identity on the unit-modular root) -----------

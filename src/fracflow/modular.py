@@ -216,7 +216,7 @@ def _norm(side, tol, k=0):
     |modular - 1| <= tol, for the ``_Terms`` side sum(c * lam**e) of
     u * 2**-k; norm 0 when no coefficient is positive.  The norm of u and
     its bracket are those of the side times 2**k, and the modular of u is
-    the side's value at 2**k, inf past the float range.
+    the side's value at 2**k; each is inf past the float range.
 
     The root is ``_log_root``'s in -t = log(1/lam), where the side is
     sum(c * lam**e) itself; negation is exact, so its iterates are those
@@ -229,7 +229,8 @@ def _norm(side, tol, k=0):
     s, evals, (lo, hi) = _log_root(_UNIT, side, math.log1p(tol))
     log_modular = side.log_sum(k * math.log(2.0))[0]
     modular = math.exp(log_modular) if log_modular <= LOG_MAX else math.inf
-    norm, lo, hi = (math.ldexp(math.exp(-x), k) for x in (s, hi, lo))
+    with np.errstate(over="ignore"):
+        norm, lo, hi = (float(np.ldexp(math.exp(-x), k)) for x in (s, hi, lo))
     return ModularReport(modular, norm, evals, (lo, hi))
 
 

@@ -221,6 +221,9 @@ def test_root_find_failure_is_typed(grid16, rng):
     assert huge.luxemburg_norm == pytest.approx(1e200 * 2.0 ** (1.0 / 3.0), rel=1e-12)
     assert huge.bracket[0] <= huge.luxemburg_norm <= huge.bracket[1]
     assert huge.modular_value == math.inf
+    # a norm past the float range reads inf, as the modular does
+    top = ff.GridFunction(grid16, np.full(grid16.n, 1.5e308))
+    assert ff.luxemburg_norm(top, 3.0).luxemburg_norm == math.inf
 
 
 def _bits(pair):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoDescentProgress, ProjectionFailed, ZeroFunction
 from .grid import GridFunction, l2_norm
-from .modular import (EPS, _in_range, _lebesgue_side, _log_root, gagliardo_seminorm,
+from .modular import (EPS, _in_range, _lebesgue_side, _log_root, _or_inf, gagliardo_seminorm,
                       luxemburg_norm)
 
 __all__ = [
@@ -137,8 +137,7 @@ def nehari_lambda(u, ctx, tol=1e-9):
         raise ProjectionFailed(
             "manifold projection relative residual %g exceeds %g" % (resid, tol)
         )
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.exp(t), -k))
+    return _or_inf(math.ldexp, float(np.exp(t)), -k)
 
 
 # --- norm gradients (Euler's identity on the unit-modular root) -----------

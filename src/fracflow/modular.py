@@ -25,7 +25,9 @@ Each root-find builds its sides from u * 2**-k, k the binary exponent of
 max|u|, when the largest exponent e_max of the sides has e_max * |k| >
 512, so |u|**e stays in the float range for any finite u; the results
 scale back exactly by powers of two (``_in_range``).  Within that window
-k = 0 and a state's sides are built from u itself.
+k = 0 and the sides are u's own, bit for bit: scaling every state would
+move lam of a state on the manifold off exactly 1, and the depth search
+stops on a bitwise comparison of projected states.
 """
 
 import math
@@ -49,8 +51,6 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 MAX_EVALS = 100
 EPS = float(np.finfo(float).eps)
-#: log of the largest float: exp of anything above it overflows
-LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -211,6 +211,14 @@ def _in_range(u, *exponents):
     return GridFunction(u.grid, np.ldexp(u.values, -k)), k
 
 
+def _or_inf(f, *args):
+    """f(*args), or inf where it overflows the float range."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 def _norm(side, tol, k=0):
     """ModularReport for the lam with sum(c * lam**-e) = 1 * lam**0, to
     |modular - 1| <= tol, for the ``_Terms`` side sum(c * lam**e) of
@@ -227,10 +235,8 @@ def _norm(side, tol, k=0):
     if side.e_min > side.e_max:
         return ModularReport(0.0, 0.0, 0, (0.0, 0.0))
     s, evals, (lo, hi) = _log_root(_UNIT, side, math.log1p(tol))
-    log_modular = side.log_sum(k * math.log(2.0))[0]
-    modular = math.exp(log_modular) if log_modular <= LOG_MAX else math.inf
-    with np.errstate(over="ignore"):
-        norm, lo, hi = (float(np.ldexp(math.exp(-x), k)) for x in (s, hi, lo))
+    modular = _or_inf(math.exp, side.log_sum(k * math.log(2.0))[0])
+    norm, lo, hi = (_or_inf(math.ldexp, math.exp(-x), k) for x in (s, hi, lo))
     return ModularReport(modular, norm, evals, (lo, hi))
 
 

@@ -671,18 +671,17 @@ def _imported(argv, cwd):
 
 
 @pytest.mark.parametrize("scenario, n_starts", [
-    (None, None), ("well", None), ("geometry", 3), ("nehari-sweep", 2),
-], ids=["import", "well", "geometry", "nehari-sweep"])
+    (None, None), ("well", 1), ("well", 2), ("well", 3), ("geometry", 3), ("nehari-sweep", 2),
+], ids=["import", "one-start", "two-starts", "three-starts", "geometry", "nehari-sweep"])
 def test_no_run_imports_numpy_random(scenario, n_starts, tmp_path):
     # random starts come from the stdlib generator, which numpy's own import
     # loads; importing numpy.random costs a fresh process about 5 MB.  The
-    # well run draws no start, so its n_starts is left as it is
+    # well run draws no start whatever geometry.n_starts reads
     if scenario is None:
         modules, _ = _imported(["-c", "import fracflow"], tmp_path)
     else:
         cfgpath = tmp_path / "run.cfg"
-        overrides = {} if n_starts is None else {"geometry.n_starts": n_starts}
-        _write_fast_config(cfgpath, scenario, **overrides)
+        _write_fast_config(cfgpath, scenario, **{"geometry.n_starts": n_starts})
         modules, out = _imported(["-m", "fracflow", scenario, "--config", str(cfgpath),
                                   "--out", "out"], tmp_path)
         assert "scenario %s: " % scenario in out

@@ -29,18 +29,18 @@ record = ff.run(u0, control, ctx, geom, r_probe=2.0)
 audit = ff.blowup_inequality_audit(record, ctx.summary)
 print("termination:", record.termination)
 print("cap hit at t = %.6f after %d accepted steps"
-      % (record.t_max_estimate, len(record.samples) - 1))
+      % (record.samples[-1].t, len(record.samples) - 1))
 print("blow-up time extrapolated from the rate constant: %.6f"
       % audit.t_max_extrapolated)
 
 phis = record.column("phi")
 print("phi monotone increasing:", bool(np.all(np.diff(phis) > 0)))
-print("exterior invariant:", ff.exterior_invariance_check(record))
+print("exterior invariant:", {s.well_class for s in record.samples} == {ff.IN_EXTERIOR})
 
-print("\n== inequality audit over %d steps ==" % len(audit.rows))
+print("\n== inequality audit over %d steps ==" % len(audit.t))
 print("worst identity gap / step tolerance: %.3f (must stay <= 1)"
-      % max(r.identity_gap / r.tol for r in audit.rows))
-print("smallest bound margin:   %.3e" % min(r.bound_margin for r in audit.rows))
+      % np.max(audit.identity_gap / audit.tol))
+print("smallest bound margin:   %.3e" % np.min(audit.bound_margin))
 print("phi exceeds 1 from t = %.4f" % audit.first_t_phi_above_one)
 print("measured rate constant:  %.6f" % audit.rate_constant)
 
@@ -57,9 +57,8 @@ try:
     axes[0].axvline(audit.t_max_extrapolated, color="crimson", ls="--", lw=0.8,
                     label="extrapolated blow-up time")
     axes[0].legend()
-    rows_t = [r.t for r in audit.rows]
-    axes[1].semilogy(rows_t, [r.phi_prime for r in audit.rows], label="phi'")
-    axes[1].semilogy(rows_t, [max(r.phi_prime - r.bound_margin, 1e-300) for r in audit.rows],
+    axes[1].semilogy(audit.t, audit.phi_prime, label="phi'")
+    axes[1].semilogy(audit.t, np.maximum(audit.phi_prime - audit.bound_margin, 1e-300),
                      "--", label="affine lower bound")
     axes[1].set_xlabel("t")
     axes[1].legend()

@@ -99,7 +99,6 @@ from .evolution import (
     StepControl,
     TrajectoryRecord,
     blowup_inequality_audit,
-    exterior_invariance_check,
     make_state,
     run,
     step_explicit,

@@ -17,18 +17,17 @@ first with the Jacobian of the trial that made the state.
 Along the run the engine records, per accepted step, the energy balance
 residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
 probe-space norm, and the state's position relative to the potential well;
-crossing the blow-up cap on the L^2 norm terminates the run with a
-finite-time estimate, while a float overflow before the cap terminates it
-as NonFinite, without one: the updated values are refused by
-``GridFunction``, or the state's energy by ``make_state``.
+crossing the blow-up cap on the L^2 norm terminates the run, and the last
+sample's time estimates the blow-up time, while a float overflow before
+the cap terminates it as NonFinite, without one: the updated values are
+refused by ``GridFunction``, or the state's energy by ``make_state``.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import IN_EXTERIOR, _reaction, _well_class, energy, energy_gradient
+from .energy import _reaction, _well_class, energy, energy_gradient
 from .errors import AuditFailed, InnerSolveStalled, NonFinite
 from .grid import GridFunction, l2_norm
 from .modular import EPS, exponent_values, luxemburg_norm
@@ -38,14 +37,12 @@ __all__ = [
     "SimState",
     "Sample",
     "TrajectoryRecord",
-    "AuditRow",
     "AuditResult",
     "make_state",
     "step_explicit",
     "step_imex",
     "run",
     "blowup_inequality_audit",
-    "exterior_invariance_check",
     "REACHED_FINAL_TIME",
     "BLOWUP_CAP_HIT",
     "STEP_UNDERFLOW",
@@ -130,7 +127,6 @@ class Sample:
 class TrajectoryRecord:
     samples: list
     termination: str
-    t_max_estimate: float = None
 
     def column(self, name):
         return np.array([getattr(s, name) for s in self.samples])
@@ -254,24 +250,27 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
     Steps until the final time, the blow-up cap, a non-finite step (float
     overflow before the cap), step underflow, or the step budget; an
     initial state whose energy overflows raises NonFinite from
-    ``make_state``, and a sample whose probe norm overflows raises
-    RootFindFailed.  Rejected steps halve dt and are not recorded.  The
-    returned record holds one sample per accepted step plus the initial
-    state; the probe exponent ``r_probe`` of its ``lux_r`` column is
-    evaluated once per run, to a float when constant.  The blow-up
-    analysis of the record is ``blowup_inequality_audit``.
+    ``make_state``.  A sample's norm past the float range reads inf; the
+    errstate around the loop keeps the gradient's ``l2_norm``, whose
+    squares overflow on a huge state, from warning.  Rejected steps halve
+    dt and are not recorded.  The returned record holds one sample per
+    accepted step plus the initial state; the probe exponent ``r_probe``
+    of its ``lux_r`` column is evaluated once per run, to a float when
+    constant.  At the blow-up cap, the last sample's t is the blow-up time
+    estimate.  The blow-up analysis of the record is
+    ``blowup_inequality_audit``.
     """
     ctx._check_function(u0)
     r_vals = exponent_values(r_probe, ctx.grid.interior_centers)
     state = make_state(u0, ctx, t=0.0)
     e0 = state.report.energy
-    # a probe norm that overflows raises RootFindFailed, with no warning
+    # the squares in the gradient's l2_norm overflow on a huge state: the
+    # sample's grad_l2 reads inf, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         samples = [_sample_from(state, geometry, r_vals, dt=0.0, residual=0.0)]
         diss = 0.0
         dt = control.dt_init
         termination = None
-        t_max_estimate = None
         accepted = 0
 
         while True:
@@ -315,31 +314,24 @@ def run(u0, control, ctx, geometry, r_probe=2.0):
             )
             if state.report.l2 >= control.blowup_cap:
                 termination = BLOWUP_CAP_HIT
-                t_max_estimate = state.t
                 break
 
-    return TrajectoryRecord(
-        samples=samples,
-        termination=termination,
-        t_max_estimate=t_max_estimate,
-    )
-
-
-@dataclass
-class AuditRow:
-    t: float
-    dt: float
-    phi: float
-    phi_prime: float
-    identity_gap: float  # |phi' + I|, zero up to the step tolerance
-    bound_margin: float  # phi' - (-p+ E0 + (1 - p+/q-) rho_q), >= -tol
-    ratio: float  # phi' / phi^(q+/2), only meaningful past phi > 1
-    tol: float
+    return TrajectoryRecord(samples=samples, termination=termination)
 
 
 @dataclass
 class AuditResult:
-    rows: list
+    """The audit's columns, entry k for accepted step k read at its start
+    sample k, and the constants measured from them."""
+
+    t: np.ndarray
+    dt: np.ndarray
+    phi: np.ndarray
+    phi_prime: np.ndarray
+    identity_gap: np.ndarray  # |phi' + I|, zero up to the step tolerance
+    bound_margin: np.ndarray  # phi' - (-p+ E0 + (1 - p+/q-) rho_q), >= -tol
+    ratio: np.ndarray  # phi' / phi^(q+/2) where phi > 1, nan elsewhere
+    tol: np.ndarray
     rate_constant: float  # measured inf of phi' / phi^(q+/2) past phi > 1
     first_t_phi_above_one: float
     t_max_extrapolated: float = None  # set when the run hit the blow-up cap
@@ -359,81 +351,49 @@ def blowup_inequality_audit(record, summary):
     rho_q up to the same tolerance; (iii) phi eventually exceeds 1 and the
     measured infimum of phi'/phi^(q+/2) beyond that point is strictly
     positive (the constant is reported, never assumed).  Raises
-    AuditFailed at the first violation, and before any step when
-    E(u0) >= 0.  When the run hit the blow-up cap,
-    the result also holds the blow-up time extrapolated from the last
-    sample by integrating phi' = rate * phi^(q+/2).
+    AuditFailed at the first violating step, (i) before (ii), and before
+    any step when E(u0) >= 0 or the record has no accepted step.  When the
+    run hit the blow-up cap, the result also holds the blow-up time
+    extrapolated from the last sample by integrating phi' = rate *
+    phi^(q+/2).
     """
     samples = record.samples
     e0 = samples[0].energy
     if e0 >= 0.0:
         raise AuditFailed("not run: E(u0) >= 0")
+    if len(samples) < 2:
+        raise AuditFailed("not run: no accepted steps")
     p_plus, q_minus, q_plus = summary.p_plus, summary.q_minus, summary.q_plus
-    c1 = 1.0 - p_plus / q_minus
-    rows = []
-    first_above = None
-    for k in range(len(samples) - 1):
-        cur, nxt = samples[k], samples[k + 1]
-        dt = nxt.dt
-        phip = (nxt.phi - cur.phi) / dt
-        scale = 1.0 + cur.grad_l2**2 + abs(nxt.nehari - cur.nehari) / dt
-        tol = AUDIT_TOL_FACTOR * dt * scale
-        identity_gap = abs(phip - (-cur.nehari))
-        if identity_gap > tol:
+    t, dt, phi, nehari, grad_l2, rho_q = (
+        record.column(name) for name in ("t", "dt", "phi", "nehari", "grad_l2", "modular_q"))
+    # step k runs from sample k to sample k + 1, and is read at sample k
+    dt = dt[1:]
+    phi_prime = np.diff(phi) / dt
+    tol = AUDIT_TOL_FACTOR * dt * (1.0 + grad_l2[:-1]**2 + np.abs(np.diff(nehari)) / dt)
+    gap = np.abs(phi_prime + nehari[:-1])
+    margin = phi_prime - (-p_plus * e0 + (1.0 - p_plus / q_minus) * rho_q[:-1])
+    t, phi = t[:-1], phi[:-1]
+    bad = np.flatnonzero((gap > tol) | (margin < -tol))
+    if bad.size:
+        k = int(bad[0])
+        if gap[k] > tol[k]:
             raise AuditFailed(
-                "phi' identity off by %g (tol %g) at step %d" % (identity_gap, tol, k),
-                step=k,
-            )
-        bound = -p_plus * e0 + c1 * cur.modular_q
-        margin = phip - bound
-        if margin < -tol:
-            raise AuditFailed(
-                "phi' lower bound violated by %g (tol %g) at step %d"
-                % (-margin, tol, k),
-                step=k,
-            )
-        if first_above is None and cur.phi > 1.0:
-            first_above = cur.t
-        ratio = phip / cur.phi ** (q_plus / 2.0) if cur.phi > 1.0 else np.nan
-        rows.append(
-            AuditRow(
-                t=cur.t,
-                dt=dt,
-                phi=cur.phi,
-                phi_prime=phip,
-                identity_gap=identity_gap,
-                bound_margin=margin,
-                ratio=ratio,
-                tol=tol,
-            )
-        )
-    if first_above is None:
+                "phi' identity off by %g (tol %g) at step %d" % (gap[k], tol[k], k), step=k)
+        raise AuditFailed(
+            "phi' lower bound violated by %g (tol %g) at step %d" % (-margin[k], tol[k], k),
+            step=k)
+    above = phi > 1.0
+    if not above.any():
         raise AuditFailed("phi never exceeded 1; blow-up regime not reached")
-    rate = float(min(r.ratio for r in rows if r.phi > 1.0))
+    ratio = np.full_like(phi, np.nan)
+    ratio[above] = phi_prime[above] / phi[above] ** (q_plus / 2.0)
+    rate = float(ratio[above].min())
     if rate <= 0.0:
         raise AuditFailed("measured rate constant is not positive past phi > 1")
     t_ext = None
     if record.termination == BLOWUP_CAP_HIT:
         last = samples[-1]
         t_ext = last.t + last.phi ** (1.0 - q_plus / 2.0) / (rate * (q_plus / 2.0 - 1.0))
-    return AuditResult(rows=rows, rate_constant=rate, first_t_phi_above_one=first_above,
-                       t_max_extrapolated=t_ext)
-
-
-def exterior_invariance_check(record):
-    """True iff every sample up to termination sits in the well exterior.
-
-    Emits a warning (and returns the literal all-samples answer) when the
-    record is empty or does not start in the exterior, since the invariance
-    claim presumes exterior initial data.
-    """
-    if not record.samples:
-        warnings.warn("empty trajectory record; invariance is vacuous", stacklevel=2)
-        return True
-    if record.samples[0].well_class != IN_EXTERIOR:
-        warnings.warn(
-            "initial state is %s, not %s; invariance check presumes exterior "
-            "initial data" % (record.samples[0].well_class, IN_EXTERIOR),
-            stacklevel=2,
-        )
-    return all(s.well_class == IN_EXTERIOR for s in record.samples)
+    return AuditResult(t=t, dt=dt, phi=phi, phi_prime=phi_prime, identity_gap=gap,
+                       bound_margin=margin, ratio=ratio, tol=tol, rate_constant=rate,
+                       first_t_phi_above_one=float(t[above][0]), t_max_extrapolated=t_ext)

@@ -88,10 +88,8 @@ AUDIT_HEADER = "t,dt,phi,phi_prime,identity_gap,bound_margin,ratio,tol"
 
 
 def audit_to_csv(audit, path):
-    _write_table(path, AUDIT_HEADER, (
-        (r.t, r.dt, r.phi, r.phi_prime, r.identity_gap, r.bound_margin, r.ratio, r.tol)
-        for r in audit.rows
-    ))
+    _write_table(path, AUDIT_HEADER,
+                 zip(*(getattr(audit, name) for name in AUDIT_HEADER.split(","))))
 
 
 def geometry_report(geometry, lambda_hat, r_hat, lower_bound, out_dir):

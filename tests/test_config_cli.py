@@ -22,7 +22,7 @@ from fracflow.config import (
     serialize_config,
 )
 from fracflow.errors import AuditFailed, ConfigError
-from fracflow.evolution import AuditRow, Sample
+from fracflow.evolution import Sample
 from fracflow.modular import exponent_values
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -454,6 +454,7 @@ def test_blowup_scenario_with_no_steps_fails_phi_increasing(tmp_path, capsys):
     assert rc == 1
     assert "termination: MaxSteps" in out
     assert "phi_increasing: FAIL (no steps)" in out.splitlines()
+    assert "inequality_audit: FAIL (not run: no accepted steps)" in out.splitlines()
 
 
 @pytest.mark.parametrize("key", ["initial.factor", "initial.amplitude"])
@@ -477,7 +478,6 @@ def test_blowup_scenario(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     for verdict in (
-        "negative_initial_energy: PASS",
         "cap_hit: PASS",
         "phi_increasing: PASS",
         "inequality_audit: PASS",
@@ -508,19 +508,34 @@ def test_blowup_scenario_failed_audit_prints_no_extrapolation(tmp_path, capsys, 
     assert not (tmp_path / "out" / "audit.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:initial state is InWell")
 def test_blowup_scenario_inside_well_skips_audit(tmp_path, capsys):
     # E(u0) >= 0: the audit is not run, and the scenario still writes its summary
     cfgpath = tmp_path / "blow.cfg"
     _write_fast_config(cfgpath, "blowup", **{"initial.factor": 0.5})
     rc = main(["blowup", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
-    out = capsys.readouterr().out
-    assert rc == 1
+    captured = capsys.readouterr()
+    out = captured.out
+    assert rc == 1 and captured.err == ""
     assert "inequality_audit: FAIL (not run: E(u0) >= 0)" in out
+    assert "exterior_invariance: FAIL (classes seen: ['InWell'])" in out.splitlines()
     assert "inequality_audit: FAIL (not run: E(u0) >= 0)" in (
         tmp_path / "out" / "summary.txt"
     ).read_text()
     assert not (tmp_path / "out" / "audit.csv").exists()
+
+
+def test_failed_audit_removes_an_earlier_audit_csv(tmp_path, capsys):
+    # a failed audit in the summary is not left beside an earlier run's audit
+    cfgpath = tmp_path / "blow.cfg"
+    out_dir = tmp_path / "out"
+    _write_fast_config(cfgpath, "blowup", **{"initial.factor": 2.0, "step.t_final": 5.0})
+    assert main(["blowup", "--config", str(cfgpath), "--out", str(out_dir)]) == 0
+    assert (out_dir / "audit.csv").exists()
+    _write_fast_config(cfgpath, "blowup", **{"initial.factor": 0.5})
+    assert main(["blowup", "--config", str(cfgpath), "--out", str(out_dir)]) == 1
+    assert "inequality_audit: FAIL (not run: E(u0) >= 0)" in (
+        out_dir / "summary.txt").read_text()
+    assert not (out_dir / "audit.csv").exists()
 
 
 def _thousandfold_embedding_constant(*args, **kwargs):
@@ -543,7 +558,6 @@ VERDICT_CENSUS = {
                           ("estimate_embedding_constant", _thousandfold_embedding_constant)),
     "invariance": ("well", {"initial.factor": 2.0}, None),
     "decay": ("well", {"step.t_final": 0.01}, None),
-    "negative_initial_energy": ("blowup", {"initial.factor": 0.5}, None),
     "cap_hit": ("blowup", {"initial.factor": 0.5}, None),
     "phi_increasing": ("blowup", {"initial.factor": 0.5}, None),
     "inequality_audit": ("blowup", {"initial.factor": 0.5}, None),
@@ -566,7 +580,6 @@ def test_verdict_census_covers_every_verdict():
     assert names == set(VERDICT_CENSUS)
 
 
-@pytest.mark.filterwarnings("ignore:initial state is InWell")
 @pytest.mark.parametrize("name", sorted(VERDICT_CENSUS))
 def test_every_verdict_can_fail(name, tmp_path, capsys, monkeypatch):
     config, overrides, patch = VERDICT_CENSUS[name]
@@ -766,12 +779,10 @@ def test_table_writers_golden_text(tmp_path):
         "0.001,0.001,-2.0,-3e-05,1.25,1.4142135623730951,0.7,5.5,6.0,InExterior,4.4e-17\n"
     )
     audit = ff.AuditResult(
-        rows=[
-            AuditRow(t=0.0, dt=0.001, phi=0.5, phi_prime=2.5, identity_gap=1e-12,
-                     bound_margin=0.75, ratio=float("nan"), tol=5e-3),
-            AuditRow(t=0.001, dt=0.002, phi=1.5, phi_prime=-0.1, identity_gap=0.0,
-                     bound_margin=1.0 / 7.0, ratio=0.3, tol=1e6),
-        ],
+        t=np.array([0.0, 0.001]), dt=np.array([0.001, 0.002]), phi=np.array([0.5, 1.5]),
+        phi_prime=np.array([2.5, -0.1]), identity_gap=np.array([1e-12, 0.0]),
+        bound_margin=np.array([0.75, 1.0 / 7.0]), ratio=np.array([np.nan, 0.3]),
+        tol=np.array([5e-3, 1e6]),
         rate_constant=0.3,
         first_t_phi_above_one=0.001,
     )

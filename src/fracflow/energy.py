@@ -85,11 +85,17 @@ def first_sine_mode(grid):
     return GridFunction(grid, np.sin(np.pi * (grid.interior_centers - a) / (b - a)))
 
 
-def energy(u, ctx):
-    """Full energy report for a state, all parts from one quadrature."""
+def energy(u, ctx, op_vals=None):
+    """Full energy report for a state, all parts from one quadrature; A(u)
+    in ``op_vals``, if at hand, gives a constant p's pair parts without a
+    sweep: rho_sp = <A(u), u> and I1 = rho_sp / p by Euler's identity."""
     ctx._check_function(u)
     g = ctx.grid
-    e_nonlocal, rho_sp = ctx.pair_stats(u.values)
+    if op_vals is not None and isinstance(ctx.P, float):
+        rho_sp = float(np.dot(op_vals * u.values, g.interior_widths))
+        e_nonlocal = rho_sp / ctx.P
+    else:
+        e_nonlocal, rho_sp = ctx.pair_stats(u.values)
     powq = np.abs(u.values) ** ctx.q_interior
     rho_q = float(np.dot(powq, g.interior_widths))
     e_reaction = float(np.dot(powq / ctx.q_interior, g.interior_widths))

@@ -10,9 +10,10 @@ on its optimality residual with the operator's Jacobian from the pair
 table; each Newton step is halved until the residual strictly decreases,
 and ``inner_max`` caps the Newton iterations.  Each trial costs one
 ``linearize`` sweep, which gives its residual, the Jacobian of the next
-solve and, for the accepted trial, the new state's gradient.  The state
-carries its Jacobian, so a step, and a retry after a rejected one, solves
-first with the Jacobian of the trial that made the state.
+solve and, for the accepted trial, the new state's gradient and, for a
+constant exponent, its energy.  The state carries its Jacobian, so a
+step, and a retry after a rejected one, solves first with the Jacobian of
+the trial that made the state.
 
 Along the run the engine records, per accepted step, the energy balance
 residual |sum_k dt_k ||(u_{k+1}-u_k)/dt_k||_2^2 + E(u_n) - E(u_0)|, the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _reaction, _well_class, energy, energy_gradient
+from .energy import _reaction, _well_class, energy
 from .errors import AuditFailed, InnerSolveStalled, NonFinite
 from .grid import GridFunction, l2_norm
 from .modular import EPS, exponent_values, luxemburg_norm
@@ -133,18 +134,17 @@ class TrajectoryRecord:
 
 
 def make_state(u, ctx, t=0.0, op_vals=None, jac=None):
-    """The state at u; ``op_vals``, the operator values at u when already
-    computed, give its gradient without another sweep, and ``jac`` is the
-    operator's Jacobian at u, if formed.  Raises NonFinite when the energy
-    overflows."""
+    """The state at u; ``op_vals``, the operator values at u, swept here
+    when the caller has none, give its gradient and, for a constant p, its
+    energy's pair parts; ``jac`` is the operator's Jacobian at u, if
+    formed.  Raises NonFinite when the energy overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = energy(u, ctx)
+        if op_vals is None:
+            op_vals = ctx.apply(u.values)
+        rep = energy(u, ctx, op_vals)
         if not np.isfinite(rep.energy):
             raise NonFinite("energy overflowed at t = %r" % t)
-        if op_vals is None:
-            grad = energy_gradient(u, ctx)
-        else:
-            grad = GridFunction(ctx.grid, op_vals - _reaction(ctx, u.values))
+        grad = GridFunction(ctx.grid, op_vals - _reaction(ctx, u.values))
     return SimState(t=float(t), u=u, report=rep, grad=grad, jac=jac)
 
 

@@ -219,10 +219,6 @@ class OperatorContext:
             np.power(block, np.subtract(self.P[rows], 2.0, out=e), out=block)
         return a
 
-    def _pow_sign(self, vals):
-        """|du|^(p_ij - 2) du in the second work buffer; du stays in the first."""
-        return np.multiply(self._pow_p_minus_2(vals), self._a, out=self._b)
-
     def _pair_sum(self, t):
         """sum over ordered pairs of t_ij k_ij w_i w_j: the table t against
         row_w, with exterior columns weighted 2 and row i by w_i."""
@@ -281,22 +277,19 @@ class OperatorContext:
         return values, jac
 
     def weak(self, uvals, vvals):
-        """Pair sum |du|^(p-2) du dv k_ij w_i w_j."""
-        a = self._pow_sign(uvals)
-        a *= self._diff(vvals)
-        return self._pair_sum(a)
+        """Pair sum |du|^(p-2) du dv k_ij w_i w_j, as <apply(u), v> under the
+        cell measures: the pairs (i, j) and (j, i) turn v_i into v_i - v_j."""
+        return float(np.dot(self.apply(uvals) * vvals, self._row_f))
 
     def gap(self, uvals, vvals):
-        """Pair sum (|du|^(p-2) du - |dv|^(p-2) dv)(du - dv) k w w.
+        """Pair sum (|du|^(p-2) du - |dv|^(p-2) dv)(du - dv) k w w, as
+        <apply(u) - apply(v), u - v> under the cell measures.
 
-        Each summand is a product of same-signed factors, so the reduction
-        stays nonnegative up to roundoff.
+        Each pair's summand is a product of same-signed factors, so the gap
+        is nonnegative up to the roundoff of apply(u) - apply(v).
         """
-        av = self._pow_sign(vvals).copy()
-        au = self._pow_sign(uvals)
-        au -= av
-        au *= self._diff(uvals - vvals)
-        return self._pair_sum(au)
+        d = uvals - vvals
+        return self.weak(uvals, d) - self.weak(vvals, d)
 
     def pair_coeffs(self, vals):
         """The pair side sum(c * lam**p) of a root-find along the ray of u,
@@ -318,7 +311,7 @@ class OperatorContext:
     def sp_grad_interior(self, vals):
         """Measure-weighted gradient of sum |du|^p k w w on interior cells:
         2 sum_j p_ij |du|^(p-1) sgn(du) k_ij w_j."""
-        a = self._pow_sign(vals)
+        a = np.multiply(self._pow_p_minus_2(vals), self._a, out=self._b)
         a *= self.P
         return 2.0 * np.einsum("ij,ij->i", a, self.row_w)
 

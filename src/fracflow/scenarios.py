@@ -41,7 +41,7 @@ from .modular import gagliardo_modular
 from .nonlocal_operator import build_context
 from .report import _write_table, audit_to_csv, geometry_report, trajectory_to_csv
 
-__all__ = ["run_scenario", "SCENARIOS"]
+__all__ = ["run_scenario", "SCENARIOS", "ARTIFACTS"]
 
 
 class _Verdicts:
@@ -138,16 +138,12 @@ def _scenario_blowup(cfg, out_dir, v):
     )
     if record.termination == BLOWUP_CAP_HIT:
         v.info("t_max_estimate = %r" % record.samples[-1].t)
-    audit_path = os.path.join(out_dir, "audit.csv")
     try:
         audit = blowup_inequality_audit(record, ctx.summary)
     except AuditFailed as exc:  # surfaced as a FAIL verdict, not a crash
-        # an earlier run's audit.csv would stand beside this run's FAIL
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(audit_path)
         v.check("inequality_audit", False, str(exc))
     else:
-        audit_to_csv(audit, audit_path)
+        audit_to_csv(audit, os.path.join(out_dir, "audit.csv"))
         # the extrapolation rests on the measured rate, so only a passed
         # audit reports it
         if audit.t_max_extrapolated is not None:
@@ -231,6 +227,10 @@ def _scenario_convergence(cfg, out_dir, v):
     )
 
 
+#: the artifacts a scenario may write beside summary.txt
+ARTIFACTS = ("trajectory.csv", "audit.csv", "minimizer.csv", "geometry_summary.txt",
+             "nehari_sweep.csv", "convergence.csv")
+
 SCENARIOS = {
     "validate": _scenario_validate,
     "geometry": _scenario_geometry,
@@ -244,7 +244,8 @@ SCENARIOS = {
 def run_scenario(cfg):
     """Run the configured scenario; returns the process exit status.
 
-    Artifacts land in the config's output directory ``cfg.out``.  A
+    Artifacts land in the config's output directory ``cfg.out``, cleared
+    of any earlier run's ``ARTIFACTS`` before the scenario runs.  A
     config the scenario cannot run, such as an initial-data file for the
     convergence study or a negative seed from ``--seed``, is a ConfigError
     before the directory is made.  An exponent field that violates
@@ -267,6 +268,10 @@ def run_scenario(cfg):
         raise ConfigError("seed: %s" % exc) from exc
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
+    # an earlier run's artifacts would stand beside this run's summary
+    for name in ARTIFACTS:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     v = _Verdicts()
     try:
         SCENARIOS[cfg.scenario](cfg, out_dir, v)

@@ -524,18 +524,23 @@ def test_blowup_scenario_inside_well_skips_audit(tmp_path, capsys):
     assert not (tmp_path / "out" / "audit.csv").exists()
 
 
-def test_failed_audit_removes_an_earlier_audit_csv(tmp_path, capsys):
-    # a failed audit in the summary is not left beside an earlier run's audit
+@pytest.mark.parametrize("overrides, verdict, gone", [
+    pytest.param({"initial.factor": 0.5}, "inequality_audit: FAIL (not run: E(u0) >= 0)",
+                 ["audit.csv"], id="audit-not-run"),
+    pytest.param({"geometry.tol": 1e-17}, "completed: FAIL (ProjectionFailed: ",
+                 ["trajectory.csv", "audit.csv"], id="projection-failed"),
+])
+def test_failed_audit_removes_an_earlier_audit_csv(overrides, verdict, gone, tmp_path, capsys):
+    # a failed run's summary is not left beside an earlier run's artifacts
     cfgpath = tmp_path / "blow.cfg"
     out_dir = tmp_path / "out"
     _write_fast_config(cfgpath, "blowup", **{"initial.factor": 2.0, "step.t_final": 5.0})
     assert main(["blowup", "--config", str(cfgpath), "--out", str(out_dir)]) == 0
-    assert (out_dir / "audit.csv").exists()
-    _write_fast_config(cfgpath, "blowup", **{"initial.factor": 0.5})
+    assert all((out_dir / name).exists() for name in gone)
+    _write_fast_config(cfgpath, "blowup", **overrides)
     assert main(["blowup", "--config", str(cfgpath), "--out", str(out_dir)]) == 1
-    assert "inequality_audit: FAIL (not run: E(u0) >= 0)" in (
-        out_dir / "summary.txt").read_text()
-    assert not (out_dir / "audit.csv").exists()
+    assert verdict in (out_dir / "summary.txt").read_text()
+    assert not any((out_dir / name).exists() for name in gone)
 
 
 def _thousandfold_embedding_constant(*args, **kwargs):

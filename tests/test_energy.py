@@ -4,6 +4,7 @@ import os
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -57,6 +58,41 @@ def test_energy_ray_sweep_signs(domain, field):
     assert lam == pytest.approx(8.0223, abs=2e-4)
     assert ff.energy(bump.scaled(1.5 * lam), ctx).energy == pytest.approx(0.0, abs=1e-9)
     assert ff.energy(bump.scaled(3.0 * lam), ctx).energy < -2000.0
+
+
+def _identity_states(grid, rng):
+    """Interior values of the bump, two random sign-changing states and a
+    near-constant one, each at the scales 1e-100, 1e-90, ..., 1e100."""
+    bases = [ff.standard_bump(grid).values, rng.standard_normal(grid.n),
+             rng.standard_normal(grid.n), 1.0 + 1e-6 * rng.standard_normal(grid.n)]
+    return [ff.GridFunction(grid, b * 10.0**k) for b in bases for k in range(-100, 101, 10)]
+
+
+def test_energy_from_operator_values_matches_the_sweep(ctx16, domain, rng):
+    # constant p: <A(u), u> = rho_sp and I1 = rho_sp / p by Euler's identity
+    wide = ff.Grid(domain, 32, 128)
+    p24 = ff.build_context(wide, ff.make_exponent_field(0.4, p=(2.4, 0.0), domain=domain))
+    for ctx in (ctx16, p24):
+        for u in _identity_states(ctx.grid, rng):
+            swept = ff.energy(u, ctx)
+            rep = ff.energy(u, ctx, ctx.apply(u.values))
+            for name in ("gagliardo_modular", "nehari"):
+                a, b = getattr(swept, name), getattr(rep, name)
+                assert abs(b - a) <= 1e-13 * abs(a)
+            q, w = ctx.q_interior, ctx.grid.interior_widths
+            scale = ctx.i1(u.values) + float(np.dot(np.abs(u.values) ** q / q, w))
+            assert abs(rep.energy - swept.energy) <= 1e-13 * scale
+            assert (rep.q_modular, rep.l2) == (swept.q_modular, swept.l2)
+
+
+def test_variable_p_energy_ignores_operator_values(ctx16_var, rng):
+    # no Euler identity weighs pairs by 1/p_ij: the energy still sweeps
+    for u in _identity_states(ctx16_var.grid, rng):
+        # q reaches 3.2, so |u|^q overflows at the largest scales
+        with np.errstate(over="ignore"):
+            swept = ff.energy(u, ctx16_var)
+            rep = ff.energy(u, ctx16_var, ctx16_var.apply(u.values))
+        assert np.array(astuple(rep)).tobytes() == np.array(astuple(swept)).tobytes()
 
 
 def test_energy_gradient_zero_at_origin(ctx16, grid16):

@@ -19,6 +19,11 @@ def geom16(ctx16):
     return ff.well_depth(ctx16, iters=300)
 
 
+@pytest.fixture(scope="module")
+def geom16_var(ctx16_var):
+    return ff.well_depth(ctx16_var, iters=300)
+
+
 def _control(**kw):
     base = dict(dt_init=1e-3, dt_min=1e-12, dt_max=1e-2, t_final=0.1, max_steps=50_000)
     base.update(kw)
@@ -163,8 +168,9 @@ _SEPARATE_SWEEPS = {("ctx16", 1e-3): 5, ("ctx16_var", 1e-3): 7,
 def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
     # Newton on the proximal residual: one linearize sweep per trial, whose
     # values also give the new state's gradient and whose Jacobian the next
-    # solve's, plus the new state's energy.  A state from make_state carries
-    # no Jacobian, so its step sweeps once at u; a state that a step made
+    # solve's, and for constant p the new state's energy; a variable-p
+    # state's energy sweeps once more.  A state from make_state carries no
+    # Jacobian, so its step sweeps once at u; a state that a step made
     # carries its trial's Jacobian, so its step sweeps nothing at u
     ctx = request.getfixturevalue(name)
     st = ff.make_state(ff.standard_bump(grid16).scaled(0.5), ctx)
@@ -183,7 +189,7 @@ def test_imex_step_sweep_count(name, dt, grid16, request, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     new = ff.step_imex(st, dt, ctx)
     sweeps = calls["apply"] + calls["pair_stats"]
-    assert calls["pair_stats"] == 1
+    assert calls["pair_stats"] == (0 if name == "ctx16" else 1)
     assert sweeps < _SEPARATE_SWEEPS[name, dt]
     assert 1 <= calls["solve"] == calls["linearize"] - 1 == calls["apply"] - 1
     calls.clear()
@@ -248,10 +254,12 @@ def test_stalled_inner_solve_halves_dt_to_underflow(ctx16, geom16, monkeypatch):
     assert dts[-1] >= ctl.dt_min > dts[-1] / 2.0
 
 
-def test_run_evaluates_each_state_once(ctx16, geom16, monkeypatch):
+def test_run_evaluates_each_state_once(ctx16, geom16, ctx16_var, geom16_var, monkeypatch):
     # a state carries its energy report and gradient, which the next step
     # and the sample reuse: N accepted explicit steps sweep the pair table
-    # N + 1 times for the energies and N + 1 times for the gradients
+    # N + 1 times, once per state, whose operator values give the gradient
+    # and, p being constant, the energy; a variable p has no such identity
+    # for the energy's 1/p_ij weights, so its states sweep N + 1 times more
     calls = Counter()
     for name in ("apply", "pair_stats"):
         def counted(self, vals, _name=name, _orig=getattr(ff.OperatorContext, name)):
@@ -260,11 +268,13 @@ def test_run_evaluates_each_state_once(ctx16, geom16, monkeypatch):
 
         monkeypatch.setattr(ff.OperatorContext, name, counted)
     ctl = _control(dt_init=1e-3, dt_max=1e-3, t_final=0.02)
-    rec = ff.run(geom16.minimizer.scaled(0.5), ctl, ctx16, geom16)
-    assert rec.termination == ff.REACHED_FINAL_TIME
-    n = len(rec.samples) - 1
-    assert n == 20
-    assert calls == {"apply": n + 1, "pair_stats": n + 1}
+    for ctx, geom, energy_sweeps in ((ctx16, geom16, 0), (ctx16_var, geom16_var, 1)):
+        calls.clear()
+        rec = ff.run(geom.minimizer.scaled(0.5), ctl, ctx, geom)
+        assert rec.termination == ff.REACHED_FINAL_TIME
+        n = len(rec.samples) - 1
+        assert n == 20
+        assert calls["apply"] == n + 1 and calls["pair_stats"] == energy_sweeps * (n + 1)
 
 
 def test_run_evaluates_the_probe_exponent_once(ctx16, geom16):

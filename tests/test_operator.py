@@ -125,14 +125,17 @@ def test_weak_form_duality_identity(ctx16, grid16, rng):
         assert abs(ff.weak_form(u, u, ctx16) - rho) <= 1e-12 * (1.0 + rho)
 
 
-def test_weak_form_vs_bruteforce(small, field, rng):
-    grid, ctx = small
-    u = ff.GridFunction(grid, rng.standard_normal(grid.n))
-    v = ff.GridFunction(grid, rng.standard_normal(grid.n))
-    expected = brute_weak(
-        grid, field, zero_extended(grid, u.values), zero_extended(grid, v.values)
-    )
-    assert ff.weak_form(u, v, ctx) == pytest.approx(expected, rel=1e-13)
+def test_weak_form_vs_bruteforce(small, field, ctx16_var, rng):
+    # constant p = 2, then variable p(x, y)
+    grid = small[0]
+    for fld in (field, ctx16_var.field):
+        ctx = ff.OperatorContext(grid, fld)
+        u = ff.GridFunction(grid, rng.standard_normal(grid.n))
+        v = ff.GridFunction(grid, rng.standard_normal(grid.n))
+        expected = brute_weak(
+            grid, fld, zero_extended(grid, u.values), zero_extended(grid, v.values)
+        )
+        assert ff.weak_form(u, v, ctx) == pytest.approx(expected, rel=1e-13)
 
 
 def test_weak_form_matches_operator_pairing(ctx16, grid16, rng):
@@ -197,27 +200,46 @@ def test_i1_vs_bruteforce(small, field, rng):
     assert ctx.i1(u.values) == pytest.approx(expected, rel=1e-13)
 
 
-def test_monotonicity_gap(ctx16, grid16, rng):
-    u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
-    assert ff.monotonicity_gap(u, u, ctx16) == 0.0
-    for _ in range(30):
-        a = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
-        b = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
-        gap = ff.monotonicity_gap(a, b, ctx16)
-        wa = ff.weak_form(a, a, ctx16)
-        wb = ff.weak_form(b, b, ctx16)
-        assert gap >= -1e-12 * (1.0 + abs(wa) + abs(wb))
-        assert gap > 0.0
+def _near(u, rng):
+    """u + 1e-8 d for a standard normal d: a pair whose gap is ~1e-16 of
+    its pairings."""
+    return ff.GridFunction(u.grid, u.values + 1e-8 * rng.standard_normal(u.grid.n))
+
+
+def test_monotonicity_gap(small, ctx16, ctx16_var, grid16, rng):
+    # constant p = 2, then variable p(x, y)
+    for ctx in (ctx16, ctx16_var):
+        u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+        assert ff.monotonicity_gap(u, u, ctx) == 0.0
+        for k in range(40):
+            a = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+            # the last ten pairs are near-equal: positive only up to roundoff
+            near = k >= 30
+            b = _near(a, rng) if near else ff.GridFunction(grid16, rng.standard_normal(grid16.n))
+            gap = ff.monotonicity_gap(a, b, ctx)
+            wa = ff.weak_form(a, a, ctx)
+            wb = ff.weak_form(b, b, ctx)
+            assert gap >= -1e-12 * (1.0 + abs(wa) + abs(wb))
+            assert gap > 0.0 or near
+    # variable p against the oracle: <A(a), a - b> - <A(b), a - b>
+    grid = small[0]
+    fld = ctx16_var.field
+    a, b = rng.standard_normal(grid.n), rng.standard_normal(grid.n)
+    a0, b0 = zero_extended(grid, a), zero_extended(grid, b)
+    expected = brute_weak(grid, fld, a0, a0 - b0) - brute_weak(grid, fld, b0, a0 - b0)
+    assert ff.OperatorContext(grid, fld).gap(a, b) == pytest.approx(expected, rel=1e-12)
 
 
 def test_monotonicity_gap_linear_case(ctx16, grid16, rng):
-    # p = 2 throughout: the gap is the weak form of the difference
+    # p = 2 throughout: the gap is the weak form of the difference, also
+    # for a near-equal pair
     u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
-    v = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
-    d = ff.GridFunction(grid16, u.values - v.values)
-    assert ff.monotonicity_gap(u, v, ctx16) == pytest.approx(
-        ff.weak_form(d, d, ctx16), rel=1e-12
-    )
+    for v, rel in ((ff.GridFunction(grid16, rng.standard_normal(grid16.n)), 1e-12),
+                   (_near(u, rng), 1e-6)):
+        d = ff.GridFunction(grid16, u.values - v.values)
+        assert ff.monotonicity_gap(u, v, ctx16) == pytest.approx(
+            ff.weak_form(d, d, ctx16), rel=rel
+        )
 
 
 def test_operator_bounded_on_modular_balls(ctx16, grid16, rng):

@@ -289,7 +289,7 @@ class OperatorContext:
         is nonnegative up to the roundoff of apply(u) - apply(v).
         """
         d = uvals - vvals
-        return self.weak(uvals, d) - self.weak(vvals, d)
+        return float(np.dot((self.apply(uvals) - self.apply(vvals)) * d, self._row_f))
 
     def pair_coeffs(self, vals):
         """The pair side sum(c * lam**p) of a root-find along the ray of u,

@@ -86,6 +86,10 @@ def trajectory_to_csv(record, path):
 
 AUDIT_HEADER = "t,dt,phi,phi_prime,identity_gap,bound_margin,ratio,tol"
 
+#: the files ``geometry_report`` writes into its directory
+MINIMIZER_CSV = "minimizer.csv"
+GEOMETRY_TXT = "geometry_summary.txt"
+
 
 def audit_to_csv(audit, path):
     _write_table(path, AUDIT_HEADER,
@@ -97,7 +101,7 @@ def geometry_report(geometry, lambda_hat, r_hat, lower_bound, out_dir):
     constant, depth and its lower bound) plus the minimizer as a cell CSV;
     returns the summary text."""
     os.makedirs(out_dir, exist_ok=True)
-    minim_path = os.path.join(out_dir, "minimizer.csv")
+    minim_path = os.path.join(out_dir, MINIMIZER_CSV)
     save_csv(geometry.minimizer, minim_path)
     text = "\n".join(
         [
@@ -108,7 +112,7 @@ def geometry_report(geometry, lambda_hat, r_hat, lower_bound, out_dir):
             "minimizer file               %s" % minim_path,
         ]
     )
-    with open(os.path.join(out_dir, "geometry_summary.txt"), "w") as fh:
+    with open(os.path.join(out_dir, GEOMETRY_TXT), "w") as fh:
         fh.write(text + "\n")
     return text
 

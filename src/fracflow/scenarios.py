@@ -39,9 +39,18 @@ from .evolution import BLOWUP_CAP_HIT, blowup_inequality_audit, run
 from .exponents import validate_assumptions
 from .modular import gagliardo_modular
 from .nonlocal_operator import build_context
-from .report import _write_table, audit_to_csv, geometry_report, trajectory_to_csv
+from .report import (GEOMETRY_TXT, MINIMIZER_CSV, _write_table, audit_to_csv, geometry_report,
+                     trajectory_to_csv)
 
-__all__ = ["run_scenario", "SCENARIOS", "ARTIFACTS"]
+__all__ = ["run_scenario", "SCENARIOS"]
+
+#: the artifacts a scenario may write beside summary.txt, each written
+#: under its name here
+TRAJECTORY_CSV = "trajectory.csv"
+AUDIT_CSV = "audit.csv"
+NEHARI_CSV = "nehari_sweep.csv"
+CONVERGENCE_CSV = "convergence.csv"
+_ARTIFACTS = (TRAJECTORY_CSV, AUDIT_CSV, MINIMIZER_CSV, GEOMETRY_TXT, NEHARI_CSV, CONVERGENCE_CSV)
 
 
 class _Verdicts:
@@ -111,7 +120,7 @@ def _scenario_well(cfg, out_dir, v):
     ctx = _context(cfg)
     geom = _geometry(cfg, ctx)
     record = _run_from_config(cfg, ctx, geom)
-    trajectory_to_csv(record, os.path.join(out_dir, "trajectory.csv"))
+    trajectory_to_csv(record, os.path.join(out_dir, TRAJECTORY_CSV))
     v.info("termination: %s" % record.termination)
     classes = {s.well_class for s in record.samples}
     v.check("invariance", classes == {IN_WELL}, "classes seen: %s" % sorted(classes))
@@ -126,7 +135,7 @@ def _scenario_blowup(cfg, out_dir, v):
     ctx = _context(cfg)
     geom = _geometry(cfg, ctx)
     record = _run_from_config(cfg, ctx, geom)
-    trajectory_to_csv(record, os.path.join(out_dir, "trajectory.csv"))
+    trajectory_to_csv(record, os.path.join(out_dir, TRAJECTORY_CSV))
     v.info("E(u0) = %r" % record.samples[0].energy)
     v.info("termination: %s" % record.termination)
     v.check("cap_hit", record.termination == BLOWUP_CAP_HIT, record.termination)
@@ -143,7 +152,7 @@ def _scenario_blowup(cfg, out_dir, v):
     except AuditFailed as exc:  # surfaced as a FAIL verdict, not a crash
         v.check("inequality_audit", False, str(exc))
     else:
-        audit_to_csv(audit, os.path.join(out_dir, "audit.csv"))
+        audit_to_csv(audit, os.path.join(out_dir, AUDIT_CSV))
         # the extrapolation rests on the measured rate, so only a passed
         # audit reports it
         if audit.t_max_extrapolated is not None:
@@ -179,7 +188,7 @@ def _scenario_nehari_sweep(cfg, out_dir, v):
         else:
             rows.append((label, lam, "", "", resid))
         v.info("%s: lambda_hat = %r" % (label, lam))
-    _write_table(os.path.join(out_dir, "nehari_sweep.csv"),
+    _write_table(os.path.join(out_dir, NEHARI_CSV),
                  "label,lambda_hat,closed_form,abs_err,nehari_residual", rows)
     if constant_exps:
         v.check("closed_form_match", worst <= 1e-8, "worst |err| = %r" % worst)
@@ -218,7 +227,7 @@ def _scenario_convergence(cfg, out_dir, v):
         v.info("modular(bump) at n=%d: %r" % (n, gagliardo_modular(bump, ctx)))
     v.info("modular(bump) at doubled collar: %r"
            % gagliardo_modular(standard_bump(wide.grid), wide))
-    _write_table(os.path.join(out_dir, "convergence.csv"), "n,dt,residual", rows)
+    _write_table(os.path.join(out_dir, CONVERGENCE_CSV), "n,dt,residual", rows)
     v.info("orders: %s" % ", ".join("%r" % o for o in orders))
     v.check(
         "residual_order",
@@ -226,10 +235,6 @@ def _scenario_convergence(cfg, out_dir, v):
         "orders %s" % orders,
     )
 
-
-#: the artifacts a scenario may write beside summary.txt
-ARTIFACTS = ("trajectory.csv", "audit.csv", "minimizer.csv", "geometry_summary.txt",
-             "nehari_sweep.csv", "convergence.csv")
 
 SCENARIOS = {
     "validate": _scenario_validate,
@@ -245,7 +250,8 @@ def run_scenario(cfg):
     """Run the configured scenario; returns the process exit status.
 
     Artifacts land in the config's output directory ``cfg.out``, cleared
-    of any earlier run's ``ARTIFACTS`` before the scenario runs.  A
+    of any earlier run's artifacts before the scenario runs, all but the
+    initial-data file the run reads.  A
     config the scenario cannot run, such as an initial-data file for the
     convergence study or a negative seed from ``--seed``, is a ConfigError
     before the directory is made.  An exponent field that violates
@@ -268,10 +274,13 @@ def run_scenario(cfg):
         raise ConfigError("seed: %s" % exc) from exc
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
-    # an earlier run's artifacts would stand beside this run's summary
-    for name in ARTIFACTS:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, name))
+    # an earlier run's artifacts would stand beside this run's summary; the
+    # initial-data file this run reads, such as an earlier minimizer.csv, stays
+    keep = os.path.realpath(cfg.initial.path) if cfg.initial.kind == "file" else None
+    for path in (os.path.join(out_dir, name) for name in _ARTIFACTS):
+        if os.path.realpath(path) != keep:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     v = _Verdicts()
     try:
         SCENARIOS[cfg.scenario](cfg, out_dir, v)

@@ -343,6 +343,27 @@ def test_well_scenario_from_file(tmp_path, capsys):
     assert float(rows[1].split(",")[2]) == ff.energy(ff.load_csv(grid, state), ctx).energy
 
 
+def test_well_from_an_earlier_minimizer_in_its_own_out_dir(tmp_path, capsys):
+    # geometry writes minimizer.csv; a well run that starts from that file
+    # and writes into the same directory keeps it, and clears the rest (the
+    # minimizer lies on the Nehari manifold, so the well's own verdicts fail)
+    out_dir = tmp_path / "out"
+    cfgpath = tmp_path / "geom.cfg"
+    _write_fast_config(cfgpath, "geometry")
+    assert main(["geometry", "--config", str(cfgpath), "--out", str(out_dir)]) == 0
+    assert set(os.listdir(out_dir)) == {"summary.txt", "minimizer.csv", "geometry_summary.txt"}
+    minimizer = (out_dir / "minimizer.csv").read_bytes()
+    _write_fast_config(cfgpath, "well", **{"initial.kind": "file",
+                                           "initial.path": str(out_dir / "minimizer.csv")})
+    rc = main(["well", "--config", str(cfgpath), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    assert "termination: ReachedFinalTime" in captured.out
+    assert "completed: FAIL" not in captured.out
+    assert (out_dir / "minimizer.csv").read_bytes() == minimizer
+    assert set(os.listdir(out_dir)) == {"summary.txt", "minimizer.csv", "trajectory.csv"}
+
+
 def test_initial_file_off_the_grid_is_a_config_error(tmp_path, capsys):
     # a file for another grid, one in the older format with a region
     # column and collar rows, and one with a nan value are refused without

@@ -4,8 +4,10 @@ One file fully determines a run: domain and grid resolution, exponent
 selection, stepping control, scenario, initial-data recipe, probe exponent,
 output directory, and random seed.  Blank lines and '#' comments are
 ignored; unknown keys are rejected so typos fail loudly, and a float key
-takes only a finite value.  serialize() emits a canonical form whose
-parse is the identity.
+takes only a finite value.  ``none`` unsets a key whose default is None
+(``exponents.s``, the shapes' ``a`` and ``b``, ``initial.path``); any
+other key takes it as its literal text.  serialize() emits a canonical
+form whose parse is the identity.
 
 Each setting and each default is declared once: the library has no
 search sizes, collar radius or output directory of its own.  The ``step``
@@ -60,8 +62,9 @@ class GridConfig:
 
 @dataclass
 class ShapeConfig:
-    """One exponent shape; ``_coefficients`` holds the default rule for
-    unset coefficients and refuses ``a`` or ``b`` on a constant shape."""
+    """One exponent shape; ``value`` cannot be unset, and ``_coefficients``
+    holds the default rule for an unset ``a`` or ``b`` and refuses either
+    on a constant shape."""
 
     kind: str = "constant"  # p: constant | affine-radial; q, probe: constant | bump
     value: float = 2.0
@@ -131,18 +134,19 @@ def _format_value(v):
     return str(v)
 
 
-def _coerce(key, raw, ftype):
-    """Coerce a raw string to the field's declared type; a float must be
-    finite."""
+def _coerce(key, raw, f):
+    """Coerce a raw string to the declared type of the field ``f``; a float
+    must be finite, and ``none`` is None only where the default is None."""
     raw = raw.strip()
-    if raw.lower() == "none":
+    if raw.lower() == "none" and f.default is None:
         return None
     try:
-        value = ftype(raw)
-        if ftype is float and not math.isfinite(value):
+        value = f.type(raw)
+        if f.type is float and not math.isfinite(value):
             raise ValueError("not finite")
     except ValueError as exc:
-        raise ConfigError("cannot parse %s value for %s: %r" % (ftype.__name__, key, raw)) from exc
+        raise ConfigError("cannot parse %s value for %s: %r"
+                          % (f.type.__name__, key, raw)) from exc
     return value
 
 
@@ -168,7 +172,8 @@ def parse_config(text):
     interval, a depth-search tolerance that is not positive, an
     initial-data file that does not hold one finite value per grid cell,
     and a negative seed.  A nan or an inf for a float key is an
-    unparsable value.  An initial-data file that cannot be read raises
+    unparsable value, and so is ``none`` for a number key with a
+    default.  An initial-data file that cannot be read raises
     OSError.
     """
     cfg = ExperimentConfig()
@@ -187,7 +192,7 @@ def parse_config(text):
             raise ConfigError("duplicate configuration key %r (line %d)" % (key, lineno))
         seen.add(key)
         obj, f = targets[key]
-        setattr(obj, f.name, _coerce(key, raw, f.type))
+        setattr(obj, f.name, _coerce(key, raw, f))
     for section, check in (
         ("step", lambda: replace(cfg.step)),
         ("domain", lambda: build_domain(cfg)),
@@ -201,7 +206,7 @@ def parse_config(text):
     ):
         try:
             check()
-        except (ValueError, TypeError, InvalidResolution, GridMismatch) as exc:
+        except (ValueError, InvalidResolution, GridMismatch) as exc:
             raise ConfigError("%s: %s" % (section, exc)) from exc
     return cfg
 
@@ -236,20 +241,19 @@ def build_grid_from(cfg, domain=None, n=None):
     return Grid(domain, n if n is not None else cfg.grid.n, cfg.grid.m)
 
 
-def _coefficients(shape, curved, default):
-    """(a, b) of ``shape``: b = 0 for "constant", the one kind besides
-    ``curved``, which takes neither ``a`` nor ``b``.  A missing ``value``
-    is ``default``, a missing ``a`` is ``value`` and a missing ``b`` is 0."""
-    value = default if shape.value is None else shape.value
+def _coefficients(shape, curved):
+    """(a, b) of ``shape``: (value, 0) for "constant", the one kind besides
+    ``curved``, which takes neither ``a`` nor ``b``.  For ``curved`` a
+    missing ``a`` is ``value`` and a missing ``b`` is 0."""
     if shape.kind == "constant":
         extra = ["%s = %r" % (k, getattr(shape, k)) for k in ("a", "b")
                  if getattr(shape, k) is not None]
         if extra:
             raise ConfigError("exponent kind 'constant' takes only 'value', got %s"
                               % ", ".join(extra))
-        return value, 0.0
+        return shape.value, 0.0
     if shape.kind == curved:
-        return (value if shape.a is None else shape.a,
+        return (shape.value if shape.a is None else shape.a,
                 0.0 if shape.b is None else shape.b)
     raise ConfigError("unknown exponent kind %r (constant | %s)" % (shape.kind, curved))
 
@@ -260,8 +264,8 @@ def build_field(cfg, domain=None):
         raise ConfigError("missing required key exponents.s")
     return make_exponent_field(
         cfg.exponents.s,
-        p=_coefficients(cfg.exponents.p, "affine-radial", 2.0),
-        q=_coefficients(cfg.exponents.q, "bump", 3.0),
+        p=_coefficients(cfg.exponents.p, "affine-radial"),
+        q=_coefficients(cfg.exponents.q, "bump"),
         domain=domain,
     )
 
@@ -279,7 +283,7 @@ def build_probe(cfg):
     ValueError unless it exceeds 1 on the closed interval, as the
     Luxemburg norm requires."""
     domain = build_domain(cfg)
-    a, b = _coefficients(cfg.probe, "bump", 2.0)
+    a, b = _coefficients(cfg.probe, "bump")
     r_min = _bump_bounds(a, b, domain)[0]
     if not r_min > 1.0:
         raise ValueError("exponent must exceed 1 on [%r, %r]; its minimum there is %r"
@@ -299,7 +303,7 @@ def _check_geometry(geo):
 def _check_seed(seed):
     """Refuse a negative seed: the generator of ``energy._starts`` would
     draw from its absolute value."""
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise ValueError("must be nonnegative, got %r" % seed)
 
 

@@ -187,7 +187,10 @@ def _descend(x, value, grad, project, iters):
     """Backtracking descent from the state ``x``.
 
     ``value(x)`` returns (objective, aux) and ``grad(x, aux)`` the
-    gradient, so each point is evaluated once.  Every iteration steps along
+    gradient, so each point is evaluated once.  The first step has length
+    1 clipped to [2**-20, 2**20] max|x|: a unit step lies below the
+    resolution of a large x, and halving does not bring it near a tiny
+    one.  Every iteration steps along
     the normalized -gradient, halving the step (at most 40 times) until
     ``project`` of the nonzero trial values lowers the objective, then
     doubles it; a trial that projects onto the last one tried is not
@@ -197,7 +200,8 @@ def _descend(x, value, grad, project, iters):
     accepted state, its objective and the accepted count.
     """
     f, aux = value(x)
-    alpha = 1.0
+    scale = float(np.max(np.abs(x.values)))
+    alpha = min(max(1.0, math.ldexp(scale, -20)), math.ldexp(scale, 20))
     accepted = 0
     for _ in range(iters):
         g = grad(x, aux)
@@ -228,7 +232,7 @@ def _descend(x, value, grad, project, iters):
     return x, f, accepted
 
 
-def estimate_embedding_constant(ctx, n_starts, iters, rng=None):
+def estimate_embedding_constant(ctx, n_starts, iters, rng):
     """Estimate the embedding constant: the least value of
     seminorm(u) / luxemburg_q_norm(u) over nonzero states.
 

@@ -12,6 +12,8 @@ import fracflow as ff
 from fracflow import scenarios
 from fracflow.cli import main
 from fracflow.config import (
+    ExperimentConfig,
+    _walk,
     build_domain,
     build_field,
     build_grid_from,
@@ -81,6 +83,36 @@ def test_non_finite_float_is_a_config_error(key, raw, tmp_path, capsys):
     assert rc == 2 and captured.out == ""
     assert captured.err == "config error: cannot parse float value for %s: %r\n" % (key, raw)
     assert not (tmp_path / "out").exists()
+
+
+_FIELDS = [(key, f) for key, _, f in _walk(ExperimentConfig())]
+
+
+@pytest.mark.parametrize("key, f", _FIELDS, ids=[key for key, _ in _FIELDS])
+def test_none_unsets_only_an_optional_key(key, f, tmp_path, capsys):
+    # `none` is None for a key whose default is None; any other number key
+    # refuses it before anything runs, and a string key takes the string
+    text = ("" if key == "exponents.s" else "exponents.s = 0.4\n") + "%s = none\n" % key
+    if key == "exponents.s":
+        with pytest.raises(ConfigError, match="missing required key exponents.s"):
+            parse_config(text)
+    elif f.default is None or f.type is str:
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:  # a string no check admits, such as initial.kind
+            assert f.type is str and "cannot parse" not in str(exc)
+        else:
+            value = next(getattr(o, g.name) for k, o, g in _walk(cfg) if k == key)
+            assert value == (None if f.default is None else "none")
+    else:
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        rc = main(["well", "--config", str(bad), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "config error: cannot parse %s value for %s: 'none'\n" % (
+            f.type.__name__, key)
+        assert not (tmp_path / "out").exists()
 
 
 def _write_config(path, cfg, overrides):
@@ -175,10 +207,9 @@ def test_nehari_sweep_scenario(tmp_path, capsys):
     rc = main(["nehari-sweep", "--config", str(cfgpath), "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "closed_form_match: PASS" in out
     assert "projection_residuals: PASS" in out
     csv = (tmp_path / "out" / "nehari_sweep.csv").read_text().splitlines()
-    assert csv[0] == "label,lambda_hat,closed_form,abs_err,nehari_residual"
+    assert csv[0] == "label,lambda_hat,nehari_residual"
     assert len(csv) == 11  # header + bump + sine + 8 random
 
 
@@ -568,15 +599,10 @@ def _thousandfold_embedding_constant(*args, **kwargs):
     return 1e3 * ff.estimate_embedding_constant(*args, **kwargs)
 
 
-def _nehari_lambda_one_percent_long(u, ctx, tol):
-    return 1.01 * ff.nehari_lambda(u, ctx, tol)
-
-
 #: verdict name -> (config, overrides, monkeypatch of ``scenarios``) under
 #: which the verdict prints FAIL.  A config ending in .cfg is the shipped
 #: one, any other is the scenario's fast config.  No config fails
-#: depth_lower_bound or closed_form_match: those fail under a monkeypatch
-#: only
+#: depth_lower_bound: it fails under a monkeypatch only
 VERDICT_CENSUS = {
     "assumptions": ("validate", {"exponents.s": 0.6}, None),
     "completed": ("geometry", {"geometry.tol": 1e-17}, None),
@@ -588,8 +614,6 @@ VERDICT_CENSUS = {
     "phi_increasing": ("blowup", {"initial.factor": 0.5}, None),
     "inequality_audit": ("blowup", {"initial.factor": 0.5}, None),
     "exterior_invariance": ("blowup", {"initial.factor": 0.5}, None),
-    "closed_form_match": ("nehari-sweep", {},
-                          ("nehari_lambda", _nehari_lambda_one_percent_long)),
     "projection_residuals": ("nehari-sweep.cfg", {"geometry.tol": 1e-17}, None),
     # past the explicit step's bound, the residuals do not fall with dt
     "residual_order": ("convergence.cfg", {"step.dt_init": 0.1, "step.dt_max": 0.1,

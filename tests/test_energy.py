@@ -24,6 +24,13 @@ def geom16(ctx16):
     return ff.well_depth(ctx16, iters=300)
 
 
+@pytest.fixture(scope="module")
+def ctx_p24(domain):
+    # constant p = 2.4, q = 3 on (32, 128): q - p is not 1
+    wide = ff.Grid(domain, 32, 128)
+    return ff.build_context(wide, ff.make_exponent_field(0.4, p=(2.4, 0.0), domain=domain))
+
+
 def test_energy_zero(ctx16, grid16):
     rep = ff.energy(ff.GridFunction.zeros(grid16), ctx16)
     assert rep.energy == 0.0 and rep.nehari == 0.0
@@ -68,11 +75,9 @@ def _identity_states(grid, rng):
     return [ff.GridFunction(grid, b * 10.0**k) for b in bases for k in range(-100, 101, 10)]
 
 
-def test_energy_from_operator_values_matches_the_sweep(ctx16, domain, rng):
+def test_energy_from_operator_values_matches_the_sweep(ctx16, ctx_p24, rng):
     # constant p: <A(u), u> = rho_sp and I1 = rho_sp / p by Euler's identity
-    wide = ff.Grid(domain, 32, 128)
-    p24 = ff.build_context(wide, ff.make_exponent_field(0.4, p=(2.4, 0.0), domain=domain))
-    for ctx in (ctx16, p24):
+    for ctx in (ctx16, ctx_p24):
         for u in _identity_states(ctx.grid, rng):
             swept = ff.energy(u, ctx)
             rep = ff.energy(u, ctx, ctx.apply(u.values))
@@ -123,12 +128,16 @@ def test_energy_gradient_small_amplitude_is_operator(ctx16, grid16, rng):
     assert np.allclose(g.values, Lu.values, rtol=1e-6)
 
 
-def test_nehari_lambda_closed_form(ctx16, grid16, rng):
-    for _ in range(20):
-        u = ff.GridFunction(grid16, rng.standard_normal(grid16.n))
-        lam = ff.nehari_lambda(u, ctx16)
-        closed = ff.gagliardo_modular(u, ctx16) / ff.energy(u, ctx16).q_modular
-        assert lam == pytest.approx(closed, abs=1e-8 * closed)
+def test_nehari_lambda_closed_form(ctx16, ctx_p24, rng):
+    # constant exponents: lam = (rho_sp / rho_q)^(1/(q-p)), the power 1
+    # at p = 2, q = 3 and 1/0.6 at p = 2.4
+    for ctx in (ctx16, ctx_p24):
+        for _ in range(20):
+            u = ff.GridFunction(ctx.grid, rng.standard_normal(ctx.grid.n))
+            lam = ff.nehari_lambda(u, ctx)
+            ratio = ff.gagliardo_modular(u, ctx) / ff.energy(u, ctx).q_modular
+            closed = ratio ** (1.0 / (ctx.q_interior - ctx.P))
+            assert lam == pytest.approx(closed, abs=1e-8 * closed)
 
 
 def test_nehari_lambda_fixed_point_and_ray_scaling(ctx16, grid16, rng):
@@ -322,7 +331,23 @@ def test_searches_refuse_negative_iters(ctx16):
     with pytest.raises(ValueError, match="iters must be nonnegative, got -3"):
         ff.well_depth(ctx16, iters=-3)
     with pytest.raises(ValueError, match="iters must be nonnegative, got -3"):
-        ff.estimate_embedding_constant(ctx16, 2, -3)
+        ff.estimate_embedding_constant(ctx16, 2, -3, rng=0)
+
+
+@pytest.mark.parametrize("half_width", [1.0, 100.0], ids=["large", "tiny"])
+def test_well_depth_descends_from_a_manifold_state_of_any_scale(half_width):
+    # at q = 2.05 the projected bump is ~4e16 high on [-1, 1] and ~4e-16 on
+    # [-100, 100]: a unit first step lies below the resolution of the one
+    # and 40 halvings above the other; the descent still moves off both
+    domain = ff.Domain(-half_width, half_width, 8.0 * half_width)
+    grid = ff.Grid(domain, 16, 64)
+    ctx = ff.build_context(grid, ff.make_exponent_field(0.4, q=(2.05, 0.0), domain=domain))
+    bump = ff.standard_bump(grid)
+    e_bump = ff.energy(bump.scaled(ff.nehari_lambda(bump, ctx)), ctx).energy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geom = ff.well_depth(ctx, iters=20)
+    assert geom.depth_hat < e_bump
 
 
 @pytest.mark.parametrize("config, seeds", [

@@ -29,12 +29,16 @@ mirror pair for a p even in y on a symmetric collar (shape (n, n + m)),
 and every collar cell when no two columns are equal (shape (n, n_total)).
 Construction takes a block of rows at a time, BLOCK_ENTRIES entries of
 the unfolded n x n_total table, and writes each block's folded rows into
-the kept arrays, so no n x n_total array is ever made.  A context keeps
-four arrays of its table's size, three for constant p: the exponents P (a
-float when constant), the row weights k_ij w_j and two work buffers.  The widest table a
-context can keep, the unfolded one, holds n * n_total entries per array,
-at most MAX_TABLE_ENTRIES; a larger grid is refused with
-InvalidResolution before anything is allocated.
+the kept arrays, so no n x n_total array is ever made.  Every sweep
+takes the kept table a block of rows at a time, BLOCK_ENTRIES entries of
+it, in work buffers of one block's size, and writes per-row results into
+arrays of n entries.  A context keeps two arrays of its table's size, one
+for constant p: the exponents P (a float when constant) and the row
+weights k_ij w_j.  A variable-p root-find side from ``pair_coeffs`` owns
+two more while it lives.  The widest table a context can keep, the
+unfolded one, holds n * n_total entries per array, at most
+MAX_TABLE_ENTRIES; a larger grid is refused with InvalidResolution before
+anything is allocated.
 
 The operator value on a cell is the exact gradient, with respect to
 interior cell values weighted by cell measures, of the discrete nonlocal
@@ -62,13 +66,14 @@ __all__ = [
 
 #: cap on the entries n * n_total of the widest table a context can keep:
 #: the unfolded one, when no two collar exponent columns are equal.  A
-#: context keeps at most four float arrays of its table's size, P, row_w
-#: and two work buffers (32 bytes per entry)
+#: context keeps at most two float arrays of its table's size, P and row_w
+#: (16 bytes per entry), and a variable-p pair side holds two more while it
+#: lives (16 bytes per entry)
 MAX_TABLE_ENTRIES = 1 << 22
 
 #: entries per row block of construction (of the unfolded table) and of
-#: the power |du|^(p - 2) (of the kept one); a block holds as many rows as
-#: fit, and at least two
+#: every sweep (of the kept one); a block holds as many rows as fit, and at
+#: least two
 BLOCK_ENTRIES = 1 << 13
 
 
@@ -157,15 +162,15 @@ class OperatorContext:
     w_j, the row weight of ``apply``.  The ordered-pair weight k_ij w_i w_j,
     doubled on exterior columns, is not kept: a pair sum weighs row i by
     w_i and an exterior column by 2 inside its reduction.  Nor is P - 2:
-    ``apply`` forms it a row block at a time.
+    the sweeps form it a row block at a time.
     Columns are the n interior cells, at ``_cols``, then one exterior
     column of value 0 per group of collar cells with equal exponent
     columns, holding the group's summed weights and its shared exponent;
     groups of equal size sit together, in order of their first cell.
-    Sweeps write into preallocated work buffers and return only reductions
-    or fresh arrays, never a view of a buffer, except ``pair_coeffs`` for
-    variable p: its root-find side reads the first buffer and writes the
-    second, valid until the next sweep.
+    Every sweep runs over the row blocks ``_blocks`` in work buffers of one
+    block's size, writes per-row results into arrays of n entries and
+    returns only reductions or fresh arrays, never a view of a buffer; a
+    variable-p ``pair_coeffs`` side owns its arrays.
     """
 
     def __init__(self, grid, field, summary=None):
@@ -188,48 +193,54 @@ class OperatorContext:
         self._row_f = w[:n]
         self._col_f = np.ones(shape[1])
         self._col_f[n:] = 2.0
+        # a sweep's row blocks and its work buffers, each one block in size;
+        # a variable exponent's P - 2 forms in _e
+        self._blocks = _row_blocks(n, shape[1])
+        block = (max(b.stop - b.start for b in self._blocks), shape[1])
+        self._a, self._b = np.empty(block), np.empty(block)
         if not isinstance(self.P, float):
-            # row blocks of the power to P - 2, whose exponents form in _e
-            self._blocks = _row_blocks(n, shape[1])
-            self._e = np.empty(max(b.stop - b.start for b in self._blocks) * shape[1])
-        self._a = np.empty(shape)
-        self._b = np.empty(shape)
+            self._e = np.empty(block)
 
-    def _diff(self, vals):
-        """u_i - u_j for interior rows i against all columns j, in the first
-        work buffer; exterior columns take the value 0."""
+    def _p(self, rows):
+        """The exponents of the rows ``rows``: P itself when constant."""
+        return self.P if isinstance(self.P, float) else self.P[rows]
+
+    def _diffs(self, vals, out=None):
+        """Per row block: its rows and u_i - u_j for them against all columns
+        j, in the first work buffer or in those rows of ``out``; exterior
+        columns take the value 0."""
         cv = self._col_vals
         cv[self._cols] = vals
-        return np.subtract(cv[self._cols, None], cv, out=self._a)
-
-    def _abs_pow(self, vals):
-        """|u_i - u_j|^p_ij in the first work buffer."""
-        d = np.abs(self._diff(vals), out=self._a)
-        return np.power(d, self.P, out=d)
-
-    def _pow_p_minus_2(self, vals):
-        """|du|^(p_ij - 2) in the second work buffer; du stays in the first.
-        A variable exponent's P - 2 forms in ``_e`` a row block at a time."""
-        a = np.abs(self._diff(vals), out=self._b)
-        if isinstance(self.P, float):
-            return np.power(a, self.P - 2.0, out=a)
         for rows in self._blocks:
-            block = a[rows]
-            e = self._e[:block.size].reshape(block.shape)
-            np.power(block, np.subtract(self.P[rows], 2.0, out=e), out=block)
-        return a
+            d = self._a[:rows.stop - rows.start] if out is None else out[rows]
+            yield rows, np.subtract(cv[rows, None], cv, out=d)
 
-    def _pair_sum(self, t):
-        """sum over ordered pairs of t_ij k_ij w_i w_j: the table t against
-        row_w, with exterior columns weighted 2 and row i by w_i."""
-        return float(np.dot(np.einsum("ij,ij,j->i", t, self.row_w, self._col_f), self._row_f))
+    def _abs_pows(self, vals, out=None):
+        """Per row block: its rows and |u_i - u_j|^p_ij, where ``_diffs``
+        puts u_i - u_j."""
+        for rows, d in self._diffs(vals, out):
+            yield rows, np.power(np.abs(d, out=d), self._p(rows), out=d)
 
-    def _pair_weighted(self, t):
-        """t_ij k_ij w_i w_j in place, doubled on exterior columns."""
-        t *= self.row_w
-        t *= self._row_f[:, None]
-        t *= self._col_f
-        return t
+    def _pow_p_minus_2s(self, vals):
+        """Per row block: its rows, du in the first work buffer and
+        |du|^(p_ij - 2) in the second.  A variable exponent's P - 2 forms
+        in ``_e``."""
+        for rows, d in self._diffs(vals):
+            c = np.abs(d, out=self._b[:d.shape[0]])
+            if isinstance(self.P, float):
+                np.power(c, self.P - 2.0, out=c)
+            else:
+                np.power(c, np.subtract(self.P[rows], 2.0, out=self._e[:d.shape[0]]), out=c)
+            yield rows, d, c
+
+    def _row_sums(self, t, rows, out):
+        """out[rows] = sum_j t_ij k_ij w_j, exterior columns weighted 2."""
+        np.einsum("ij,ij,j->i", t, self.row_w[rows], self._col_f, out=out[rows])
+
+    def _pair_sum(self, sums):
+        """sum over ordered pairs of t_ij k_ij w_i w_j, from the per-row
+        sums of ``_row_sums`` weighted w_i."""
+        return float(np.dot(sums, self._row_f))
 
     # -- pair reductions ----------------------------------------------------
 
@@ -245,36 +256,46 @@ class OperatorContext:
         """(i1, sp_modular) in a single pass over the table: the modular
         from |du|^p against the weights, then the energy from |du|^p k w w
         over p, formed in place of |du|^p."""
-        t = self._abs_pow(vals)
-        sp = self._pair_sum(t)
-        t /= self.P
-        return self._pair_sum(t), sp
+        sp, i1 = np.empty(self.grid.n), np.empty(self.grid.n)
+        for rows, t in self._abs_pows(vals):
+            self._row_sums(t, rows, sp)
+            t /= self._p(rows)
+            self._row_sums(t, rows, i1)
+        return self._pair_sum(i1), self._pair_sum(sp)
 
-    def apply(self, vals):
-        """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j;
-        the |du|^(p-2) table stays in the second work buffer."""
-        c = self._pow_p_minus_2(vals)
-        return 2.0 * np.einsum("ij,ij->i", np.multiply(c, self._a, out=self._a), self.row_w)
+    def apply(self, vals, jac=None):
+        """Operator values on interior cells: 2 sum_j |du|^(p-2) du k_ij w_j.
+
+        A ``jac``, a C-contiguous n x n output array, receives
+        ``linearize``'s Jacobian rows from the same |du|^(p-2) blocks."""
+        values = np.empty(self.grid.n)
+        diag = None if jac is None else jac.reshape(-1)[::self.grid.n + 1]
+        for rows, d, c in self._pow_p_minus_2s(vals):
+            row_w = self.row_w[rows]
+            np.einsum("ij,ij->i", np.multiply(c, d, out=d), row_w, out=values[rows])
+            if jac is not None:
+                c *= row_w
+                # (p - 1) c as p c - c, in the block's first buffer
+                pc = np.multiply(c, self._p(rows), out=d)
+                pc -= c
+                np.multiply(pc[:, self._cols], -2.0, out=jac[rows])
+                # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
+                np.multiply(pc.sum(axis=1), 2.0, out=diag[rows])
+        values *= 2.0
+        return values
 
     def linearize(self, vals):
         """(operator values, n x n Jacobian in the interior values) at
-        ``vals``, both from one ``apply`` sweep: the Jacobian is formed from
-        the |du|^(p-2) table that sweep leaves.
+        ``vals``, both from one ``apply`` sweep, which forms the Jacobian's
+        rows from each block's |du|^(p-2).
 
         Entry (i, k), k != i, is -2 (p_ik - 1) |du_ik|^(p_ik - 2) k_ik w_k;
         the diagonal entry is 2 sum_j (p_ij - 1) |du_ij|^(p_ij - 2) k_ij w_j
         over all columns j, so exterior columns fold into the diagonal.
         Finite since p >= 2.
         """
-        values = self.apply(vals)
-        c = np.multiply(self._b, self.row_w, out=self._b)
-        # (p - 1) c as p c - c, without a table-sized temporary
-        pc = np.multiply(c, self.P, out=self._a)
-        pc -= c
-        jac = -2.0 * pc[:, self._cols]
-        # pc is 0 on the table diagonal (j = i), so the row sum runs over j != i
-        np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
-        return values, jac
+        jac = np.empty((self.grid.n, self.grid.n))
+        return self.apply(vals, jac), jac
 
     def weak(self, uvals, vvals):
         """Pair sum |du|^(p-2) du dv k_ij w_i w_j, as <apply(u), v> under the
@@ -297,29 +318,42 @@ class OperatorContext:
         its value at 1/lam.  Used by the seminorm and the ray scaling.
 
         For constant p it is one float term, the summed coefficient, and
-        holds no array.  Otherwise the coefficient logs (-inf for a zero
-        coefficient) stay in the first work buffer, the exponents are read
-        from ``P`` and the power sums form in the second buffer, so the
-        side is valid until the next sweep and no table-sized array is
-        made.  ``vals`` are a grid function's values, finite, so no
-        coefficient is nan.
+        holds no array.  Otherwise c forms a row block at a time in a fresh
+        table-sized array, which the side keeps as its coefficient logs
+        beside a power-sum buffer of its own, so the side stays valid
+        across later sweeps.  ``vals`` are a grid function's values,
+        finite, so no coefficient is nan.
         """
-        t = self._abs_pow(vals)
-        c = self._pair_sum(t) if isinstance(self.P, float) else self._pair_weighted(t)
-        return _Terms.of(c, self.P, self._b)
+        if isinstance(self.P, float):
+            sums = np.empty(self.grid.n)
+            for rows, t in self._abs_pows(vals):
+                self._row_sums(t, rows, sums)
+            return _Terms.of(self._pair_sum(sums), self.P)
+        c = np.empty(self.row_w.shape)
+        for rows, t in self._abs_pows(vals, c):
+            t *= self.row_w[rows]
+            t *= self._row_f[rows, None]
+            t *= self._col_f
+        return _Terms.of(c, self.P)
 
     def sp_grad_interior(self, vals):
         """Measure-weighted gradient of sum |du|^p k w w on interior cells:
         2 sum_j p_ij |du|^(p-1) sgn(du) k_ij w_j."""
-        a = np.multiply(self._pow_p_minus_2(vals), self._a, out=self._b)
-        a *= self.P
-        return 2.0 * np.einsum("ij,ij->i", a, self.row_w)
+        grad = np.empty(self.grid.n)
+        for rows, d, c in self._pow_p_minus_2s(vals):
+            a = np.multiply(c, d, out=c)
+            a *= self._p(rows)
+            np.einsum("ij,ij->i", a, self.row_w[rows], out=grad[rows])
+        grad *= 2.0
+        return grad
 
     def sp_dlambda(self, vals, lam):
         """d/d lam of sum |du/lam|^p k w w (negative for nonzero u)."""
-        t = self._abs_pow(vals / lam)
-        t *= self.P
-        return -self._pair_sum(t) / lam
+        sums = np.empty(self.grid.n)
+        for rows, t in self._abs_pows(vals / lam):
+            t *= self._p(rows)
+            self._row_sums(t, rows, sums)
+        return -self._pair_sum(sums) / lam
 
     def _check_function(self, u):
         if not u.grid.compatible_with(self.grid):

@@ -175,8 +175,10 @@ def test_nehari_lambda_root_find_cost_and_precision(ctx16, ctx16_var, grid16, rn
         assert abs(sp - sq) <= 1e-14 * (sp + sq)
 
 
-def test_nehari_lambda_peaks_below_one_kept_table(ctx16_var):
-    # variable p: the pair side's power sums run in the context's buffers
+def test_nehari_lambda_peaks_below_its_pair_sides_tables(ctx16_var):
+    # variable p: the pair side owns two tables, its coefficient logs and
+    # its power sums; past them only the side's mask of positive
+    # coefficients, an eighth of a table, and arrays of n entries
     grid = ff.Grid(ctx16_var.grid.domain, 128, 512)
     ctx = ff.OperatorContext(grid, ctx16_var.field)
     u = ff.standard_bump(grid)
@@ -187,7 +189,7 @@ def test_nehari_lambda_peaks_below_one_kept_table(ctx16_var):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < ctx.row_w.size * 8
+    assert peak < 2.25 * ctx.row_w.nbytes
 
 
 def test_nehari_lambda_rejects_zero(ctx16, grid16):

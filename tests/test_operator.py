@@ -7,6 +7,7 @@ import pytest
 import fracflow as ff
 from fracflow import nonlocal_operator
 from fracflow.errors import ContextMismatch, GridMismatch, InvalidResolution
+from fracflow.modular import _Terms
 from fracflow.nonlocal_operator import MAX_TABLE_ENTRIES, OperatorContext
 
 from oracles import (brute_apply, brute_i1, brute_sp_modular, brute_weak, pair_weights,
@@ -400,7 +401,7 @@ def test_linearize_after_any_sweep_is_a_fresh_contexts(ctx16_var, grid16, rng):
     for name, args in sweeps.items():
         result = getattr(ctx, name)(*args)
         if name == "pair_coeffs":
-            result.log_sum(0.3)  # the side's power sum writes the second buffer
+            result.log_sum(0.3)  # the side's power sum, in its own buffer
         again = ctx.linearize(u)
         assert _bits(again[0]) == _bits(values) and _bits(again[1]) == _bits(jac)
 
@@ -497,53 +498,127 @@ def test_exterior_columns_fold_by_exponent_column(ctx16, ctx16_var, grid16):
         (unfolded, (off_grid.n, off_grid.n_total)),
     )
     for ctx, shape in layouts:
-        assert ctx.row_w.shape == ctx._a.shape == ctx._b.shape == shape
+        assert ctx.row_w.shape == shape
         assert _bits(pair_weights(ctx)) == _bits(unfolded_build(ctx.grid, ctx.field)[2])
     assert type(ctx16.P) is float
     assert ctx16_var.P.shape == (n, n + m)
     assert unfolded.P.shape == (off_grid.n, off_grid.n_total)
 
 
-def test_variable_p_context_keeps_four_tables(ctx16_var, domain):
-    # P, row_w and the two work buffers; the exponents P - 2 form in a
-    # block smaller than this table, and constant p keeps no P table
-    grid = ff.Grid(domain, 64, 256)
-    for field, kept in ((ctx16_var.field, ["P", "_a", "_b", "row_w"]),
-                        (ff.make_exponent_field(0.4), ["_a", "_b", "row_w"])):
+def test_variable_p_context_keeps_two_tables(ctx16, ctx16_var, domain):
+    # a table of several row blocks keeps P and row_w, and constant p no P
+    # table; beside them the two work buffers and P - 2 hold a row block
+    # each, and the rest a row or a column each
+    grid = ff.Grid(domain, 128, 512)
+    for field, kept in ((ctx16_var.field, ["P", "row_w"]),
+                        (ff.make_exponent_field(0.4), ["row_w"])):
         ctx = OperatorContext(grid, field)
+        assert len(ctx._blocks) > 1
         size = ctx.row_w.size
-        tables = [k for k, v in vars(ctx).items() if isinstance(v, np.ndarray) and v.size >= size]
-        assert sorted(tables) == kept
-        assert sum(v.nbytes for v in vars(ctx).values() if isinstance(v, np.ndarray)) < (
-            (len(kept) + 1) * 8 * size)
+        arrays = {k: v for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
+        assert sorted(k for k, v in arrays.items() if v.size >= size) == kept
+        rest = sum(v.nbytes for k, v in arrays.items() if k not in kept)
+        assert rest < 8 * (3 * nonlocal_operator.BLOCK_ENTRIES + 4 * ctx.row_w.shape[1])
+    # a table of one block: the buffers are the table's size
+    for ctx in (ctx16, ctx16_var):
+        assert len(ctx._blocks) == 1
+        assert ctx._a.shape == ctx._b.shape == ctx.row_w.shape
+
+
+def _whole_table_sweeps(ctx, u, lam):
+    """Every sweep of ``ctx`` at u by its whole-table formula: the n x n_kept
+    difference table, its powers and one reduction over all rows."""
+    n, width = ctx.row_w.shape
+    col_f = np.where(np.arange(width) < n, 1.0, 2.0)
+    row_f = ctx.grid.interior_widths
+
+    def diff(vals):
+        cols = np.zeros(width)
+        cols[:n] = vals
+        return cols[:n, None] - cols
+
+    def pair_sum(t):
+        return float(np.dot(np.einsum("ij,ij,j->i", t, ctx.row_w, col_f), row_f))
+
+    du = diff(u)
+    t = np.abs(du) ** ctx.P
+    c = np.abs(du) ** (ctx.P - 2.0)
+    values = 2.0 * np.einsum("ij,ij->i", c * du, ctx.row_w)
+    cw = c * ctx.row_w
+    pc = cw * ctx.P - cw
+    jac = -2.0 * pc[:, :n]
+    np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
+    if isinstance(ctx.P, float):
+        side = _Terms.of(pair_sum(t), ctx.P)
+    else:
+        side = _Terms.of(t * ctx.row_w * row_f[:, None] * col_f, ctx.P)
+    return {
+        "apply": values,
+        "linearize": (values, jac),
+        "pair_stats": (pair_sum(t / ctx.P), pair_sum(t)),
+        "pair_coeffs": side.log_sum(0.0),
+        "sp_grad_interior": 2.0 * np.einsum("ij,ij->i", c * du * ctx.P, ctx.row_w),
+        "sp_dlambda": -pair_sum(np.abs(diff(u / lam)) ** ctx.P * ctx.P) / lam,
+    }
 
 
 @pytest.mark.parametrize("block_entries", [nonlocal_operator.BLOCK_ENTRIES, 25, 1])
-def test_blocked_power_is_bitwise_the_whole_table(block_entries, ctx16_var, monkeypatch):
-    # apply's |du|^(P - 2), formed a row block at a time, against the whole
-    # table at once, in the values and in the Jacobian formed from them
+def test_blocked_power_is_bitwise_the_whole_table(block_entries, ctx16, ctx16_var,
+                                                  monkeypatch):
+    # every sweep, run a row block at a time, against its whole-table
+    # formula: constant p, mirror-folded and unfolded exterior columns
     several = block_entries < nonlocal_operator.BLOCK_ENTRIES
     monkeypatch.setattr(nonlocal_operator, "BLOCK_ENTRIES", block_entries)
     off_grid, off_field = _unfolded_case()
     rng = np.random.default_rng(3)
-    for grid, field in ((ctx16_var.grid, ctx16_var.field), (off_grid, off_field),
-                        (ff.Grid(off_grid.domain, 7, 8), off_field)):
+    for grid, field in ((ctx16.grid, ctx16.field), (ctx16_var.grid, ctx16_var.field),
+                        (off_grid, off_field), (ff.Grid(off_grid.domain, 7, 8), off_field)):
         ctx = OperatorContext(grid, field)
         assert (len(ctx._blocks) > 1) is several
-        n = grid.n
-        u = rng.standard_normal(n)
-        cols = np.zeros(ctx.row_w.shape[1])
-        cols[:n] = u
-        du = cols[:n, None] - cols
-        c = np.abs(du) ** (ctx.P - 2.0)
-        values = 2.0 * np.einsum("ij,ij->i", c * du, ctx.row_w)
-        cw = c * ctx.row_w
-        pc = cw * ctx.P - cw
-        jac = -2.0 * pc[:, :n]
-        np.fill_diagonal(jac, 2.0 * pc.sum(axis=1))
-        assert _bits(ctx.apply(u)) == _bits(values)
-        lin = ctx.linearize(u)
-        assert _bits(lin[0]) == _bits(values) and _bits(lin[1]) == _bits(jac)
+        u = rng.standard_normal(grid.n)
+        whole = _whole_table_sweeps(ctx, u, 0.7)
+        blocked = {
+            "apply": ctx.apply(u),
+            "linearize": ctx.linearize(u),
+            "pair_stats": ctx.pair_stats(u),
+            "pair_coeffs": ctx.pair_coeffs(u).log_sum(0.0),
+            "sp_grad_interior": ctx.sp_grad_interior(u),
+            "sp_dlambda": ctx.sp_dlambda(u, 0.7),
+        }
+        for name, value in blocked.items():
+            expected = whole[name]
+            pairs = zip(value, expected) if isinstance(value, tuple) else [(value, expected)]
+            for got, want in pairs:
+                assert _bits(np.asarray(got)) == _bits(np.asarray(want)), name
+
+
+def test_variable_p_pair_sides_outlive_later_sweeps(ctx16_var, rng):
+    # a variable-p side owns its coefficients and power-sum buffer, so the
+    # sweeps after it, another side's included, leave its values alone
+    ctx = OperatorContext(ff.Grid(ctx16_var.grid.domain, 16, 64), ctx16_var.field)
+    u, v = rng.standard_normal(16), 3.0 * rng.standard_normal(16)
+    sides = [(ctx.pair_coeffs(u), u), (ctx.pair_coeffs(v), v)]
+    ctx.linearize(2.0 * v)
+    for side, vals in sides:
+        assert side.log_sum(0.0)[0] == pytest.approx(math.log(ctx.sp_modular(vals)), rel=1e-13)
+
+
+def test_variable_p_sweeps_peak_below_three_tables(ctx16_var):
+    # a context of several row blocks keeps P and row_w; its sweeps work in
+    # one block's buffers and write per-row results, linearize's n x n
+    # Jacobian being the largest
+    grid = ff.Grid(ctx16_var.grid.domain, 128, 512)
+    u = ff.standard_bump(grid).values
+    tracemalloc.start()
+    try:
+        ctx = OperatorContext(grid, ctx16_var.field)
+        ctx.linearize(u)
+        ctx.pair_stats(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ctx._blocks) > 1
+    assert peak < 3 * ctx.row_w.nbytes
 
 
 def test_constant_p_pair_coeffs_is_one_coefficient(ctx16, ctx16_var, grid16, rng):
